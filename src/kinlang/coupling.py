@@ -17,10 +17,13 @@ xi`` inside the gap region.  A vanishing gluing offset (or synchronous
 mode) makes the coupling purely synchronous.  Coefficients and ``e`` are
 frozen at the start of each step.
 
-Law terms inside nonlinear coupled runs are approximated by the empirical
-marginals of the coupled batch itself; the componentwise variant couples
-N independent nonlinear copies (law supplied externally, e.g. by a large
-proxy run) against one N-particle system, slot by slot.
+Both copies step through the integrator update and the force dispatcher
+of :mod:`kinlang.dynamics`.  Law terms inside nonlinear coupled runs are
+approximated by the empirical marginals of the coupled batch itself.  The
+componentwise variant is the same step with one more leading axis: it
+couples N independent nonlinear copies (law mean supplied externally,
+e.g. by a large proxy run) against one N-particle system, slot by slot,
+on (R, N, d) arrays.
 """
 
 from __future__ import annotations
@@ -28,15 +31,16 @@ from __future__ import annotations
 import math
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
 from . import rng
 from .constants import MetricConstants
-from .dynamics import BlowUpError, DynamicsError, IntegratorConfig, interaction_mean
+from .dynamics import (BlowUpError, DynamicsError, IntegratorConfig, _advance,
+                       _quiet_overflow, _require_split, drift)
 from .metrics import GroundMetric, small_norm, twisted_norm
-from .model import ModelSpec, eval_external
+from .model import ModelError, ModelSpec
 
 Array = np.ndarray
 
@@ -98,7 +102,7 @@ class CoupledState:
 
     @property
     def dim(self) -> int:
-        return self.ax.shape[1]
+        return self.ax.shape[-1]
 
     @property
     def z(self) -> Array:
@@ -114,9 +118,7 @@ class CoupledState:
 
     @property
     def e(self) -> Array:
-        q = self.q
-        norm = np.linalg.norm(q, axis=-1, keepdims=True)
-        return np.where(norm > Q_TINY, q / np.maximum(norm, Q_TINY), 0.0)
+        return _unit_q(self.z, self.w, self.gamma)
 
     def require_finite(self) -> None:
         for a in (self.ax, self.ay, self.bx, self.by):
@@ -167,6 +169,7 @@ def sc_value(rc: Array) -> Array:
 # ---------------------------------------------------------------------------
 
 def _unit_q(z: Array, w: Array, gamma: float) -> Array:
+    """Reflection direction: unit vector along Q = Z + W / gamma, 0 if Q vanishes."""
     q = z + w / gamma
     norm = np.linalg.norm(q, axis=-1, keepdims=True)
     return np.where(norm > Q_TINY, q / np.maximum(norm, Q_TINY), 0.0)
@@ -175,49 +178,45 @@ def _unit_q(z: Array, w: Array, gamma: float) -> Array:
 def _coupled_noise_arrays(z: Array, w: Array, gamma: float, rc: Array,
                           cfg: IntegratorConfig, step_index: int
                           ) -> tuple[Array, Array]:
-    n, d = z.shape
-    xi_sc = rng.normals(cfg.seed, rng.SUB_MAIN, step_index, (n, d))
+    xi_sc = rng.normals(cfg.seed, rng.SUB_MAIN, step_index, z.shape)
     if np.all(rc == 0.0):
         # purely synchronous: both copies share the increment bitwise
         return xi_sc, xi_sc
-    xi_rc = rng.normals(cfg.seed, rng.SUB_REFLECT, step_index, (n, d))
-    sc = sc_value(rc)[:, None]
-    rc = np.asarray(rc)[:, None]
+    xi_rc = rng.normals(cfg.seed, rng.SUB_REFLECT, step_index, z.shape)
+    sc = sc_value(rc)[..., None]
+    rc = np.asarray(rc)[..., None]
     e = _unit_q(z, w, gamma)
     reflected = xi_rc - 2.0 * np.sum(e * xi_rc, axis=-1, keepdims=True) * e
     return sc * xi_sc + rc * xi_rc, sc * xi_sc + rc * reflected
 
 
-def _advance_copy(x, y, force, noise, h, gamma, u, scheme):
-    if scheme == "euler_maruyama":
-        return (x + h * y,
-                y + h * (-gamma * y + u * force) + np.sqrt(2.0 * gamma * u * h) * noise)
-    decay = np.exp(-gamma * h)
-    y_kicked = y + h * u * force
-    return (x + (1.0 - decay) / gamma * y_kicked,
-            decay * y_kicked + np.sqrt(u * (1.0 - decay * decay)) * noise)
+def _law_system(spec: ModelSpec, law: str) -> tuple[str, Optional[Array]]:
+    """System both copies follow under ``law`` and its default law mean
+    (None: each copy's own empirical marginal)."""
+    if law == "none":
+        return "classical", None
+    if law == "replica_proxy":
+        return "particles", None
+    if law == "analytic_zero":
+        # centered theory: the law mean stays at the origin exactly
+        _require_split(spec)
+        return "unconfined", np.zeros(spec.dim)
+    raise DynamicsError(f"unknown law {law!r}")
 
 
 def _pair_step_arrays(spec: ModelSpec, arrays: tuple, control: CouplingControl,
                       cfg: IntegratorConfig, constants: MetricConstants,
-                      step_index: int, law: str,
-                      law_force=None, componentwise: bool = False) -> tuple:
+                      step_index: int, system: str, mean_a: Optional[Array],
+                      mean_b: Optional[Array]) -> tuple:
     ax, ay, bx, by = arrays
     z, w = ax - bx, ay - by
     rc = rc_value(control, spec, constants, z, w)
     noise_a, noise_b = _coupled_noise_arrays(z, w, spec.gamma, rc, cfg, step_index)
-    if componentwise:
-        if law_force is not None:
-            force_a = eval_external(spec, ax) + law_force(ax, step_index)
-        else:
-            force_a = _pair_drift(spec, ax, ax, "replica_proxy")
-        force_b = eval_external(spec, bx) + interaction_mean(spec, bx)
-    else:
-        force_a = _pair_drift(spec, ax, ax, law)
-        force_b = _pair_drift(spec, bx, bx, law)
+    force_a = drift(spec, ax, system, mean_a)
+    force_b = drift(spec, bx, system, mean_b)
     h, g, u = cfg.step, spec.gamma, spec.u
-    ax, ay = _advance_copy(ax, ay, force_a, noise_a, h, g, u, cfg.scheme)
-    bx, by = _advance_copy(bx, by, force_b, noise_b, h, g, u, cfg.scheme)
+    ax, ay = _advance(ax, ay, force_a, noise_a, h, g, u, cfg.scheme)
+    bx, by = _advance(bx, by, force_b, noise_b, h, g, u, cfg.scheme)
     return ax, ay, bx, by
 
 
@@ -231,53 +230,11 @@ def step_coupled_pair(spec: ModelSpec, state: CoupledState, control: CouplingCon
     the exactly-centered law mean of the unconfined theory, ``"none"``
     drops the interaction (classical dynamics).
     """
-    arrays = _pair_step_arrays(spec, (state.ax, state.ay, state.bx, state.by),
-                               control, cfg, constants, step_index, law)
-    out = CoupledState(ax=arrays[0], ay=arrays[1], bx=arrays[2], by=arrays[3],
-                       gamma=spec.gamma, t=state.t + cfg.step)
-    out.require_finite()
-    return out
-
-
-def _pair_drift(spec: ModelSpec, x: Array, marginal_x: Array, law: str) -> Array:
-    inter = spec.interaction
-    unconfined = law == "analytic_zero"
-    base = np.zeros_like(x) if unconfined else eval_external(spec, x)
-    if law == "none" or inter.kind == "none":
-        return base
-    if unconfined:
-        if not inter.has_split:
-            raise DynamicsError("analytic-zero law needs an interaction splitting")
-        # centered theory: the law mean stays at the origin exactly
-        mean_term = -(x - 0.0) @ inter.split_matrix.T
-        if inter.split_g is not None:
-            raise DynamicsError("analytic-zero law only supports a vanishing perturbation")
-        return base + mean_term
-    if inter.kind == "linear":
-        return base + inter.params["k"] * marginal_x.mean(axis=0)
-    if inter.has_split and inter.split_g is None:
-        return base - (x - marginal_x.mean(axis=0)) @ inter.split_matrix.T
-    pair = inter.pair_force(x[:, None, :], marginal_x[None, :, :])
-    return base + pair.mean(axis=1)
-
-
-def step_coupled_componentwise(spec: ModelSpec, state: CoupledState,
-                               control: CouplingControl, cfg: IntegratorConfig,
-                               constants: MetricConstants, step_index: int = 0,
-                               law_force: Optional[Callable[[Array, int], Array]] = None
-                               ) -> CoupledState:
-    """One step of the componentwise coupling.
-
-    First components evolve as N independent nonlinear copies whose law
-    term comes from ``law_force(x, step_index)`` (e.g. a large-proxy
-    empirical mean, possibly time dependent) or, if omitted, from their
-    own empirical marginal.  Second components evolve as the N-particle
-    system.  Each slot carries its own blend and reflection direction; the
-    shared interaction means are recomputed every step.
-    """
-    arrays = _pair_step_arrays(spec, (state.ax, state.ay, state.bx, state.by),
-                               control, cfg, constants, step_index, "replica_proxy",
-                               law_force=law_force, componentwise=True)
+    system, law_mean = _law_system(spec, law)
+    with _quiet_overflow():
+        arrays = _pair_step_arrays(spec, (state.ax, state.ay, state.bx, state.by),
+                                   control, cfg, constants, step_index, system,
+                                   law_mean, law_mean)
     out = CoupledState(ax=arrays[0], ay=arrays[1], bx=arrays[2], by=arrays[3],
                        gamma=spec.gamma, t=state.t + cfg.step)
     out.require_finite()
@@ -309,9 +266,19 @@ class CoupledTrajectory:
 def simulate_coupled(spec: ModelSpec, state0: CoupledState, control: CouplingControl,
                      cfg: IntegratorConfig, constants: MetricConstants,
                      dump_times=None, law: str = "replica_proxy",
-                     componentwise: bool = False,
-                     law_force: Optional[Callable[[Array, int], Array]] = None
+                     componentwise: bool = False, law_means: Optional[Array] = None
                      ) -> CoupledTrajectory:
+    """March a batch of coupled pairs to the horizon, recording dumps.
+
+    ``law`` is as in :func:`step_coupled_pair`.  With ``componentwise``
+    the second component evolves as the N-particle system on its own
+    empirical marginal (axis -2, so (R, N, d) arrays hold R replicas), and
+    the first as N independent nonlinear copies whose law mean at step k
+    is ``law_means[k]`` (e.g. a large-proxy mean path), or the law's own
+    default when omitted.  Each slot carries its own blend and reflection
+    direction.  A non-finite state aborts with a :class:`BlowUpError`.
+    """
+    system, default_mean = _law_system(spec, law)
     n_steps = cfg.n_steps
     if dump_times is None:
         dump_times = np.array([cfg.horizon])
@@ -333,16 +300,20 @@ def simulate_coupled(spec: ModelSpec, state0: CoupledState, control: CouplingCon
 
     if 0 in dump_steps:
         record(arrays, state0.t)
-    from .model import ModelError
-    for k in range(n_steps):
-        try:
-            arrays = _pair_step_arrays(spec, arrays, control, cfg, constants, k, law,
-                                       law_force=law_force, componentwise=componentwise)
-        except ModelError as err:
-            # a non-finite position reaching the force evaluators IS a blow-up
-            raise BlowUpError(state0.t + k * cfg.step) from err
-        if (k + 1) in dump_steps:
-            record(arrays, state0.t + (k + 1) * cfg.step)
+    mean_a = default_mean
+    mean_b = None if componentwise else default_mean
+    with _quiet_overflow():
+        for k in range(n_steps):
+            if law_means is not None:
+                mean_a = law_means[k]
+            try:
+                arrays = _pair_step_arrays(spec, arrays, control, cfg, constants, k,
+                                           system, mean_a, mean_b)
+            except ModelError as err:
+                # a non-finite position reaching the force evaluators IS a blow-up
+                raise BlowUpError(state0.t + k * cfg.step) from err
+            if (k + 1) in dump_steps:
+                record(arrays, state0.t + (k + 1) * cfg.step)
     if not all(np.all(np.isfinite(a)) for a in arrays):
         raise BlowUpError(state0.t + n_steps * cfg.step)
     return CoupledTrajectory(times=np.array(ts), ax=np.stack(axs), ay=np.stack(ays),

@@ -1,16 +1,22 @@
 """Time integration of kinetic Langevin systems.
 
-Four system classes share one stepping core:
+Three drifts share one stepping core:
 
 * classical dynamics: ``dX = Y dt``, ``dY = (-gamma Y + u b(X)) dt + sqrt(2 gamma u) dB``,
 * the mean-field particle system, whose drift adds the empirical mean of
-  the pairwise interaction over the ensemble,
-* the nonlinear (McKean-Vlasov) dynamics, integrated by approximating the
-  law with the empirical measure of a proxy ensemble -- mechanically the
-  particle system again, but flagged so experiments can budget the
-  proxy's own O(M^-1/2) bias,
+  the pairwise interaction over the ensemble.  The nonlinear
+  (McKean-Vlasov) dynamics is integrated as this system too, its law
+  approximated by the empirical measure of a proxy ensemble; trajectories
+  are flagged so experiments can budget the proxy's own O(M^-1/2) bias,
 * the unconfined dynamics: no external force, interaction with a linear
   part plus an anti-symmetric perturbation, run on centered ensembles.
+
+The core is shared with the couplings in :mod:`kinlang.coupling`:
+``_advance`` is the only integrator update and :func:`drift` the only
+force dispatcher.  :func:`interaction_mean` reduces over axis -2, so one
+code path serves (N, d) ensembles and stacks such as (R, N, d) chaos
+slots, and accepts an external law mean (a proxy mean path, or the exact
+zero of the centered unconfined theory) in place of the empirical one.
 
 Two schemes are provided.  ``euler_maruyama`` is the plain first-order
 scheme.  The default ``ou_splitting`` applies the force kick by Euler and
@@ -29,7 +35,7 @@ substream)`` consumes row block ``normals(seed, substream, k)``, with row
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -119,54 +125,73 @@ class Ensemble:
 # stepping core
 # ---------------------------------------------------------------------------
 
+def _quiet_overflow():
+    """Overflow is deliberately left to produce inf: blow-up detection keys
+    off non-finite states, so stepping loops run with these warnings off."""
+    return np.errstate(over="ignore", invalid="ignore")
+
+
 def _advance(x: Array, y: Array, force: Array, noise: Array, h: float,
              gamma: float, u: float, scheme: str) -> tuple[Array, Array]:
     """One step of either scheme; ``noise`` is a standard-normal block.
 
-    Overflow is deliberately left to produce inf: blow-up detection keys
-    off non-finite states, so the warnings are suppressed here.
+    This is the only integrator update: single ensembles, both copies of
+    coupled pairs and chaos slots all step through it.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        if scheme == "euler_maruyama":
-            x_new = x + h * y
-            y_new = y + h * (-gamma * y + u * force) + np.sqrt(2.0 * gamma * u * h) * noise
-            return x_new, y_new
-        # ou_splitting: Euler force kick, then exact damped free flight
-        decay = np.exp(-gamma * h)
-        y_kicked = y + h * u * force
-        x_new = x + (1.0 - decay) / gamma * y_kicked
-        y_new = decay * y_kicked + np.sqrt(u * (1.0 - decay * decay)) * noise
+    if scheme == "euler_maruyama":
+        x_new = x + h * y
+        y_new = y + h * (-gamma * y + u * force) + np.sqrt(2.0 * gamma * u * h) * noise
         return x_new, y_new
+    # ou_splitting: Euler force kick, then exact damped free flight
+    decay = np.exp(-gamma * h)
+    y_kicked = y + h * u * force
+    x_new = x + (1.0 - decay) / gamma * y_kicked
+    y_new = decay * y_kicked + np.sqrt(u * (1.0 - decay * decay)) * noise
+    return x_new, y_new
 
 
-def interaction_mean(spec: ModelSpec, x: Array, fast: bool = True) -> Array:
-    """Empirical mean interaction force N^-1 sum_j b_int(x_i, x_j).
+def interaction_mean(spec: ModelSpec, x: Array, law_mean: Optional[Array] = None,
+                     fast: bool = True) -> Array:
+    """Law term ``N^-1 sum_j b_int(x_i, x_j)`` over the members on axis -2.
 
-    The reference path materializes all pairs (O(N^2)); interactions that
-    are affine in the second argument take an O(N) path through the
-    ensemble mean.
+    ``x`` is an (N, d) ensemble or a stack of them, e.g. (R, N, d).  The
+    reference path materializes all pairs (O(N^2)); interactions that are
+    affine in the second argument take an O(N) path through the mean.
+    Those interactions see the law only through its mean, so an external
+    ``law_mean`` (broadcastable against ``x``) may replace the empirical one.
     """
     inter = spec.interaction
     if inter.kind == "none":
         return np.zeros_like(x)
-    if fast and inter.kind == "linear":
-        return np.broadcast_to(inter.params["k"] * x.mean(axis=0), x.shape).copy()
-    if fast and inter.has_split and inter.split_g is None:
-        return -(x - x.mean(axis=0)) @ inter.split_matrix.T
-    pair = inter.pair_force(x[:, None, :], x[None, :, :])
-    return pair.mean(axis=1)
+    affine = inter.kind == "linear" or (inter.has_split and inter.split_g is None)
+    if law_mean is None:
+        if not (fast and affine):
+            pair = inter.pair_force(x[..., :, None, :], x[..., None, :, :])
+            return pair.mean(axis=-2)
+        law_mean = x.mean(axis=-2, keepdims=True)
+    elif not affine:
+        raise DynamicsError("an external law mean needs a law term affine in the "
+                            "mean: the linear kind or a pure linear splitting")
+    if inter.kind == "linear":
+        return np.broadcast_to(inter.params["k"] * law_mean, x.shape).copy()
+    return -(x - law_mean) @ inter.split_matrix.T
 
 
-def _total_force(spec: ModelSpec, x: Array, system: str, fast: bool,
-                 law_force: Optional[Callable[[Array], Array]] = None) -> Array:
-    if system == "classical":
-        return eval_external(spec, x)
+def drift(spec: ModelSpec, x: Array, system: str,
+          law_mean: Optional[Array] = None) -> Array:
+    """Total force of a system: ``classical`` (external only), ``particles``
+    (external plus law term) or ``unconfined`` (law term only)."""
     if system == "unconfined":
-        return interaction_mean(spec, x, fast=fast)
+        return interaction_mean(spec, x, law_mean)
     base = eval_external(spec, x)
-    if law_force is not None:
-        return base + law_force(x)
-    return base + interaction_mean(spec, x, fast=fast)
+    if system == "classical":
+        return base
+    return base + interaction_mean(spec, x, law_mean)
+
+
+def _require_split(spec: ModelSpec) -> None:
+    if not spec.interaction.has_split:
+        raise DynamicsError("unconfined dynamics needs an interaction splitting")
 
 
 def step_classical(spec: ModelSpec, state: Ensemble, cfg: IntegratorConfig,
@@ -175,42 +200,24 @@ def step_classical(spec: ModelSpec, state: Ensemble, cfg: IntegratorConfig,
     return _step_system(spec, state, cfg, step_index, system="classical")
 
 
-def step_particles(spec: ModelSpec, ens: Ensemble, cfg: IntegratorConfig,
-                   step_index: int = 0, fast: bool = True) -> Ensemble:
-    """One step of the mean-field particle system."""
-    if ens.n < 1:
-        raise DynamicsError("particle system needs N >= 1")
-    return _step_system(spec, ens, cfg, step_index, system="particles", fast=fast)
-
-
-def step_mckean_vlasov(spec: ModelSpec, ens: Ensemble, cfg: IntegratorConfig,
-                       step_index: int = 0, fast: bool = True) -> Ensemble:
-    """One step of the nonlinear dynamics with its law approximated by the
-    ensemble's own empirical measure (proxy size M = ens.n >= 2)."""
-    if ens.n < 2:
-        raise DynamicsError("law proxy needs M >= 2 members")
-    return _step_system(spec, ens, cfg, step_index, system="particles", fast=fast)
-
-
 def step_unconfined(spec: ModelSpec, ens: Ensemble, cfg: IntegratorConfig,
-                    step_index: int = 0, fast: bool = True,
-                    check_centering: bool = True) -> Ensemble:
+                    step_index: int = 0, check_centering: bool = True) -> Ensemble:
     """One step of the unconfined dynamics (external force dropped)."""
-    if not spec.interaction.has_split:
-        raise DynamicsError("unconfined dynamics needs an interaction splitting")
+    _require_split(spec)
     if check_centering and step_index == 0 and not ens.centered():
         raise DynamicsError("unconfined dynamics requires a centered initial ensemble")
-    return _step_system(spec, ens, cfg, step_index, system="unconfined", fast=fast)
+    return _step_system(spec, ens, cfg, step_index, system="unconfined")
 
 
 def _step_system(spec: ModelSpec, ens: Ensemble, cfg: IntegratorConfig,
-                 step_index: int, system: str, fast: bool = True,
-                 law_force=None) -> Ensemble:
+                 step_index: int, system: str) -> Ensemble:
     block = rng.normals(cfg.seed, cfg.substream, step_index,
                         (int(ens.noise_ids.max()) + 1, ens.dim))
     noise = block[ens.noise_ids]
-    force = _total_force(spec, ens.x, system, fast, law_force)
-    x, y = _advance(ens.x, ens.y, force, noise, cfg.step, spec.gamma, spec.u, cfg.scheme)
+    force = drift(spec, ens.x, system)
+    with _quiet_overflow():
+        x, y = _advance(ens.x, ens.y, force, noise, cfg.step, spec.gamma, spec.u,
+                        cfg.scheme)
     out = Ensemble(x=x, y=y, t=ens.t + cfg.step, noise_ids=ens.noise_ids)
     out.require_finite()
     return out
@@ -229,8 +236,7 @@ class Trajectory:
 
 
 def simulate(spec: ModelSpec, ens0: Ensemble, cfg: IntegratorConfig,
-             system: str = "classical", dump_times: Optional[Array] = None,
-             fast: bool = True, law_force=None) -> Trajectory:
+             system: str = "classical", dump_times: Optional[Array] = None) -> Trajectory:
     """March an ensemble to the horizon, recording snapshots at dump times.
 
     Dump times are snapped to the step grid.  A non-finite state aborts
@@ -241,8 +247,7 @@ def simulate(spec: ModelSpec, ens0: Ensemble, cfg: IntegratorConfig,
     if system == "mckean_vlasov" and ens0.n < 2:
         raise DynamicsError("law proxy needs M >= 2 members")
     if system == "unconfined":
-        if not spec.interaction.has_split:
-            raise DynamicsError("unconfined dynamics needs an interaction splitting")
+        _require_split(spec)
         if not ens0.centered():
             raise DynamicsError("unconfined dynamics requires a centered initial ensemble")
     sys_key = "particles" if system == "mckean_vlasov" else system
@@ -258,8 +263,7 @@ def simulate(spec: ModelSpec, ens0: Ensemble, cfg: IntegratorConfig,
     if 0 in dump_steps:
         ts.append(0.0), xs.append(ens.x.copy()), ys.append(ens.y.copy())
     for k in range(n_steps):
-        ens = _step_system(spec, ens, cfg, k, system=sys_key, fast=fast,
-                           law_force=law_force)
+        ens = _step_system(spec, ens, cfg, k, system=sys_key)
         if (k + 1) in dump_steps:
             ts.append(ens.t), xs.append(ens.x.copy()), ys.append(ens.y.copy())
     return Trajectory(times=np.array(ts), x=np.stack(xs), y=np.stack(ys),

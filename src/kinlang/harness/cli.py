@@ -1,10 +1,10 @@
 """Command-line interface.
 
-Subcommands: ``constants``, ``simulate``, ``couple``, ``contract``,
-``chaos``, ``moments``, ``unconfined``.  Every command reads a JSON config
-(``-c/--config``), optionally overridden by ``--seed``, ``--out``,
-``--replicas`` and ``--step``, and writes its artifacts into a run
-directory named by the config hash.
+Subcommands: ``constants``, ``simulate``, ``couple`` and ``run``.  Every
+command reads a JSON config (``-c/--config``), optionally overridden by
+``--seed``, ``--out``, ``--replicas`` and ``--step``, and writes its
+artifacts into a run directory named by the config hash.  ``run`` executes
+the experiment the config names.
 
 Exit codes: 0 on success, 2 when the run completed but assumption
 diagnostics fired (results carry no guarantee), 1 on any runtime error
@@ -22,12 +22,12 @@ from pathlib import Path
 import numpy as np
 
 from ..constants import derive_constants
-from ..coupling import CouplingControl, simulate_coupled
-from ..dynamics import Ensemble, IntegratorConfig, simulate, trajectory_to_rows
+from ..dynamics import trajectory_to_rows
 from ..metrics import GroundMetric
 from ..model import ModelSpec
 from .config import ConfigError, ExperimentConfig, config_hash, load_config
-from .experiments import _draw_initial, build_initial_pair, run_experiment
+from .experiments import (_coupling_control, coupled_trajectory, run_experiment,
+                          simulate_particles)
 from .record import write_csv, write_record
 
 
@@ -76,25 +76,15 @@ def cmd_constants(args) -> int:
     return 2 if constants.diagnostics else 0
 
 
-def _experiment_config(args, force_experiment: str | None = None) -> ExperimentConfig:
+def _experiment_config(args) -> ExperimentConfig:
     doc = _apply_overrides(_load_doc(args.config), args)
-    if force_experiment is not None:
-        doc["experiment"] = force_experiment
     doc.setdefault("experiment", "moments")
     return load_config(doc)
 
 
 def cmd_simulate(args) -> int:
     cfg = _experiment_config(args)
-    spec = cfg.spec
-    x, y = _draw_initial(cfg.initial, spec, cfg.replicas, cfg.seed, 7)
-    icfg = IntegratorConfig(step=cfg.step, horizon=cfg.horizon, scheme=cfg.scheme,
-                            seed=cfg.seed)
-    system = "particles" if spec.interaction.kind != "none" else "classical"
-    if spec.external.kind == "zero" and spec.interaction.has_split:
-        system = "unconfined"
-    traj = simulate(spec, Ensemble(x=x, y=y), icfg, system=system,
-                    dump_times=cfg.dump_times)
+    system, traj = simulate_particles(cfg)
     run_dir = _out_root(cfg) / cfg.hash
     run_dir.mkdir(parents=True, exist_ok=True)
     if args.binary:
@@ -113,16 +103,8 @@ def cmd_couple(args) -> int:
     cfg = _experiment_config(args)
     spec = cfg.spec
     constants = derive_constants(spec)
-    mode = cfg.coupling_mode or "reflection_mix"
-    control = (CouplingControl(mode=mode, xi=cfg.coupling_xi)
-               if cfg.coupling_xi is not None
-               else CouplingControl.for_constants(constants, mode=mode))
-    state = build_initial_pair(cfg)
-    icfg = IntegratorConfig(step=cfg.step, horizon=cfg.horizon, scheme=cfg.scheme,
-                            seed=cfg.seed)
-    law = "replica_proxy" if spec.interaction.kind != "none" else "none"
-    traj = simulate_coupled(spec, state, control, icfg, constants,
-                            dump_times=cfg.dump_times, law=law)
+    control = _coupling_control(cfg, constants)
+    traj = coupled_trajectory(cfg, constants, cfg.step)
     cols = ["t", "rs", "rl", "delta", "rho", "abs_z", "abs_q", "rc"]
     rho = GroundMetric.from_constants(spec, constants, "rho")
     rs = GroundMetric.from_constants(spec, constants, "r_s")
@@ -149,43 +131,12 @@ def cmd_couple(args) -> int:
     return 2 if constants.diagnostics else 0
 
 
-def _run_and_write(cfg: ExperimentConfig) -> int:
+def cmd_run(args) -> int:
+    cfg = load_config(_apply_overrides(_load_doc(args.config), args))
     record = run_experiment(cfg)
     run_dir = write_record(record, _out_root(cfg))
     print(run_dir)
     return 2 if record.flagged else 0
-
-
-def cmd_contract(args) -> int:
-    doc = _load_doc(args.config)
-    exp = doc.get("experiment", "contract_classical")
-    if exp not in ("contract_strong", "contract_classical", "contract_nonlinear",
-                   "unconfined_contract"):
-        exp = "contract_classical"
-    args_doc = _apply_overrides(doc, args)
-    args_doc["experiment"] = exp
-    return _run_and_write(load_config(args_doc))
-
-
-def cmd_chaos(args) -> int:
-    doc = _apply_overrides(_load_doc(args.config), args)
-    doc.setdefault("experiment", "chaos")
-    if doc["experiment"] not in ("chaos", "unconfined_chaos"):
-        doc["experiment"] = "chaos"
-    return _run_and_write(load_config(doc))
-
-
-def cmd_moments(args) -> int:
-    doc = _apply_overrides(_load_doc(args.config), args)
-    doc["experiment"] = "moments"
-    return _run_and_write(load_config(doc))
-
-
-def cmd_unconfined(args) -> int:
-    doc = _apply_overrides(_load_doc(args.config), args)
-    if doc.get("experiment") != "unconfined_chaos":
-        doc["experiment"] = "unconfined_contract"
-    return _run_and_write(load_config(doc))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -193,9 +144,7 @@ def build_parser() -> argparse.ArgumentParser:
                                      description="coupled kinetic Langevin laboratory")
     sub = parser.add_subparsers(dest="command", required=True)
     handlers = {"constants": cmd_constants, "simulate": cmd_simulate,
-                "couple": cmd_couple, "contract": cmd_contract,
-                "chaos": cmd_chaos, "moments": cmd_moments,
-                "unconfined": cmd_unconfined}
+                "couple": cmd_couple, "run": cmd_run}
     for name, fn in handlers.items():
         p = sub.add_parser(name)
         p.add_argument("-c", "--config", required=True)

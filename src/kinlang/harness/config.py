@@ -119,6 +119,9 @@ def validate_config(doc: dict) -> None:
 
 
 def config_hash(doc: dict) -> str:
+    """Canonical-JSON hash of the experiment; ``out`` only says where its
+    run directory goes, so it is left out."""
+    doc = {k: v for k, v in doc.items() if k != "out"}
     canon = json.dumps(doc, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canon.encode()).hexdigest()[:16]
 

@@ -30,8 +30,8 @@ import numpy as np
 
 from .. import rng
 from ..constants import MetricConstants, derive_constants
-from ..coupling import CoupledState, CouplingControl, rc_value, sc_value, simulate_coupled
-from ..dynamics import (BlowUpError, Ensemble, IntegratorConfig, _advance,
+from ..coupling import CoupledState, CoupledTrajectory, CouplingControl, simulate_coupled
+from ..dynamics import (BlowUpError, Ensemble, IntegratorConfig, Trajectory,
                         _step_system, simulate, track_moments)
 from ..metrics import GroundMetric
 from ..model import ModelSpec
@@ -101,6 +101,11 @@ def _draw_initial(doc: dict, spec: ModelSpec, n: int, seed: int, substream: int,
     raise ConfigError(f"unknown initial kind {kind!r}")
 
 
+def _integrator(cfg: ExperimentConfig, **over) -> IntegratorConfig:
+    return IntegratorConfig(**{"step": cfg.step, "horizon": cfg.horizon,
+                               "scheme": cfg.scheme, "seed": cfg.seed, **over})
+
+
 def build_initial_pair(cfg: ExperimentConfig) -> CoupledState:
     """Coupled initial batch: common draws, second law defaulting to a
     shifted copy of the first (a comonotone coupling of the two laws)."""
@@ -166,36 +171,50 @@ _RATE_FOR = {"contract_strong": "c_strong", "contract_classical": "c_classical",
              "contract_nonlinear": "c_nonlinear", "unconfined_contract": "c_unconfined"}
 
 
-def _contraction_curve(cfg: ExperimentConfig, constants: MetricConstants,
-                       step: float) -> tuple[Array, Array, Array, Array]:
-    spec = cfg.spec
+def _coupling_control(cfg: ExperimentConfig, constants: MetricConstants) -> CouplingControl:
+    """Coupling mode and blend width: the config's, else the experiment's
+    default mode and a width scaled to the cutoff."""
     mode = cfg.coupling_mode or ("synchronous" if cfg.experiment in
                                  ("contract_strong", "unconfined_contract")
                                  else "reflection_mix")
     if cfg.coupling_xi is not None:
-        control = CouplingControl(mode=mode, xi=cfg.coupling_xi)
-    else:
-        control = CouplingControl.for_constants(constants, mode=mode)
-    state = build_initial_pair(cfg)
-    if cfg.experiment == "contract_nonlinear" and spec.interaction.kind != "none":
-        law = "replica_proxy"
-    elif cfg.experiment == "unconfined_contract":
+        return CouplingControl(mode=mode, xi=cfg.coupling_xi)
+    return CouplingControl.for_constants(constants, mode=mode)
+
+
+def _coupled_law(cfg: ExperimentConfig) -> str:
+    """How the coupled run feeds law terms (see ``step_coupled_pair``)."""
+    inter = cfg.spec.interaction
+    if cfg.experiment in ("contract_strong", "contract_classical"):
+        return "none"
+    if cfg.experiment == "unconfined_contract":
         both_dirac = (cfg.initial.get("kind") == "dirac"
                       and (cfg.initial_second or {}).get("kind") == "dirac")
-        law = "analytic_zero" if (both_dirac and spec.interaction.split_g is None) \
-            else "replica_proxy"
-    else:
-        law = "none"
-    icfg = IntegratorConfig(step=step, horizon=cfg.horizon, scheme=cfg.scheme,
-                            seed=cfg.seed)
-    traj = simulate_coupled(spec, state, control, icfg, constants,
-                            dump_times=cfg.dump_times, law=law)
-    metric = GroundMetric.from_constants(spec, constants, _METRIC_FOR[cfg.experiment])
+        if both_dirac and inter.split_g is None:
+            return "analytic_zero"
+    return "replica_proxy" if inter.kind != "none" else "none"
+
+
+def coupled_trajectory(cfg: ExperimentConfig, constants: MetricConstants,
+                       step: float) -> CoupledTrajectory:
+    """The coupled pairs a config describes, integrated at ``step``."""
+    return simulate_coupled(cfg.spec, build_initial_pair(cfg),
+                            _coupling_control(cfg, constants),
+                            _integrator(cfg, step=step), constants,
+                            dump_times=cfg.dump_times, law=_coupled_law(cfg))
+
+
+def _contraction_curve(cfg: ExperimentConfig, constants: MetricConstants,
+                       step: float) -> tuple[CoupledTrajectory, GroundMetric, Array, Array]:
+    """Coupled trajectory, the experiment's metric, and the mean distance
+    curve with its standard errors."""
+    traj = coupled_trajectory(cfg, constants, step)
+    metric = GroundMetric.from_constants(cfg.spec, constants, _METRIC_FOR[cfg.experiment])
     dists = traj.distance_series(metric)
     means = dists.mean(axis=1)
     ses = dists.std(axis=1, ddof=1) / math.sqrt(dists.shape[1]) if dists.shape[1] > 1 \
         else np.zeros(dists.shape[0])
-    return traj.times, means, ses, traj.rc_mean
+    return traj, metric, means, ses
 
 
 def run_contraction(cfg: ExperimentConfig) -> ExperimentRecord:
@@ -209,10 +228,11 @@ def run_contraction(cfg: ExperimentConfig) -> ExperimentRecord:
     if flagged and not constants.friction_ok:
         diags.append("no guarantee: running outside the admissible regime")
 
-    times, means, ses, rc_mean = _contraction_curve(cfg, constants, cfg.step)
+    traj, metric, means, ses = _contraction_curve(cfg, constants, cfg.step)
+    times = traj.times
     c_h = 0.0
     if cfg.step_refinement:
-        _, means_h2, _, _ = _contraction_curve(cfg, constants, cfg.step / 2.0)
+        _, _, means_h2, _ = _contraction_curve(cfg, constants, cfg.step / 2.0)
         c_h = step_budget_coefficient(means, means_h2, cfg.step)
 
     rate_name = _RATE_FOR[cfg.experiment]
@@ -220,12 +240,7 @@ def run_contraction(cfg: ExperimentConfig) -> ExperimentRecord:
     claimed = float("nan") if claimed is None else claimed
     fitted = fit_decay_rate(times, means, ses)
     check = check_one_sided_decay(times, means, ses, claimed, c_h, cfg.step)
-    mode = cfg.coupling_mode or ("synchronous" if cfg.experiment in
-                                 ("contract_strong", "unconfined_contract")
-                                 else "reflection_mix")
-    control = (CouplingControl(mode=mode, xi=cfg.coupling_xi)
-               if cfg.coupling_xi is not None
-               else CouplingControl.for_constants(constants, mode=mode))
+    control = _coupling_control(cfg, constants)
     stats = {"rate_claimed_name": rate_name, "rate_claimed": _num(claimed),
              "fit": fitted, "inequality": check,
              "initial_mean_dist": float(means[0]),
@@ -234,9 +249,9 @@ def run_contraction(cfg: ExperimentConfig) -> ExperimentRecord:
              "blend_width": control.xi,
              "blend_resolved": bool(control.resolved_by(spec, cfg.step))}
     curves = {"distance": (["t", "mean_dist", "se_dist", "rc_mean"],
-                           np.column_stack([times, means, ses, rc_mean]))}
+                           np.column_stack([times, means, ses, traj.rc_mean]))}
     if cfg.raw.get("wasserstein_curve", False):
-        curves["wasserstein"] = _wasserstein_curve(cfg, constants)
+        curves["wasserstein"] = _wasserstein_curve(traj, metric, cfg.seed)
     return ExperimentRecord(experiment=cfg.experiment, config_hash=cfg.hash,
                             seed=cfg.seed, constants=constants.to_dict(),
                             stats=stats, curves=curves, flagged=flagged,
@@ -259,37 +274,24 @@ def xi_refinement_study(cfg: ExperimentConfig, factors=(1.0, 0.5, 0.25)) -> dict
     finals = {}
     for f in factors:
         scaled = ExperimentConfig(**{**cfg.__dict__, "coupling_xi": base * f})
-        _, means, _, _ = _contraction_curve(scaled, constants, cfg.step)
+        _, _, means, _ = _contraction_curve(scaled, constants, cfg.step)
         finals[f] = float(means[-1])
     vals = list(finals.values())
     return {"xi_base": base, "final_mean_dist": finals,
             "spread": float(max(vals) - min(vals))}
 
 
-def _wasserstein_curve(cfg: ExperimentConfig, constants: MetricConstants,
+def _wasserstein_curve(traj: CoupledTrajectory, metric: GroundMetric, seed: int,
                        cap: int = 256) -> tuple:
     """Empirical Wasserstein between the two coupled marginals per dump
     time, by exact assignment on subsampled supports (``t, w, w_se``).
 
     The coupled pairing itself is a feasible transport plan, so this curve
-    is bounded above by the mean coupled distance at every time.
+    is bounded above by the mean coupled distance of the same trajectory
+    at every time.
     """
-    spec = cfg.spec
-    mode = cfg.coupling_mode or ("synchronous" if cfg.experiment in
-                                 ("contract_strong", "unconfined_contract")
-                                 else "reflection_mix")
-    control = (CouplingControl(mode=mode, xi=cfg.coupling_xi)
-               if cfg.coupling_xi is not None
-               else CouplingControl.for_constants(constants, mode=mode))
-    state = build_initial_pair(cfg)
-    icfg = IntegratorConfig(step=cfg.step, horizon=cfg.horizon, scheme=cfg.scheme,
-                            seed=cfg.seed)
-    law = "none" if spec.interaction.kind == "none" else "replica_proxy"
-    traj = simulate_coupled(spec, state, control, icfg, constants,
-                            dump_times=cfg.dump_times, law=law)
-    metric = GroundMetric.from_constants(spec, constants, _METRIC_FOR[cfg.experiment])
     n = min(cap, traj.ax.shape[1])
-    idx = rng.integers(cfg.seed, rng.SUB_BOOTSTRAP, 10_000_019, 0,
+    idx = rng.integers(seed, rng.SUB_BOOTSTRAP, 10_000_019, 0,
                        traj.ax.shape[1], (n,))
     rows = []
     for k in range(len(traj.times)):
@@ -297,7 +299,7 @@ def _wasserstein_curve(cfg: ExperimentConfig, constants: MetricConstants,
         wa = traj.ay[k, idx][:, None, :] - traj.by[k, idx][None, :, :]
         costs = metric.dist_zw(za, wa)
         w1 = wasserstein_from_costs(costs, p=1)
-        se = _bootstrap_se(costs, cfg.seed, n_boot=100)
+        se = _bootstrap_se(costs, seed, n_boot=100)
         rows.append((float(traj.times[k]), w1, se))
     return (["t", "w", "w_se"], np.asarray(rows))
 
@@ -309,42 +311,20 @@ def _wasserstein_curve(cfg: ExperimentConfig, constants: MetricConstants,
 def _law_mean_series(cfg: ExperimentConfig, n_steps: int) -> Array:
     """Evolve the proxy ensemble once, recording its empirical mean path."""
     spec = cfg.spec
-    system = "unconfined" if cfg.experiment == "unconfined_chaos" else "mckean_vlasov"
+    # the nonlinear dynamics, its law proxied by this ensemble's empirical measure
+    system = "unconfined" if cfg.experiment == "unconfined_chaos" else "particles"
     init = dict(cfg.initial)
     if system == "unconfined":
         init.setdefault("center", True)
     x, y = _draw_initial(init, spec, cfg.proxy_size, cfg.seed, rng.SUB_INIT)
-    icfg = IntegratorConfig(step=cfg.step, horizon=cfg.horizon, scheme=cfg.scheme,
-                            seed=cfg.seed, substream=SUB_PROXY)
+    icfg = _integrator(cfg, substream=SUB_PROXY)
     ens = Ensemble(x=x, y=y)
     means = np.empty((n_steps + 1, spec.dim))
     means[0] = ens.x.mean(axis=0)
-    sys_key = "unconfined" if system == "unconfined" else "particles"
     for k in range(n_steps):
-        ens = _step_system(spec, ens, icfg, k, system=sys_key)
+        ens = _step_system(spec, ens, icfg, k, system=system)
         means[k + 1] = ens.x.mean(axis=0)
     return means
-
-
-def _slot_law_force(spec: ModelSpec, mean_k: Array, x: Array) -> Array:
-    inter = spec.interaction
-    if inter.kind == "linear":
-        return np.broadcast_to(inter.params["k"] * mean_k, x.shape).copy()
-    if inter.has_split and inter.split_g is None:
-        return -(x - mean_k) @ inter.split_matrix.T
-    raise ConfigError("chaos runs support interactions with an O(N) law term "
-                      "(linear kind or a pure linear splitting)")
-
-
-def _slot_particle_force(spec: ModelSpec, x: Array) -> Array:
-    # x: (R, N, d); per-replica empirical interaction mean
-    inter = spec.interaction
-    mean = x.mean(axis=1, keepdims=True)
-    if inter.kind == "linear":
-        return np.broadcast_to(inter.params["k"] * mean, x.shape).copy()
-    if inter.has_split and inter.split_g is None:
-        return -(x - mean) @ inter.split_matrix.T
-    raise ConfigError("chaos runs support interactions with an O(N) law term")
 
 
 def run_chaos(cfg: ExperimentConfig) -> ExperimentRecord:
@@ -360,43 +340,22 @@ def run_chaos(cfg: ExperimentConfig) -> ExperimentRecord:
     n_steps = int(round(cfg.eval_time / cfg.step))
     law_means = _law_mean_series(cfg, n_steps)
     control = CouplingControl.for_constants(constants, mode="componentwise")
+    law = "analytic_zero" if unconfined else "replica_proxy"
 
     r = cfg.subsample_pairs
     d = spec.dim
-    g, u = spec.gamma, spec.u
-    ext_zero = unconfined
     rows = []
     for n_slots in cfg.ensemble_sizes:
         # key initials and slot noise by N so the sweep points decorrelate
         seed_n = cfg.seed + n_slots
-        init = dict(cfg.initial)
-        draw = _draw_initial(init, spec, r * n_slots, seed_n, SUB_SLOTS)
-        ax = draw[0].reshape(r, n_slots, d)
-        ay = draw[1].reshape(r, n_slots, d)
-        bx, by = ax.copy(), ay.copy()
-        for k in range(n_steps):
-            if ext_zero:
-                base_a = np.zeros_like(ax)
-                base_b = np.zeros_like(bx)
-            else:
-                base_a = cfg.spec.external.force(ax)
-                base_b = cfg.spec.external.force(bx)
-            force_a = base_a + _slot_law_force(spec, law_means[k], ax)
-            force_b = base_b + _slot_particle_force(spec, bx)
-            z = (ax - bx).reshape(r * n_slots, d)
-            w = (ay - by).reshape(r * n_slots, d)
-            rc = rc_value(control, spec, constants, z, w).reshape(r, n_slots, 1)
-            sc = sc_value(rc)
-            qn = np.linalg.norm(z + w / g, axis=-1, keepdims=True)
-            e = np.where(qn > 1e-12, (z + w / g) / np.maximum(qn, 1e-12), 0.0)
-            e = e.reshape(r, n_slots, d)
-            xi_sc = rng.normals(seed_n, rng.SUB_MAIN, k, (r * n_slots, d)).reshape(r, n_slots, d)
-            xi_rc = rng.normals(seed_n, rng.SUB_REFLECT, k, (r * n_slots, d)).reshape(r, n_slots, d)
-            refl = xi_rc - 2.0 * np.sum(e * xi_rc, axis=-1, keepdims=True) * e
-            noise_a = sc * xi_sc + rc * xi_rc
-            noise_b = sc * xi_sc + rc * refl
-            ax, ay = _advance(ax, ay, force_a, noise_a, cfg.step, g, u, cfg.scheme)
-            bx, by = _advance(bx, by, force_b, noise_b, cfg.step, g, u, cfg.scheme)
+        x, y = _draw_initial(cfg.initial, spec, r * n_slots, seed_n, SUB_SLOTS)
+        x, y = x.reshape(r, n_slots, d), y.reshape(r, n_slots, d)
+        state = CoupledState(ax=x, ay=y, bx=x, by=y, gamma=spec.gamma)
+        traj = simulate_coupled(spec, state, control,
+                                _integrator(cfg, horizon=cfg.eval_time, seed=seed_n),
+                                constants, law=law, componentwise=True,
+                                law_means=law_means)
+        ax, ay, bx, by = traj.ax[-1], traj.ay[-1], traj.bx[-1], traj.by[-1]
         if unconfined:
             ax = ax - ax.mean(axis=1, keepdims=True)
             ay = ay - ay.mean(axis=1, keepdims=True)
@@ -464,31 +423,33 @@ def _loglog_fit(ns: Array, ws: Array) -> dict:
 # moment control
 # ---------------------------------------------------------------------------
 
+def simulate_particles(cfg: ExperimentConfig) -> tuple[str, Trajectory]:
+    """The particle run a config describes: the model's own system, started
+    from the initial law (centered for the unconfined system)."""
+    spec = cfg.spec
+    if spec.external.kind == "zero" and spec.interaction.has_split:
+        system = "unconfined"
+    else:
+        system = "particles" if spec.interaction.kind != "none" else "classical"
+    init = dict(cfg.initial)
+    if system == "unconfined":
+        init.setdefault("center", True)
+    x, y = _draw_initial(init, spec, cfg.replicas, cfg.seed, rng.SUB_INIT)
+    return system, simulate(spec, Ensemble(x=x, y=y), _integrator(cfg), system=system,
+                            dump_times=cfg.dump_times)
+
+
 def run_moments(cfg: ExperimentConfig) -> ExperimentRecord:
     """Moment curves of a particle run plus the plateau verdict."""
     spec = cfg.spec
     constants = derive_constants(spec)
-    unconfined = spec.external.kind == "zero" and spec.interaction.has_split
-    system = "unconfined" if unconfined else \
-        ("particles" if spec.interaction.kind != "none" else "classical")
-    init = dict(cfg.initial)
-    if unconfined:
-        init.setdefault("center", True)
-    x, y = _draw_initial(init, spec, cfg.replicas, cfg.seed, rng.SUB_INIT)
-    icfg = IntegratorConfig(step=cfg.step, horizon=cfg.horizon, scheme=cfg.scheme,
-                            seed=cfg.seed)
-    blow_up_at = None
     try:
-        traj = simulate(spec, Ensemble(x=x, y=y), icfg, system=system,
-                        dump_times=cfg.dump_times)
+        system, traj = simulate_particles(cfg)
     except BlowUpError as err:
-        blow_up_at = err.t
-        traj = None
-    if traj is None:
-        stats = {"plateau": False, "blow_up_at": blow_up_at}
+        stats = {"plateau": False, "blow_up_at": err.t}
         curves = {}
     else:
-        if unconfined:
+        if system == "unconfined":
             mom = track_moments(traj, spec, twist=constants.sigma,
                                 k_matrix=spec.interaction.split_matrix)
         else:

@@ -218,12 +218,6 @@ class GroundMetric:
         return self.delta_zw(ax - bx, ay - by)
 
 
-def delta(constants, spec, a, b) -> Array:
-    """Convenience wrapper: gluing gap from a derived-constants bundle."""
-    m = GroundMetric.from_constants(spec, constants, "rho")
-    return m.delta(a, b)
-
-
 # ---------------------------------------------------------------------------
 # ensembles
 # ---------------------------------------------------------------------------

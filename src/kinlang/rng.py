@@ -63,10 +63,6 @@ def normals(seed: int, substream: int, step: int, shape: tuple[int, ...]) -> np.
     return _generator(seed, substream, step).standard_normal(shape)
 
 
-def uniforms(seed: int, substream: int, step: int, shape: tuple[int, ...]) -> np.ndarray:
-    return _generator(seed, substream, step).random(shape)
-
-
 def integers(seed: int, substream: int, step: int, low: int, high: int,
              shape: tuple[int, ...]) -> np.ndarray:
     return _generator(seed, substream, step).integers(low, high, size=shape)

@@ -136,6 +136,32 @@ class TestParticles:
             slow = interaction_mean(spec, x, fast=False)
             assert np.allclose(fast, slow, atol=1e-12)
 
+    def test_stacked_ensembles_reduce_per_replica(self):
+        # axis -2 is the member axis, so (R, N, d) stacks reduce one
+        # ensemble at a time, on every path
+        gen = np.random.default_rng(4)
+        stack = gen.normal(size=(3, 16, 2))
+        for inter in (InteractionForce.linear(0.4),
+                      InteractionForce.linear_difference(0.7, dim=2),
+                      InteractionForce.mollified_log()):
+            spec = quad_spec(dim=2, inter=inter)
+            for fast in (True, False):
+                got = interaction_mean(spec, stack, fast=fast)
+                for r in range(3):
+                    assert np.allclose(got[r], interaction_mean(spec, stack[r], fast=fast),
+                                       atol=1e-12)
+
+    def test_external_law_mean_replaces_empirical(self):
+        x = np.random.default_rng(5).normal(size=(32, 1))
+        for inter in (InteractionForce.linear(0.4),
+                      InteractionForce.linear_difference(0.7, dim=1)):
+            spec = quad_spec(inter=inter)
+            own = interaction_mean(spec, x)
+            assert np.array_equal(interaction_mean(spec, x, x.mean(axis=0)), own)
+        spec = quad_spec(inter=InteractionForce.mollified_log())
+        with pytest.raises(DynamicsError):
+            interaction_mean(spec, x, np.zeros(1))
+
     def test_single_particle_self_interaction(self):
         inter = InteractionForce.linear(0.4)
         spec = quad_spec(inter=inter)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,6 +24,13 @@ def quad_doc(**over):
            "initial": {"kind": "dirac", "x": [1.0], "y": [0.0]},
            "initial_second": {"kind": "dirac", "x": [0.0], "y": [0.0]},
            "dump_count": 9}
+    doc.update(over)
+    return doc
+
+
+def unconfined_doc(**over):
+    doc = json.loads((Path(__file__).resolve().parent.parent / "configs"
+                      / "unconfined.json").read_text())
     doc.update(over)
     return doc
 
@@ -135,11 +143,19 @@ class TestRecords:
         assert (run_dir / "distance.csv").read_text().startswith(
             "t,mean_dist,se_dist,rc_mean")
 
-    def test_wasserstein_curve_bounded_by_coupled_mean(self):
-        doc = quad_doc(initial={"kind": "gaussian", "std": 1.0},
-                       initial_second={"shift_x": 1.0},
-                       replicas=64, wasserstein_curve=True, dump_count=5)
-        rec = run_contraction(load_config(doc))
+    @pytest.mark.parametrize("doc", [
+        quad_doc(initial={"kind": "gaussian", "std": 1.0},
+                 initial_second={"shift_x": 1.0}, replicas=64, dump_count=5),
+        # analytic-zero law: the curve must follow the same law choice
+        unconfined_doc(replicas=64, dump_count=5),
+        # contract_strong drops the interaction; so must the curve
+        quad_doc(model={"dimension": 1, "gamma": 2.0, "u": 1.0,
+                        "external": {"kind": "quadratic", "k_matrix": [[1.0]]},
+                        "interaction": {"kind": "linear", "k": 0.3}},
+                 replicas=64, dump_count=5),
+    ], ids=["gaussian_shift", "unconfined_dirac", "strong_linear_interaction"])
+    def test_wasserstein_curve_bounded_by_coupled_mean(self, doc):
+        rec = run_contraction(load_config({**doc, "wasserstein_curve": True}))
         dist_rows = np.asarray(rec.curves["distance"][1])
         w_rows = np.asarray(rec.curves["wasserstein"][1])
         assert rec.curves["wasserstein"][0] == ["t", "w", "w_se"]
@@ -215,7 +231,7 @@ class TestCli:
     def test_contract_command_reports_rate(self, tmp_path):
         cfgp = tmp_path / "quad.json"
         cfgp.write_text(json.dumps(quad_doc()))
-        code = cli_main(["contract", "-c", str(cfgp), "--out", str(tmp_path / "runs")])
+        code = cli_main(["run", "-c", str(cfgp), "--out", str(tmp_path / "runs")])
         assert code == 0
         run_dirs = list((tmp_path / "runs").iterdir())
         assert len(run_dirs) == 1
@@ -223,7 +239,7 @@ class TestCli:
         assert rec["stats"]["fit"]["rate"] >= 0.25
 
     def test_missing_config_exits_1_without_outputs(self, tmp_path, capsys):
-        code = cli_main(["contract", "-c", str(tmp_path / "nope.json"),
+        code = cli_main(["run", "-c", str(tmp_path / "nope.json"),
                          "--out", str(tmp_path / "runs")])
         assert code == 1
         assert not (tmp_path / "runs").exists()
@@ -233,7 +249,7 @@ class TestCli:
         doc["integrator"]["step"] = -2
         cfgp = tmp_path / "bad.json"
         cfgp.write_text(json.dumps(doc))
-        code = cli_main(["contract", "-c", str(cfgp)])
+        code = cli_main(["run", "-c", str(cfgp)])
         assert code == 1
         assert "/integrator/step" in capsys.readouterr().err
 
@@ -251,10 +267,29 @@ class TestCli:
         cfgp.write_text(json.dumps(quad_doc(initial={"kind": "gaussian", "std": 1.0},
                                             replicas=8)))
         out = tmp_path / "runs"
-        assert cli_main(["contract", "-c", str(cfgp), "--out", str(out)]) == 0
-        assert cli_main(["contract", "-c", str(cfgp), "--out", str(out),
+        assert cli_main(["run", "-c", str(cfgp), "--out", str(out)]) == 0
+        assert cli_main(["run", "-c", str(cfgp), "--out", str(out),
                          "--seed", "99"]) == 0
         assert len(list(out.iterdir())) == 2
+
+    def test_out_root_does_not_change_hash(self, tmp_path):
+        cfgp = tmp_path / "quad.json"
+        cfgp.write_text(json.dumps(quad_doc()))
+        a, b = tmp_path / "runs_a", tmp_path / "runs_b"
+        assert cli_main(["run", "-c", str(cfgp), "--out", str(a)]) == 0
+        assert cli_main(["run", "-c", str(cfgp), "--out", str(b)]) == 0
+        names = [[p.name for p in root.iterdir()] for root in (a, b)]
+        assert names[0] == names[1] == [config_hash(quad_doc())]
+
+    def test_run_follows_the_config_experiment(self, tmp_path):
+        # no subcommand overrides the experiment the config names
+        cfgp = tmp_path / "dw.json"
+        cfgp.write_text(json.dumps(dw_doc(replicas=8, dump_count=3)))
+        out = tmp_path / "runs"
+        assert cli_main(["run", "-c", str(cfgp), "--out", str(out)]) == 0
+        rec = json.loads((next(out.iterdir()) / "record.json").read_text())
+        assert rec["experiment"] == "moments"
+        assert "moments" in rec["curves"]
 
     def test_simulate_and_couple_commands(self, tmp_path):
         doc = dw_doc(replicas=8, dump_count=5)
@@ -274,8 +309,8 @@ class TestCli:
         cfgp.write_text(json.dumps(quad_doc(initial={"kind": "gaussian", "std": 1.0},
                                             replicas=16)))
         out = tmp_path / "runs"
-        assert cli_main(["contract", "-c", str(cfgp), "--out", str(out)]) == 0
+        assert cli_main(["run", "-c", str(cfgp), "--out", str(out)]) == 0
         run_dir = next(out.iterdir())
         first = (run_dir / "distance.csv").read_bytes()
-        assert cli_main(["contract", "-c", str(cfgp), "--out", str(out)]) == 0
+        assert cli_main(["run", "-c", str(cfgp), "--out", str(out)]) == 0
         assert (run_dir / "distance.csv").read_bytes() == first
