@@ -269,8 +269,7 @@ def xi_refinement_study(cfg: ExperimentConfig, factors=(1.0, 0.5, 0.25)) -> dict
     if cfg.experiment not in _METRIC_FOR:
         raise ConfigError("the width study applies to contraction experiments")
     constants = derive_constants(cfg.spec)
-    base = cfg.coupling_xi if cfg.coupling_xi is not None \
-        else CouplingControl.for_constants(constants).xi
+    base = _coupling_control(cfg, constants).xi
     finals = {}
     for f in factors:
         scaled = ExperimentConfig(**{**cfg.__dict__, "coupling_xi": base * f})
