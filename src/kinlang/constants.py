@@ -34,7 +34,7 @@ from typing import Optional
 import numpy as np
 
 from . import rng
-from .metrics import small_norm, twisted_norm
+from .metrics import row_norm, small_norm, twisted_norm, twisted_norm_terms
 from .model import ModelSpec
 from .profile import ConcaveProfile, build_profile
 
@@ -126,25 +126,30 @@ N_STARTS = 64
 N_ITERS = 110
 
 
-def _norm_grads(z, w, spec, tau, alpha):
-    """Values and gradients of r_large and r_small at a batch of (z, w)."""
+def _ascent_terms(z, w, spec, tau, alpha):
+    """r_large and r_small at a batch of (z, w), as columns, and the
+    gradient in z and in w of ``log(r_small / r_large)``."""
     g, u = spec.gamma, spec.u
     k = spec.external.matrix_k
-    mix = (1.0 - 2.0 * tau) * z + w / g
-    rl = twisted_norm(z, w, k, tau, g, u)
-    rl_safe = np.maximum(rl, 1e-300)[..., None]
-    grad_rl_z = ((u / g ** 2) * 2.0 * (z @ k.T) + (1.0 - 2.0 * tau) * mix) / (2.0 * rl_safe)
-    grad_rl_w = (mix / g + w / g ** 2) / (2.0 * rl_safe)
-
+    rl_sq, mix = twisted_norm_terms(z, w, k, tau, g, u)
+    rl = np.sqrt(rl_sq)[:, None]
     q = z + w / g
-    qn = np.linalg.norm(q, axis=-1, keepdims=True)
-    zn = np.linalg.norm(z, axis=-1, keepdims=True)
+    qn = row_norm(q, keepdims=True)
+    zn = row_norm(z, keepdims=True)
+    rs = alpha * zn + qn
+
+    rl_safe = np.maximum(rl, 1e-300)
+    rs_safe = np.maximum(rs, 1e-300)
+    two_rl = 2.0 * rl_safe
+    grad_rl_z = ((u / g ** 2) * 2.0 * (z @ k.T) + (1.0 - 2.0 * tau) * mix) / two_rl
+    grad_rl_w = (mix / g + w / g ** 2) / two_rl
     qhat = np.where(qn > 0, q / np.maximum(qn, 1e-300), 0.0)
     zhat = np.where(zn > 0, z / np.maximum(zn, 1e-300), 0.0)
-    rs = small_norm(z, w, alpha, g)
     grad_rs_z = alpha * zhat + qhat
     grad_rs_w = qhat / g
-    return rl, grad_rl_z, grad_rl_w, rs, grad_rs_z, grad_rs_w
+    gz = grad_rs_z / rs_safe - grad_rl_z / rl_safe
+    gw = grad_rs_w / rs_safe - grad_rl_w / rl_safe
+    return rl, rs, gz, gw
 
 
 def _max_norm_ratios(spec, tau: float, alpha: float, seed: int = 421) -> tuple[float, float]:
@@ -157,7 +162,10 @@ def _max_norm_ratios(spec, tau: float, alpha: float, seed: int = 421) -> tuple[f
     directions.  The ascent runs on the ratio (scale invariant) and
     projects every iterate back onto the unit sphere of r_large, which is
     the boundary of the constraint region up to scaling.  The two signs
-    share one vectorized loop, half of the starts each.
+    share one vectorized loop, half of the starts each; a start of the
+    second half steps against the gradient of log(r_small / r_large).
+    Each step evaluates the norms and the gradient once, at the trial
+    points, and the accepted rows carry them into the next step.
     """
     d = spec.dim
     g = spec.gamma
@@ -168,28 +176,23 @@ def _max_norm_ratios(spec, tau: float, alpha: float, seed: int = 421) -> tuple[f
         s = 1.0 / np.maximum(rl, 1e-300)
         return z * s[:, None], w * s[:, None]
 
-    def ratio(z, w):
-        rl = twisted_norm(z, w, spec.external.matrix_k, tau, g, spec.u)
-        rs = small_norm(z, w, alpha, g)
-        return (rs / rl) ** sign[:, 0]
-
     pts = rng.normals(seed, rng.SUB_MAIN, 0, (N_STARTS, 2 * d))
     pts = np.vstack([pts, pts])
     z, w = normalize(pts[:, :d].copy(), g * pts[:, d:].copy())
-    best = ratio(z, w)
-    step = np.full(2 * N_STARTS, 0.25)
+    rl, rs, gz, gw = _ascent_terms(z, w, spec, tau, alpha)
+    best = (rs / rl) ** sign
+    step = np.full((2 * N_STARTS, 1), 0.25)
 
     for _ in range(N_ITERS):
-        rl, gz_l, gw_l, rs, gz_s, gw_s = _norm_grads(z, w, spec, tau, alpha)
-        rl = np.maximum(rl, 1e-300)[:, None]
-        rs = np.maximum(rs, 1e-300)[:, None]
-        gz = sign * (gz_s / rs - gz_l / rl)
-        gw = sign * (gw_s / rs - gw_l / rl)
-        zt, wt = normalize(z + step[:, None] * gz, w + step[:, None] * g ** 2 * gw)
-        vt = ratio(zt, wt)
+        up = sign * step
+        zt, wt = normalize(z + up * gz, w + up * g ** 2 * gw)
+        rl, rs, gz_t, gw_t = _ascent_terms(zt, wt, spec, tau, alpha)
+        vt = (rs / rl) ** sign
         improved = vt > best
-        z = np.where(improved[:, None], zt, z)
-        w = np.where(improved[:, None], wt, w)
+        z = np.where(improved, zt, z)
+        w = np.where(improved, wt, w)
+        gz = np.where(improved, gz_t, gz)
+        gw = np.where(improved, gw_t, gw)
         best = np.where(improved, vt, best)
         step = np.where(improved, step * 1.3, step * 0.5)
         step = np.maximum(step, 1e-16)

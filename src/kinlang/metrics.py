@@ -67,23 +67,37 @@ def twisted_norm_sq(z: Array, w: Array, k_matrix: Array, twist: float,
     The completed-square form keeps every term non-negative, which avoids
     the cancellation the expanded cross-term form suffers from.
     """
+    return twisted_norm_terms(z, w, k_matrix, twist, gamma, u)[0]
+
+
+def twisted_norm_terms(z: Array, w: Array, k_matrix: Array, twist: float,
+                       gamma: float, u: float) -> tuple[Array, Array]:
+    """The squared twisted norm and its completed square's mixed coordinate
+    ``(1 - 2 twist) z + w / gamma``, which its gradient reuses."""
     z = np.asarray(z, dtype=float)
     w = np.asarray(w, dtype=float)
     quad = np.einsum("...i,ij,...j->...", z, k_matrix, z)
     mix = (1.0 - 2.0 * twist) * z + w / gamma
-    return (u / gamma ** 2) * quad + 0.5 * np.sum(mix ** 2, axis=-1) \
-        + 0.5 * np.sum(w ** 2, axis=-1) / gamma ** 2
+    norm_sq = (u / gamma ** 2) * quad + 0.5 * (mix ** 2).sum(axis=-1) \
+        + 0.5 * (w ** 2).sum(axis=-1) / gamma ** 2
+    return norm_sq, mix
 
 
 def twisted_norm(z, w, k_matrix, twist, gamma, u):
     return np.sqrt(twisted_norm_sq(z, w, k_matrix, twist, gamma, u))
 
 
+def row_norm(x: Array, keepdims: bool = False) -> Array:
+    """Euclidean norm over the last axis: ``np.linalg.norm(x, axis=-1)``
+    to the bit, without its dispatch cost on the small batches of the
+    constants ascent."""
+    return np.sqrt(np.add.reduce(x * x, axis=-1, keepdims=keepdims))
+
+
 def small_norm(z: Array, w: Array, alpha: float, gamma: float) -> Array:
     z = np.asarray(z, dtype=float)
     w = np.asarray(w, dtype=float)
-    return alpha * np.linalg.norm(z, axis=-1) \
-        + np.linalg.norm(z + w / gamma, axis=-1)
+    return alpha * row_norm(z) + row_norm(z + w / gamma)
 
 
 def ell1_norm(z: Array, w: Array) -> Array:

@@ -8,7 +8,7 @@ import pytest
 from kinlang.constants import (ConstantsError, derive_constants, grid_glue_offset,
                                grid_small_cutoff)
 from kinlang.model import ExternalForce, InteractionForce, ModelSpec
-from kinlang.profile import build_profile
+from kinlang.profile import _logsumexp_rows, build_profile
 
 
 def spec_of(kappa, lip_k, lip_g, radius, gamma, u, dim=1, inter=None):
@@ -216,6 +216,49 @@ class TestProfile:
         assert np.all(np.diff(prof.f_knots) >= 0)
         assert prof.chat == 0.0  # underflows for this configuration
         assert prof.log_inner_total > 700  # the log-space value stays usable
+
+    def test_row_logsumexp_matches_scipy_bitwise(self):
+        from scipy.special import logsumexp
+        gen = np.random.default_rng(11)
+        a = gen.normal(size=(60, 10)) * 300.0
+        a[5] = np.round(a[5] / 300.0)              # ties at the row maximum
+        a[6] = -np.inf                              # empty row
+        a[7, gen.random(10) < 0.5] = -np.inf
+        a[8, 3] = np.inf
+        a[9, 2] = np.nan
+        with np.errstate(all="ignore"):
+            want = logsumexp(a, axis=1)
+        got = _logsumexp_rows(a)
+        assert got.shape == want.shape
+        assert np.array_equal(got, want, equal_nan=True)
+
+
+class TestAscent:
+    def test_log_ratio_gradient_matches_finite_differences(self):
+        from kinlang.constants import _ascent_terms
+        from kinlang.metrics import small_norm, twisted_norm
+        spec = ModelSpec(external=ExternalForce.quadratic(np.array([[2.0, 0.4], [0.4, 0.7]])),
+                         interaction=InteractionForce.none(), gamma=3.0, u=0.8, dim=2)
+        mc = derive_constants(spec)
+        gen = np.random.default_rng(4)
+        z, w = gen.normal(size=(6, 2)), gen.normal(size=(6, 2))
+        rl, rs, gz, gw = _ascent_terms(z, w, spec, mc.tau, mc.alpha)
+        k = spec.external.matrix_k
+
+        def log_ratio(z, w):
+            return np.log(small_norm(z, w, mc.alpha, spec.gamma)
+                          / twisted_norm(z, w, k, mc.tau, spec.gamma, spec.u))
+
+        assert np.array_equal(rl[:, 0], twisted_norm(z, w, k, mc.tau, spec.gamma, spec.u))
+        assert np.array_equal(rs[:, 0], small_norm(z, w, mc.alpha, spec.gamma))
+        h = 1e-6
+        for i in range(2):
+            e = np.zeros(2)
+            e[i] = h
+            dz = (log_ratio(z + e, w) - log_ratio(z - e, w)) / (2 * h)
+            dw = (log_ratio(z, w + e) - log_ratio(z, w - e)) / (2 * h)
+            assert np.allclose(gz[:, i], dz, rtol=1e-6, atol=1e-8)
+            assert np.allclose(gw[:, i], dw, rtol=1e-6, atol=1e-8)
 
 
 class TestHardFailure:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from kinlang.metrics import (GroundMetric, MetricError, PhasePoint, ell1_ensemble,
-                             ensemble_dist, project_centered, small_norm,
+                             ensemble_dist, project_centered, row_norm, small_norm,
                              twisted_norm)
 
 
@@ -43,6 +43,14 @@ class TestBasics:
                     + (1 - 2 * tau) / g * np.sum(z * w, axis=1)
                     + np.sum(w * w, axis=1) / g ** 2)
         assert np.allclose(twisted_norm(z, w, k, tau, g, u) ** 2, expanded)
+
+    def test_row_norm_matches_linalg_norm_bitwise(self):
+        rng = np.random.default_rng(2)
+        for shape in [(128, 1), (128, 3), (7, 12), (4, 5, 9)]:
+            x = rng.normal(size=shape) * 10.0 ** rng.uniform(-5, 5, size=shape)
+            for keepdims in (False, True):
+                assert np.array_equal(row_norm(x, keepdims=keepdims),
+                                      np.linalg.norm(x, axis=-1, keepdims=keepdims))
 
     def test_dimension_mismatch_rejected(self, dw_spec, dw_constants):
         m = GroundMetric.from_constants(dw_spec, dw_constants, "rho")
