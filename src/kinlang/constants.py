@@ -28,7 +28,7 @@ raises just because a parameter point is outside the guaranteed regime.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional
 
 import numpy as np
@@ -95,27 +95,20 @@ class MetricConstants:
     profile: ConcaveProfile = field(repr=False, default=None)
 
     def to_dict(self) -> dict:
-        def num(v):
-            if v is None:
-                return None
-            v = float(v)
-            if math.isinf(v) or math.isnan(v):
-                return None
-            return v
-
-        scalars = {k: num(getattr(self, k)) for k in (
-            "lam", "tau", "sigma", "alpha", "eps", "ratio_floor", "rate_geom",
-            "big_lambda", "radius_sq", "glue_offset", "glue_offset_err",
-            "small_cutoff", "small_cutoff_err", "chat",
-            "c_strong", "c_classical", "c_nonlinear", "c_chaos", "c_unconfined",
-            "m_strong", "m1", "m2", "m3", "m4", "equiv_lower", "equiv_upper",
-            "min_gamma", "max_interaction_lip", "max_split_lip_l2",
-            "max_split_lip_l1")}
-        scalars["friction_ok"] = self.friction_ok
-        scalars["interaction_ok"] = self.interaction_ok
-        scalars["unconfined_ok"] = self.unconfined_ok
-        scalars["diagnostics"] = list(self.diagnostics)
-        return scalars
+        """JSON-ready snapshot: numbers as floats with non-finite ones as
+        None, flags and None as they are; the profile is left out."""
+        out = {}
+        for f in fields(self):
+            if f.name == "profile":
+                continue
+            v = getattr(self, f.name)
+            if f.name == "diagnostics":
+                v = list(v)
+            elif v is not None and not isinstance(v, bool):
+                v = float(v)
+                v = None if math.isinf(v) or math.isnan(v) else v
+            out[f.name] = v
+        return out
 
 
 # ---------------------------------------------------------------------------

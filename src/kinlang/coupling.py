@@ -254,10 +254,6 @@ class CoupledTrajectory:
     by: Array
     rc_mean: Array
 
-    def state_at(self, idx: int, gamma: float) -> CoupledState:
-        return CoupledState(ax=self.ax[idx], ay=self.ay[idx], bx=self.bx[idx],
-                            by=self.by[idx], gamma=gamma, t=float(self.times[idx]))
-
     def distance_series(self, metric: GroundMetric) -> Array:
         """Per-time per-pair distances under any ground metric: (T, R)."""
         return metric.dist_zw(self.ax - self.bx, self.ay - self.by)

@@ -33,9 +33,9 @@ from ..constants import MetricConstants, derive_constants
 from ..coupling import CoupledState, CoupledTrajectory, CouplingControl, simulate_coupled
 from ..dynamics import (BlowUpError, Ensemble, IntegratorConfig, Trajectory,
                         _step_system, simulate, track_moments)
-from ..metrics import GroundMetric
+from ..metrics import GroundMetric, ell1_norm
 from ..model import ModelSpec
-from ..transport import wasserstein_from_costs
+from ..transport import bootstrap_se, cost_matrix_zw, wasserstein_from_costs
 from .config import ConfigError, ExperimentConfig
 
 Array = np.ndarray
@@ -133,15 +133,17 @@ def fit_decay_rate(times: Array, means: Array, ses: Array,
     if mask.sum() < 3:
         return None
     t = times[mask]
-    ln = np.log(means[mask])
-    a = np.vstack([t, np.ones_like(t)]).T
-    coef, res, _, _ = np.linalg.lstsq(a, ln, rcond=None)
-    dof = max(len(t) - 2, 1)
-    resid_var = float(res[0]) / dof if len(res) else 0.0
-    t_var = float(np.sum((t - t.mean()) ** 2))
-    se = math.sqrt(resid_var / t_var) if t_var > 0 else float("nan")
-    return {"rate": -float(coef[0]), "rate_se": se,
+    slope, se = _ols_slope(t, np.log(means[mask]))
+    return {"rate": -slope, "rate_se": se,
             "window": [float(t[0]), float(t[-1])], "points": int(mask.sum())}
+
+
+def _ols_slope(x: Array, y: Array) -> tuple[float, float]:
+    """Least-squares slope of y on x and its standard error."""
+    coef, res, _, _ = np.linalg.lstsq(np.vstack([x, np.ones_like(x)]).T, y, rcond=None)
+    resid_var = float(res[0]) / max(len(x) - 2, 1) if len(res) else 0.0
+    x_var = float(np.sum((x - x.mean()) ** 2))
+    return float(coef[0]), math.sqrt(resid_var / x_var) if x_var > 0 else float("nan")
 
 
 def step_budget_coefficient(stat_h: Array, stat_h2: Array, h: float) -> float:
@@ -241,7 +243,7 @@ def run_contraction(cfg: ExperimentConfig) -> ExperimentRecord:
     fitted = fit_decay_rate(times, means, ses)
     check = check_one_sided_decay(times, means, ses, claimed, c_h, cfg.step)
     control = _coupling_control(cfg, constants)
-    stats = {"rate_claimed_name": rate_name, "rate_claimed": _num(claimed),
+    stats = {"rate_claimed_name": rate_name, "rate_claimed": constants.to_dict()[rate_name],
              "fit": fitted, "inequality": check,
              "initial_mean_dist": float(means[0]),
              "final_mean_dist": float(means[-1]),
@@ -287,18 +289,18 @@ def _wasserstein_curve(traj: CoupledTrajectory, metric: GroundMetric, seed: int,
 
     The coupled pairing itself is a feasible transport plan, so this curve
     is bounded above by the mean coupled distance of the same trajectory
-    at every time.
+    at every time.  Up to ``cap`` replicas every pair is used; beyond it,
+    the first ``cap`` of a seeded random permutation.
     """
-    n = min(cap, traj.ax.shape[1])
-    idx = rng.integers(seed, rng.SUB_BOOTSTRAP, 10_000_019, 0,
-                       traj.ax.shape[1], (n,))
+    r = traj.ax.shape[1]
+    idx = np.arange(r) if r <= cap else \
+        np.argsort(rng.normals(seed, rng.SUB_BOOTSTRAP, 10_000_019, (r,)))[:cap]
     rows = []
     for k in range(len(traj.times)):
-        za = traj.ax[k, idx][:, None, :] - traj.bx[k, idx][None, :, :]
-        wa = traj.ay[k, idx][:, None, :] - traj.by[k, idx][None, :, :]
-        costs = metric.dist_zw(za, wa)
+        costs = cost_matrix_zw(metric.dist_zw, traj.ax[k, idx], traj.ay[k, idx],
+                               traj.bx[k, idx], traj.by[k, idx])
         w1 = wasserstein_from_costs(costs, p=1)
-        se = _bootstrap_se(costs, seed, n_boot=100)
+        se = bootstrap_se(costs, seed, n_boot=100)
         rows.append((float(traj.times[k]), w1, se))
     return (["t", "w", "w_se"], np.asarray(rows))
 
@@ -360,9 +362,10 @@ def run_chaos(cfg: ExperimentConfig) -> ExperimentRecord:
             ay = ay - ay.mean(axis=1, keepdims=True)
             bx = bx - bx.mean(axis=1, keepdims=True)
             by = by - by.mean(axis=1, keepdims=True)
-        costs = _ell1_cost_matrix(ax, ay, bx, by)
+        # mean over slots of |dx| + |dy| for every replica pair
+        costs = cost_matrix_zw(lambda z, w: ell1_norm(z, w).mean(axis=-1), ax, ay, bx, by)
         w1 = wasserstein_from_costs(costs, p=1)
-        se = _bootstrap_se(costs, cfg.seed, n_boot=100)
+        se = bootstrap_se(costs, cfg.seed, n_boot=100)
         rows.append((n_slots, w1, se))
 
     ns = np.array([row[0] for row in rows], dtype=float)
@@ -388,32 +391,8 @@ def run_chaos(cfg: ExperimentConfig) -> ExperimentRecord:
                             diagnostics=constants.diagnostics)
 
 
-def _ell1_cost_matrix(ax, ay, bx, by) -> Array:
-    # mean over slots of |dx| + |dy| for every replica pair: (R, R)
-    dx = np.linalg.norm(ax[:, None] - bx[None, :], axis=-1)
-    dy = np.linalg.norm(ay[:, None] - by[None, :], axis=-1)
-    return (dx + dy).mean(axis=-1)
-
-
-def _bootstrap_se(costs: Array, seed: int, n_boot: int = 100) -> float:
-    n = costs.shape[0]
-    vals = np.empty(n_boot)
-    for b in range(n_boot):
-        ia = rng.integers(seed, rng.SUB_BOOTSTRAP, 2 * b, 0, n, (n,))
-        ib = rng.integers(seed, rng.SUB_BOOTSTRAP, 2 * b + 1, 0, n, (n,))
-        vals[b] = wasserstein_from_costs(costs[np.ix_(ia, ib)], p=1)
-    return float(np.std(vals, ddof=1))
-
-
 def _loglog_fit(ns: Array, ws: Array) -> dict:
-    ln_n, ln_w = np.log(ns), np.log(ws)
-    a = np.vstack([ln_n, np.ones_like(ln_n)]).T
-    coef, res, _, _ = np.linalg.lstsq(a, ln_w, rcond=None)
-    dof = max(len(ns) - 2, 1)
-    resid_var = float(res[0]) / dof if len(res) else 0.0
-    nvar = float(np.sum((ln_n - ln_n.mean()) ** 2))
-    se = math.sqrt(resid_var / nvar) if nvar > 0 else float("nan")
-    slope = float(coef[0])
+    slope, se = _ols_slope(np.log(ns), np.log(ws))
     return {"slope": slope, "slope_se": se,
             "ci95": [slope - 2 * se, slope + 2 * se]}
 
@@ -475,10 +454,3 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentRecord:
     if cfg.experiment == "moments":
         return run_moments(cfg)
     raise ConfigError(f"unknown experiment {cfg.experiment!r}")
-
-
-def _num(v):
-    if v is None:
-        return None
-    v = float(v)
-    return None if (math.isnan(v) or math.isinf(v)) else v

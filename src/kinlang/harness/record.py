@@ -11,6 +11,8 @@ rerunning with the same (config, seed) reproduces every byte.
 from __future__ import annotations
 
 import json
+import shutil
+import uuid
 from pathlib import Path
 
 import numpy as np
@@ -23,11 +25,26 @@ def record_json(record: ExperimentRecord) -> str:
 
 
 def write_record(record: ExperimentRecord, out_root: Path) -> Path:
+    """Write the run directory whole or not at all: it is filled as a hidden
+    sibling and renamed into place, and an earlier run there is moved aside
+    first and removed only after the rename."""
     run_dir = Path(out_root) / record.config_hash
-    run_dir.mkdir(parents=True, exist_ok=True)
-    (run_dir / "record.json").write_text(record_json(record))
-    for name, (columns, rows) in record.curves.items():
-        write_csv(run_dir / f"{name}.csv", columns, rows)
+    tmp = run_dir.with_name(f".{run_dir.name}.{uuid.uuid4().hex}")
+    old = tmp.with_name(tmp.name + ".old")
+    tmp.mkdir(parents=True)
+    try:
+        (tmp / "record.json").write_text(record_json(record))
+        for name, (columns, rows) in record.curves.items():
+            write_csv(tmp / f"{name}.csv", columns, rows)
+        if run_dir.exists():
+            run_dir.rename(old)
+        tmp.rename(run_dir)
+    except BaseException:
+        shutil.rmtree(tmp, ignore_errors=True)
+        if old.exists() and not run_dir.exists():
+            old.rename(run_dir)
+        raise
+    shutil.rmtree(old, ignore_errors=True)
     return run_dir
 
 

@@ -27,6 +27,9 @@ Array = np.ndarray
 
 SIZE_CAP = 2048
 
+# elements per difference temporary of `cost_matrix_zw`
+BLOCK_ELEMENTS = 2 ** 16
+
 
 class TransportError(ValueError):
     pass
@@ -42,15 +45,25 @@ class EmpiricalMeasure:
         if len(self.support) < 1:
             raise TransportError("empirical measure needs at least one point")
 
-    def __len__(self) -> int:
-        return len(self.support)
-
 
 def cost_matrix(dist_fn: Callable, a: Sequence, b: Sequence) -> Array:
     out = np.empty((len(a), len(b)))
     for i, pa in enumerate(a):
         for j, pb in enumerate(b):
             out[i, j] = dist_fn(pa, pb)
+    return out
+
+
+def cost_matrix_zw(cost_zw: Callable, ax: Array, ay: Array, bx: Array,
+                   by: Array) -> Array:
+    """Costs ``cost_zw(ax[i] - bx[j], ay[i] - by[j])`` of two batches of
+    supports (e.g. ``GroundMetric.dist_zw``), filled in blocks of rows so
+    each difference temporary holds about BLOCK_ELEMENTS values."""
+    rows = max(1, BLOCK_ELEMENTS // bx.size)
+    out = np.empty((ax.shape[0], bx.shape[0]))
+    for i in range(0, ax.shape[0], rows):
+        out[i:i + rows] = cost_zw(ax[i:i + rows, None] - bx[None],
+                                  ay[i:i + rows, None] - by[None])
     return out
 
 
@@ -132,14 +145,23 @@ def distance_curve(run_a, run_b, dist_fn: Callable, p: int = 1,
         a = [(run_a.x[k, i], run_a.y[k, i]) for i in range(run_a.x.shape[1])]
         b = [(run_b.x[k, i], run_b.y[k, i]) for i in range(run_b.x.shape[1])]
         costs = cost_matrix(dist_fn, a, b)
-        w = wasserstein_from_costs(costs, p)
-        boots = np.empty(n_boot)
-        n = costs.shape[0]
-        for r in range(n_boot):
-            ia = rng.integers(seed, rng.SUB_BOOTSTRAP, 2 * (k * n_boot + r), 0, n, (n,))
-            ib = rng.integers(seed, rng.SUB_BOOTSTRAP, 2 * (k * n_boot + r) + 1, 0, n, (n,))
-            boots[r] = wasserstein_from_costs(costs[np.ix_(ia, ib)], p)
         ts.append(run_a.times[k])
-        ws.append(w)
-        ses.append(float(np.std(boots, ddof=1)))
+        ws.append(wasserstein_from_costs(costs, p))
+        ses.append(bootstrap_se(costs, seed, n_boot, first=k * n_boot, p=p))
     return DistanceCurve(times=np.array(ts), w=np.array(ws), w_se=np.array(ses))
+
+
+def bootstrap_se(costs: Array, seed: int, n_boot: int, first: int = 0,
+                 p: int = 1) -> float:
+    """Bootstrap standard error of ``wasserstein_from_costs(costs, p)``:
+    resample b redraws both supports at the ``rng.integers`` keys
+    ``2 (first + b)`` and ``2 (first + b) + 1``, so matrices bootstrapped
+    under one seed take disjoint ``first`` offsets."""
+    n = costs.shape[0]
+    vals = np.empty(n_boot)
+    for b in range(n_boot):
+        key = 2 * (first + b)
+        ia = rng.integers(seed, rng.SUB_BOOTSTRAP, key, 0, n, (n,))
+        ib = rng.integers(seed, rng.SUB_BOOTSTRAP, key + 1, 0, n, (n,))
+        vals[b] = wasserstein_from_costs(costs[np.ix_(ia, ib)], p)
+    return float(np.std(vals, ddof=1))

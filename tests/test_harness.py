@@ -6,12 +6,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from kinlang.constants import derive_constants
+from kinlang.harness import record as record_mod
 from kinlang.harness.cli import main as cli_main
 from kinlang.harness.config import (ConfigError, config_hash, load_config,
                                     validate_config)
-from kinlang.harness.experiments import (build_initial_pair, fit_decay_rate,
-                                         run_chaos, run_contraction, run_moments)
+from kinlang.harness.experiments import (ExperimentRecord, build_initial_pair,
+                                         fit_decay_rate, run_chaos, run_contraction,
+                                         run_moments)
 from kinlang.harness.record import record_json, write_record
+from kinlang.metrics import GroundMetric
+from kinlang.transport import wasserstein_from_costs
 
 
 def quad_doc(**over):
@@ -143,6 +148,49 @@ class TestRecords:
         assert (run_dir / "distance.csv").read_text().startswith(
             "t,mean_dist,se_dist,rc_mean")
 
+    @pytest.mark.parametrize("earlier", [False, True], ids=["fresh", "rerun"])
+    def test_failed_write_leaves_no_partial_outputs(self, tmp_path, monkeypatch, earlier):
+        def record(value):
+            return ExperimentRecord(experiment="moments", config_hash="abc123", seed=1,
+                                    constants={}, stats={"v": value},
+                                    curves={"a": (["t"], [[value]]),
+                                            "b": (["t"], [[value]])},
+                                    flagged=False, diagnostics=())
+
+        before = {}
+        if earlier:
+            run_dir = write_record(record(1.0), tmp_path)
+            before = {f.name: f.read_bytes() for f in run_dir.iterdir()}
+        real_write_csv = record_mod.write_csv
+        calls = []
+
+        def failing_write_csv(path, columns, rows):
+            calls.append(path)
+            if len(calls) == 2:
+                path.write_text("t\n")  # a partly written file, then the failure
+                raise OSError("disk full")
+            real_write_csv(path, columns, rows)
+
+        monkeypatch.setattr(record_mod, "write_csv", failing_write_csv)
+        with pytest.raises(OSError, match="disk full"):
+            write_record(record(2.0), tmp_path)
+        assert len(calls) == 2
+        left = sorted(p.name for p in tmp_path.iterdir())
+        assert left == (["abc123"] if earlier else [])
+        if earlier:
+            after = {f.name: f.read_bytes() for f in (tmp_path / "abc123").iterdir()}
+            assert after == before
+
+    def test_rewrite_replaces_the_earlier_run(self, tmp_path):
+        cfg = load_config(quad_doc())
+        rec = run_contraction(cfg)
+        run_dir = write_record(rec, tmp_path)
+        (run_dir / "stale.csv").write_text("t\n")
+        assert write_record(rec, tmp_path) == run_dir
+        assert sorted(p.name for p in tmp_path.iterdir()) == [cfg.hash]
+        assert sorted(p.name for p in run_dir.iterdir()) == ["distance.csv", "record.json"]
+        assert (run_dir / "record.json").read_text() == record_json(rec)
+
     @pytest.mark.parametrize("doc", [
         quad_doc(initial={"kind": "gaussian", "std": 1.0},
                  initial_second={"shift_x": 1.0}, replicas=64, dump_count=5),
@@ -161,6 +209,17 @@ class TestRecords:
         assert rec.curves["wasserstein"][0] == ["t", "w", "w_se"]
         # the coupled pairing is one admissible transport plan
         assert np.all(w_rows[:, 1] <= dist_rows[:, 1] + 1e-9)
+
+    def test_wasserstein_curve_uses_every_replica_up_to_the_cap(self):
+        cfg = load_config({**quad_doc(initial={"kind": "gaussian", "std": 1.0},
+                                      initial_second={"shift_x": 1.0}, replicas=64,
+                                      dump_count=5), "wasserstein_curve": True})
+        rec = run_contraction(cfg)
+        constants = derive_constants(cfg.spec)
+        metric = GroundMetric.from_constants(cfg.spec, constants, "r_strong")
+        s0 = build_initial_pair(cfg)
+        costs = metric.dist_zw(s0.ax[:, None] - s0.bx[None], s0.ay[:, None] - s0.by[None])
+        assert rec.curves["wasserstein"][1][0, 1] == wasserstein_from_costs(costs)
 
     def test_chaos_smoke(self):
         doc = quad_doc(experiment="chaos",

@@ -1,15 +1,18 @@
 from __future__ import annotations
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from kinlang import rng
 from kinlang.dynamics import Trajectory
-from kinlang.metrics import GroundMetric
-from kinlang.transport import (EmpiricalMeasure, TransportError, cost_matrix,
-                               distance_curve, identity_pairing_cost,
-                               wasserstein_1d_sorted, wasserstein_exact)
+from kinlang.metrics import GroundMetric, ell1_norm
+from kinlang.transport import (BLOCK_ELEMENTS, EmpiricalMeasure, TransportError,
+                               cost_matrix, cost_matrix_zw, distance_curve,
+                               identity_pairing_cost, wasserstein_1d_sorted,
+                               wasserstein_exact, wasserstein_from_costs)
 
 
 def euclid(a, b):
@@ -79,6 +82,52 @@ class TestExactSolver:
         w = wasserstein_exact(dist, a, b)
         assert w >= 0
         assert wasserstein_exact(dist, a, a) == pytest.approx(0.0, abs=1e-14)
+
+
+def slot_ell1(z, w):
+    """The chaos sweep's replica-pair cost: mean over slots of |dx| + |dy|."""
+    return ell1_norm(z, w).mean(axis=-1)
+
+
+class TestBlockedCosts:
+    @staticmethod
+    def supports(seed, shape, scale=1.0):
+        gen = np.random.default_rng(seed)
+        return tuple(scale * gen.normal(size=shape) for _ in range(4))
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_slot_costs_match_full_broadcast(self, d):
+        r, n = 100, 50
+        assert r % (BLOCK_ELEMENTS // (r * n * d)) != 0  # a ragged last block
+        ax, ay, bx, by = self.supports(10 + d, (r, n, d))
+        full = slot_ell1(ax[:, None] - bx[None], ay[:, None] - by[None])
+        assert np.array_equal(cost_matrix_zw(slot_ell1, ax, ay, bx, by), full)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_metric_costs_match_full_broadcast(self, dw_spec, dw_constants, d):
+        mc = dw_constants
+        k = np.eye(1) if d == 1 else np.array([[1.0, 0.3], [0.3, 2.0]])
+        m = GroundMetric.glued(k, mc.tau, mc.alpha, mc.eps, mc.glue_offset,
+                               mc.profile, dw_spec.gamma, dw_spec.u)
+        r = 300
+        assert r % (BLOCK_ELEMENTS // (r * d)) != 0
+        # wide enough that some pairs pass the glue offset
+        ax, ay, bx, by = self.supports(20 + d, (r, d), scale=20.0)
+        full = m.dist_zw(ax[:, None] - bx[None], ay[:, None] - by[None])
+        assert np.array_equal(cost_matrix_zw(m.dist_zw, ax, ay, bx, by), full)
+
+    def test_peak_memory_is_bounded(self):
+        r, n = 256, 128
+        ax, ay, bx, by = self.supports(30, (r, n, 1))
+        tracemalloc.start()
+        try:
+            costs = cost_matrix_zw(slot_ell1, ax, ay, bx, by)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert costs.shape == (r, r)
+        # a full (R, R, N, d) broadcast holds 67 MB in each temporary
+        assert peak < 16e6
 
 
 class TestSorted1d:
@@ -164,3 +213,25 @@ class TestDistanceCurve:
             b = [(x[k, i] + 0.5, y[k, i] - 0.2) for i in range(24)]
             assert curve.w[k] <= identity_pairing_cost(dist, a, b) + 1e-12
         assert np.all(curve.w_se >= 0)
+
+    def test_bootstrap_keys_follow_the_dump_index(self):
+        gen = np.random.default_rng(9)
+        x = gen.normal(size=(3, 12, 1))
+        y = gen.normal(size=(3, 12, 1))
+        run_a = self.mk_traj(x, y, [0.0, 1.0, 2.0])
+        run_b = self.mk_traj(x + 0.3, 0.5 * y, [0.0, 1.0, 2.0])
+        dist = lambda a, b: euclid(np.concatenate(a), np.concatenate(b))
+        n_boot, seed = 25, 4
+        curve = distance_curve(run_a, run_b, dist, times=[1.0, 2.0],
+                               n_boot=n_boot, seed=seed)
+        for j, k in enumerate([1, 2]):
+            a = [(x[k, i], y[k, i]) for i in range(12)]
+            b = [(x[k, i] + 0.3, 0.5 * y[k, i]) for i in range(12)]
+            costs = cost_matrix(dist, a, b)
+            boots = np.empty(n_boot)
+            for r in range(n_boot):
+                ia = rng.integers(seed, rng.SUB_BOOTSTRAP, 2 * (k * n_boot + r), 0, 12, (12,))
+                ib = rng.integers(seed, rng.SUB_BOOTSTRAP, 2 * (k * n_boot + r) + 1, 0, 12,
+                                  (12,))
+                boots[r] = wasserstein_from_costs(costs[np.ix_(ia, ib)])
+            assert curve.w_se[j] == float(np.std(boots, ddof=1))
