@@ -140,10 +140,13 @@ def fit_decay_rate(times: Array, means: Array, ses: Array,
 
 def _ols_slope(x: Array, y: Array) -> tuple[float, float]:
     """Least-squares slope of y on x and its standard error."""
-    coef, res, _, _ = np.linalg.lstsq(np.vstack([x, np.ones_like(x)]).T, y, rcond=None)
-    resid_var = float(res[0]) / max(len(x) - 2, 1) if len(res) else 0.0
+    a = np.vstack([x, np.ones_like(x)]).T
+    coef, res, _, _ = np.linalg.lstsq(a, y, rcond=None)
+    dof = max(len(x) - 2, 1)
+    resid_var = float(res[0]) / dof if len(res) else 0.0
     x_var = float(np.sum((x - x.mean()) ** 2))
-    return float(coef[0]), math.sqrt(resid_var / x_var) if x_var > 0 else float("nan")
+    se = math.sqrt(resid_var / x_var) if x_var > 0 else float("nan")
+    return float(coef[0]), se
 
 
 def step_budget_coefficient(stat_h: Array, stat_h2: Array, h: float) -> float:
@@ -243,7 +246,8 @@ def run_contraction(cfg: ExperimentConfig) -> ExperimentRecord:
     fitted = fit_decay_rate(times, means, ses)
     check = check_one_sided_decay(times, means, ses, claimed, c_h, cfg.step)
     control = _coupling_control(cfg, constants)
-    stats = {"rate_claimed_name": rate_name, "rate_claimed": constants.to_dict()[rate_name],
+    snapshot = constants.to_dict()  # non-finite numbers as None
+    stats = {"rate_claimed_name": rate_name, "rate_claimed": snapshot[rate_name],
              "fit": fitted, "inequality": check,
              "initial_mean_dist": float(means[0]),
              "final_mean_dist": float(means[-1]),
@@ -255,7 +259,7 @@ def run_contraction(cfg: ExperimentConfig) -> ExperimentRecord:
     if cfg.raw.get("wasserstein_curve", False):
         curves["wasserstein"] = _wasserstein_curve(traj, metric, cfg.seed)
     return ExperimentRecord(experiment=cfg.experiment, config_hash=cfg.hash,
-                            seed=cfg.seed, constants=constants.to_dict(),
+                            seed=cfg.seed, constants=snapshot,
                             stats=stats, curves=curves, flagged=flagged,
                             diagnostics=tuple(diags))
 

@@ -26,8 +26,9 @@ def record_json(record: ExperimentRecord) -> str:
 
 def write_record(record: ExperimentRecord, out_root: Path) -> Path:
     """Write the run directory whole or not at all: it is filled as a hidden
-    sibling and renamed into place, and an earlier run there is moved aside
-    first and removed only after the rename."""
+    sibling, with the earlier run's files that the record does not write
+    (those of ``simulate`` and ``couple``) hard-linked in, and renamed into
+    place; the earlier directory is moved aside and removed only after."""
     run_dir = Path(out_root) / record.config_hash
     tmp = run_dir.with_name(f".{run_dir.name}.{uuid.uuid4().hex}")
     old = tmp.with_name(tmp.name + ".old")
@@ -37,6 +38,9 @@ def write_record(record: ExperimentRecord, out_root: Path) -> Path:
         for name, (columns, rows) in record.curves.items():
             write_csv(tmp / f"{name}.csv", columns, rows)
         if run_dir.exists():
+            for path in run_dir.iterdir():
+                if not (tmp / path.name).exists():
+                    (tmp / path.name).hardlink_to(path)
             run_dir.rename(old)
         tmp.rename(run_dir)
     except BaseException:

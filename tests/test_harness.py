@@ -181,15 +181,40 @@ class TestRecords:
             after = {f.name: f.read_bytes() for f in (tmp_path / "abc123").iterdir()}
             assert after == before
 
-    def test_rewrite_replaces_the_earlier_run(self, tmp_path):
+    def test_failed_swap_restores_the_earlier_run(self, tmp_path, monkeypatch):
+        rec = ExperimentRecord(experiment="moments", config_hash="abc123", seed=1,
+                               constants={}, stats={}, curves={"a": (["t"], [[1.0]])},
+                               flagged=False, diagnostics=())
+        run_dir = write_record(rec, tmp_path)
+        (run_dir / "trajectory.csv").write_text("t,i,x0,y0\n")
+        before = {f.name: f.read_bytes() for f in run_dir.iterdir()}
+        real_rename = Path.rename
+
+        def failing_rename(self, target):
+            # the filled directory's rename into place fails; moving back works
+            if Path(target) == run_dir and self.suffix != ".old":
+                raise OSError("rename failed")
+            return real_rename(self, target)
+
+        monkeypatch.setattr(Path, "rename", failing_rename)
+        with pytest.raises(OSError, match="rename failed"):
+            write_record(rec, tmp_path)
+        assert [p.name for p in tmp_path.iterdir()] == ["abc123"]
+        assert {f.name: f.read_bytes() for f in run_dir.iterdir()} == before
+
+    def test_rewrite_replaces_record_files_and_keeps_the_rest(self, tmp_path):
         cfg = load_config(quad_doc())
         rec = run_contraction(cfg)
         run_dir = write_record(rec, tmp_path)
-        (run_dir / "stale.csv").write_text("t\n")
+        (run_dir / "distance.csv").write_text("t\n")
+        (run_dir / "trajectory.csv").write_text("t,i,x0,y0\n")
         assert write_record(rec, tmp_path) == run_dir
         assert sorted(p.name for p in tmp_path.iterdir()) == [cfg.hash]
-        assert sorted(p.name for p in run_dir.iterdir()) == ["distance.csv", "record.json"]
+        assert sorted(p.name for p in run_dir.iterdir()) == [
+            "distance.csv", "record.json", "trajectory.csv"]
         assert (run_dir / "record.json").read_text() == record_json(rec)
+        assert (run_dir / "distance.csv").read_text().startswith("t,mean_dist")
+        assert (run_dir / "trajectory.csv").read_text() == "t,i,x0,y0\n"
 
     @pytest.mark.parametrize("doc", [
         quad_doc(initial={"kind": "gaussian", "std": 1.0},
@@ -362,6 +387,24 @@ class TestCli:
         assert cli_main(["couple", "-c", str(cfgp), "--out", str(out2)]) == 0
         cpl = next(out2.iterdir()) / "coupled.csv"
         assert cpl.read_text().splitlines()[0] == "t,rs,rl,delta,rho,abs_z,abs_q,rc"
+
+    def test_run_keeps_simulate_and_couple_outputs(self, tmp_path):
+        # all three commands write into the same <out>/<config-hash>/
+        cfgp = tmp_path / "dw.json"
+        cfgp.write_text(json.dumps(dw_doc(replicas=8, dump_count=3)))
+        out = tmp_path / "runs"
+        assert cli_main(["simulate", "-c", str(cfgp), "--out", str(out)]) == 0
+        assert cli_main(["couple", "-c", str(cfgp), "--out", str(out)]) == 0
+        run_dir = next(out.iterdir())
+        before = {p.name: p.read_bytes() for p in run_dir.iterdir()}
+        assert sorted(before) == ["coupled.csv", "metadata.json", "trajectory.csv"]
+        assert cli_main(["run", "-c", str(cfgp), "--out", str(out)]) == 0
+        assert [p.name for p in out.iterdir()] == [run_dir.name]
+        assert sorted(p.name for p in run_dir.iterdir()) == [
+            "coupled.csv", "metadata.json", "moments.csv", "record.json",
+            "trajectory.csv"]
+        assert all((run_dir / name).read_bytes() == data
+                   for name, data in before.items())
 
     def test_rerun_reproduces_csv_bytes(self, tmp_path):
         cfgp = tmp_path / "quad.json"
