@@ -12,12 +12,11 @@ from .coupling import (CoupledState, CouplingControl, marginal_check, pair_state
 from .dynamics import (BlowUpError, DynamicsError, Ensemble, IntegratorConfig,
                        Trajectory, default_step, dirac_ensemble, gaussian_ensemble,
                        simulate, step_classical, step_unconfined, track_moments)
-from .metrics import (GroundMetric, MetricError, PhasePoint, ell1_ensemble,
-                      ensemble_dist, project_centered)
+from .metrics import GroundMetric, MetricError, ell1_ensemble, ensemble_dist, project_centered
 from .model import (AssumptionReport, ExternalForce, InteractionForce, ModelError,
                     ModelSpec, eval_external, eval_interaction, validate_assumptions)
 from .profile import ConcaveProfile, build_profile
-from .transport import (EmpiricalMeasure, TransportError, distance_curve,
-                        wasserstein_1d_sorted, wasserstein_exact)
+from .transport import (TransportError, distance_curve, wasserstein_1d_sorted,
+                        wasserstein_exact)
 
 __version__ = "0.1.0"

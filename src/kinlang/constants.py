@@ -263,36 +263,29 @@ def _box_grid(d, z_max, w_max, points):
 
 def compute_glue_offset(spec: ModelSpec, tau: float, alpha: float, eps: float,
                         ratio_floor: float, radius_sq: float,
-                        grid_check: bool = False,
-                        ratios: Optional[tuple] = None) -> tuple[float, float]:
+                        ratios: Optional[tuple]) -> tuple[float, float]:
     """Supremum of the gluing gap over the synchronous region.
 
-    Returns a certified lower bound (the best feasible point found) plus
-    an error bar: grid resolution when the dense cross-check runs, bracket
-    width otherwise.
+    ``ratios`` are the two norm-ratio suprema of ``_max_norm_ratios`` (None
+    when ``radius_sq`` is 0).  Returns a certified lower bound (the best
+    feasible point found) plus the bracket width as its error bar.
     """
     if radius_sq == 0.0:
         return 0.0, 0.0
     # sup over the region of (r_small - eps r_large) = (sup r_small/r_large - eps)
     # times the region radius, by 1-homogeneity of both sides
-    ratio = (ratios or _max_norm_ratios(spec, tau, alpha))[0]
-    val = (ratio - eps) * math.sqrt(radius_sq)
+    val = (ratios[0] - eps) * math.sqrt(radius_sq)
     upper = (1.0 / ratio_floor - eps) * math.sqrt(radius_sq)
-    err = max(upper - val, 0.0)
-    if grid_check and spec.dim <= 2:
-        gval, gerr = grid_glue_offset(spec, tau, alpha, eps, radius_sq)
-        if gval > val:
-            val, err = gval, gerr
-        else:
-            err = min(err, gerr)
-    return val, err
+    return val, max(upper - val, 0.0)
 
 
 def compute_small_cutoff(spec: ModelSpec, tau: float, alpha: float, eps: float,
                          ratio_floor: float, radius_sq: float, glue_offset: float,
-                         grid_check: bool = False,
-                         ratios: Optional[tuple] = None) -> tuple[float, float]:
+                         ratios: Optional[tuple]) -> tuple[float, float]:
     """Supremum of r_small over the sublevel set of the gluing gap.
+
+    ``ratios`` are as in :func:`compute_glue_offset`; a zero ``radius_sq``
+    gives a zero ``glue_offset``, so both return early together.
 
     Hard-fails if the result escapes the analytic bracket
     ``[2 eps sqrt(radius_sq), 2 (1/ratio_floor - 2 eps) sqrt(radius_sq)]``:
@@ -303,11 +296,7 @@ def compute_small_cutoff(spec: ModelSpec, tau: float, alpha: float, eps: float,
     # on the boundary {gap = glue_offset}, a ray in direction v has
     # r_small = glue_offset * r_small(v) / gap(v); maximizing over
     # directions gives glue_offset / (1 - eps * sup r_large/r_small)
-    ratio = (ratios or _max_norm_ratios(spec, tau, alpha))[1]
-    val = glue_offset / (1.0 - eps * ratio)
-    if grid_check and spec.dim <= 2:
-        gval, _ = grid_small_cutoff(spec, tau, alpha, eps, glue_offset)
-        val = max(val, gval)
+    val = glue_offset / (1.0 - eps * ratios[1])
     root = math.sqrt(radius_sq)
     lo = 2.0 * eps * root
     hi = 2.0 * (1.0 / ratio_floor - 2.0 * eps) * root
@@ -322,7 +311,7 @@ def compute_small_cutoff(spec: ModelSpec, tau: float, alpha: float, eps: float,
 # derivation
 # ---------------------------------------------------------------------------
 
-def derive_constants(spec: ModelSpec, grid_check: bool = False) -> MetricConstants:
+def derive_constants(spec: ModelSpec) -> MetricConstants:
     """Compute every derived constant of a validated model spec.
 
     Admissibility failures are reported in ``diagnostics`` and the
@@ -357,11 +346,9 @@ def derive_constants(spec: ModelSpec, grid_check: bool = False) -> MetricConstan
         radius_sq = (8.0 * u * (1.0 if big_r > 0 else 0.0) + lg * u * big_r ** 2) / (tau * g ** 2)
         ratios = _max_norm_ratios(spec, tau, alpha) if radius_sq > 0 else None
         glue_offset, glue_err = compute_glue_offset(
-            spec, tau, alpha, eps, ratio_floor, radius_sq, grid_check=grid_check,
-            ratios=ratios)
+            spec, tau, alpha, eps, ratio_floor, radius_sq, ratios)
         small_cutoff, cutoff_err = compute_small_cutoff(
-            spec, tau, alpha, eps, ratio_floor, radius_sq, glue_offset,
-            grid_check=grid_check, ratios=ratios)
+            spec, tau, alpha, eps, ratio_floor, radius_sq, glue_offset, ratios)
         curvature = (lk + lg) / 4.0
         prof = build_profile(small_cutoff, curvature, g, u)
         big_lambda = curvature * small_cutoff ** 2

@@ -25,20 +25,10 @@ from ..constants import derive_constants
 from ..dynamics import trajectory_to_rows
 from ..metrics import GroundMetric
 from ..model import ModelSpec
-from .config import ConfigError, ExperimentConfig, config_hash, load_config
+from .config import ConfigError, ExperimentConfig, config_hash, load_config, load_document
 from .experiments import (_coupling_control, coupled_trajectory, run_experiment,
                           simulate_particles)
-from .record import write_csv, write_record
-
-
-def _load_doc(path: str) -> dict:
-    p = Path(path)
-    if not p.exists():
-        raise FileNotFoundError(f"config file not found: {path}")
-    try:
-        return json.loads(p.read_text())
-    except json.JSONDecodeError as err:
-        raise ConfigError(f"config is not valid JSON: {err}") from err
+from .record import filled_run_dir, write_csv, write_record
 
 
 def _apply_overrides(doc: dict, args) -> dict:
@@ -62,7 +52,7 @@ def _out_root(cfg: ExperimentConfig) -> Path:
 
 
 def cmd_constants(args) -> int:
-    doc = _load_doc(args.config)
+    doc = load_document(args.config)
     model_doc = doc.get("model", doc)
     spec = ModelSpec.from_dict(model_doc)
     constants = derive_constants(spec)
@@ -77,7 +67,7 @@ def cmd_constants(args) -> int:
 
 
 def _experiment_config(args) -> ExperimentConfig:
-    doc = _apply_overrides(_load_doc(args.config), args)
+    doc = _apply_overrides(load_document(args.config), args)
     doc.setdefault("experiment", "moments")
     return load_config(doc)
 
@@ -86,15 +76,14 @@ def cmd_simulate(args) -> int:
     cfg = _experiment_config(args)
     system, traj = simulate_particles(cfg)
     run_dir = _out_root(cfg) / cfg.hash
-    run_dir.mkdir(parents=True, exist_ok=True)
-    if args.binary:
-        np.savez_compressed(run_dir / "trajectory.npz", times=traj.times,
-                            x=traj.x, y=traj.y)
-    header, rows = trajectory_to_rows(traj)
-    write_csv(run_dir / "trajectory.csv", header, rows)
     meta = {"config_hash": cfg.hash, "seed": cfg.seed, "system": system,
             "step": cfg.step, "horizon": cfg.horizon}
-    (run_dir / "metadata.json").write_text(json.dumps(meta, sort_keys=True, indent=1))
+    with filled_run_dir(run_dir) as tmp:
+        if args.binary:
+            np.savez_compressed(tmp / "trajectory.npz", times=traj.times,
+                                x=traj.x, y=traj.y)
+        write_csv(tmp / "trajectory.csv", *trajectory_to_rows(traj))
+        (tmp / "trajectory.json").write_text(json.dumps(meta, sort_keys=True, indent=1))
     print(run_dir)
     return 0
 
@@ -122,17 +111,17 @@ def cmd_couple(args) -> int:
         traj.rc_mean,
     ])
     run_dir = _out_root(cfg) / cfg.hash
-    run_dir.mkdir(parents=True, exist_ok=True)
-    write_csv(run_dir / "coupled.csv", cols, rows)
     meta = {"config_hash": cfg.hash, "seed": cfg.seed, "xi": control.xi,
             "mode": control.mode, "constants": constants.to_dict()}
-    (run_dir / "metadata.json").write_text(json.dumps(meta, sort_keys=True, indent=1))
+    with filled_run_dir(run_dir) as tmp:
+        write_csv(tmp / "coupled.csv", cols, rows)
+        (tmp / "coupled.json").write_text(json.dumps(meta, sort_keys=True, indent=1))
     print(run_dir)
     return 2 if constants.diagnostics else 0
 
 
 def cmd_run(args) -> int:
-    cfg = load_config(_apply_overrides(_load_doc(args.config), args))
+    cfg = load_config(_apply_overrides(load_document(args.config), args))
     record = run_experiment(cfg)
     run_dir = write_record(record, _out_root(cfg))
     print(run_dir)

@@ -197,10 +197,17 @@ def load_config(doc: dict) -> ExperimentConfig:
     )
 
 
-def load_config_file(path) -> ExperimentConfig:
-    text = Path(path).read_text()
+def load_document(path) -> dict:
+    """The JSON document of a config file; a missing file or malformed
+    JSON raises ConfigError."""
+    p = Path(path)
+    if not p.exists():
+        raise ConfigError(f"config file not found: {path}")
     try:
-        doc = json.loads(text)
+        return json.loads(p.read_text())
     except json.JSONDecodeError as err:
         raise ConfigError(f"config is not valid JSON: {err}") from err
-    return load_config(doc)
+
+
+def load_config_file(path) -> ExperimentConfig:
+    return load_config(load_document(path))

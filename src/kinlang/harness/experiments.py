@@ -33,16 +33,13 @@ from ..constants import MetricConstants, derive_constants
 from ..coupling import CoupledState, CoupledTrajectory, CouplingControl, simulate_coupled
 from ..dynamics import (BlowUpError, Ensemble, IntegratorConfig, Trajectory,
                         _step_system, simulate, track_moments)
-from ..metrics import GroundMetric, ell1_norm
+from ..metrics import GroundMetric, ell1_norm, project_centered
 from ..model import ModelSpec
-from ..transport import bootstrap_se, cost_matrix_zw, wasserstein_from_costs
+from ..transport import (bootstrap_se, cost_matrix_zw, distance_curve,
+                         wasserstein_from_costs)
 from .config import ConfigError, ExperimentConfig
 
 Array = np.ndarray
-
-SUB_PROXY = 5
-SUB_SLOTS = 6
-SUB_SECOND_INIT = 9
 
 
 @dataclass(frozen=True)
@@ -113,7 +110,7 @@ def build_initial_pair(cfg: ExperimentConfig) -> CoupledState:
     second_doc = cfg.initial_second or {"shift_x": 1.0}
     if "kind" in second_doc:
         second = _draw_initial(second_doc, cfg.spec, cfg.replicas, cfg.seed,
-                               SUB_SECOND_INIT)
+                               rng.SUB_SECOND_INIT)
     else:
         second = _draw_initial(second_doc, cfg.spec, cfg.replicas, cfg.seed,
                                rng.SUB_INIT, base=first)
@@ -298,15 +295,11 @@ def _wasserstein_curve(traj: CoupledTrajectory, metric: GroundMetric, seed: int,
     """
     r = traj.ax.shape[1]
     idx = np.arange(r) if r <= cap else \
-        np.argsort(rng.normals(seed, rng.SUB_BOOTSTRAP, 10_000_019, (r,)))[:cap]
-    rows = []
-    for k in range(len(traj.times)):
-        costs = cost_matrix_zw(metric.dist_zw, traj.ax[k, idx], traj.ay[k, idx],
-                               traj.bx[k, idx], traj.by[k, idx])
-        w1 = wasserstein_from_costs(costs, p=1)
-        se = bootstrap_se(costs, seed, n_boot=100)
-        rows.append((float(traj.times[k]), w1, se))
-    return (["t", "w", "w_se"], np.asarray(rows))
+        np.argsort(rng.normals(seed, rng.SUB_BOOTSTRAP, rng.STEP_SUBSAMPLE, (r,)))[:cap]
+    curve = distance_curve(Trajectory(traj.times, traj.ax[:, idx], traj.ay[:, idx]),
+                           Trajectory(traj.times, traj.bx[:, idx], traj.by[:, idx]),
+                           metric.dist_zw, n_boot=100, seed=seed)
+    return (["t", "w", "w_se"], np.column_stack([curve.times, curve.w, curve.w_se]))
 
 
 # ---------------------------------------------------------------------------
@@ -322,7 +315,7 @@ def _law_mean_series(cfg: ExperimentConfig, n_steps: int) -> Array:
     if system == "unconfined":
         init.setdefault("center", True)
     x, y = _draw_initial(init, spec, cfg.proxy_size, cfg.seed, rng.SUB_INIT)
-    icfg = _integrator(cfg, substream=SUB_PROXY)
+    icfg = _integrator(cfg, substream=rng.SUB_PROXY)
     ens = Ensemble(x=x, y=y)
     means = np.empty((n_steps + 1, spec.dim))
     means[0] = ens.x.mean(axis=0)
@@ -353,7 +346,7 @@ def run_chaos(cfg: ExperimentConfig) -> ExperimentRecord:
     for n_slots in cfg.ensemble_sizes:
         # key initials and slot noise by N so the sweep points decorrelate
         seed_n = cfg.seed + n_slots
-        x, y = _draw_initial(cfg.initial, spec, r * n_slots, seed_n, SUB_SLOTS)
+        x, y = _draw_initial(cfg.initial, spec, r * n_slots, seed_n, rng.SUB_SLOTS)
         x, y = x.reshape(r, n_slots, d), y.reshape(r, n_slots, d)
         state = CoupledState(ax=x, ay=y, bx=x, by=y, gamma=spec.gamma)
         traj = simulate_coupled(spec, state, control,
@@ -362,10 +355,8 @@ def run_chaos(cfg: ExperimentConfig) -> ExperimentRecord:
                                 law_means=law_means)
         ax, ay, bx, by = traj.ax[-1], traj.ay[-1], traj.bx[-1], traj.by[-1]
         if unconfined:
-            ax = ax - ax.mean(axis=1, keepdims=True)
-            ay = ay - ay.mean(axis=1, keepdims=True)
-            bx = bx - bx.mean(axis=1, keepdims=True)
-            by = by - by.mean(axis=1, keepdims=True)
+            ax, ay = project_centered((ax, ay))
+            bx, by = project_centered((bx, by))
         # mean over slots of |dx| + |dy| for every replica pair
         costs = cost_matrix_zw(lambda z, w: ell1_norm(z, w).mean(axis=-1), ax, ay, bx, by)
         w1 = wasserstein_from_costs(costs, p=1)

@@ -2,10 +2,12 @@
 
 Each run writes into ``<out>/<config-hash>/``: a ``record.json`` with the
 constants snapshot, statistics, seeds and diagnostics, plus one CSV per
-curve.  The directory name is the canonical-JSON hash of the config, so
-re-running the same config overwrites its own directory and two different
-configs never collide.  All numbers are written at full double precision;
-rerunning with the same (config, seed) reproduces every byte.
+curve; ``simulate`` and ``couple`` write ``trajectory.csv``/``.json`` and
+``coupled.csv``/``.json`` into the same directory.  The directory name is
+the canonical-JSON hash of the config, so re-running the same config
+overwrites its own directory and two different configs never collide.
+All numbers are written at full double precision; rerunning with the
+same (config, seed) reproduces every byte.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from __future__ import annotations
 import json
 import shutil
 import uuid
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -24,19 +27,18 @@ def record_json(record: ExperimentRecord) -> str:
     return json.dumps(record.to_dict(), sort_keys=True, indent=1)
 
 
-def write_record(record: ExperimentRecord, out_root: Path) -> Path:
-    """Write the run directory whole or not at all: it is filled as a hidden
-    sibling, with the earlier run's files that the record does not write
-    (those of ``simulate`` and ``couple``) hard-linked in, and renamed into
-    place; the earlier directory is moved aside and removed only after."""
-    run_dir = Path(out_root) / record.config_hash
+@contextmanager
+def filled_run_dir(run_dir: Path):
+    """Write a run directory whole or not at all: the caller fills the
+    yielded hidden sibling, the earlier run's files it does not write
+    (those of other commands) are hard-linked in, and the sibling is
+    renamed into place; the earlier directory is moved aside and removed
+    only after."""
     tmp = run_dir.with_name(f".{run_dir.name}.{uuid.uuid4().hex}")
     old = tmp.with_name(tmp.name + ".old")
     tmp.mkdir(parents=True)
     try:
-        (tmp / "record.json").write_text(record_json(record))
-        for name, (columns, rows) in record.curves.items():
-            write_csv(tmp / f"{name}.csv", columns, rows)
+        yield tmp
         if run_dir.exists():
             for path in run_dir.iterdir():
                 if not (tmp / path.name).exists():
@@ -49,6 +51,16 @@ def write_record(record: ExperimentRecord, out_root: Path) -> Path:
             old.rename(run_dir)
         raise
     shutil.rmtree(old, ignore_errors=True)
+
+
+def write_record(record: ExperimentRecord, out_root: Path) -> Path:
+    """Write ``record.json`` and one CSV per curve through
+    :func:`filled_run_dir`."""
+    run_dir = Path(out_root) / record.config_hash
+    with filled_run_dir(run_dir) as tmp:
+        (tmp / "record.json").write_text(record_json(record))
+        for name, (columns, rows) in record.curves.items():
+            write_csv(tmp / f"{name}.csv", columns, rows)
     return run_dir
 
 

@@ -13,8 +13,8 @@ velocity, all parametrized by the friction ``gamma`` and inverse mass
   concave profile, where ``delta = r_small - eps * r_large``.
 
 Every distance is exposed both as a norm of a difference ``(z, w)`` and as
-a distance between two phase points; ensemble versions average per-pair
-values.  All evaluators are pure and broadcast over leading axes.
+a distance between two ``(x, y)`` points; ensemble versions average
+per-pair values.  All evaluators are pure and broadcast over leading axes.
 """
 
 from __future__ import annotations
@@ -33,25 +33,7 @@ class MetricError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class PhasePoint:
-    x: Array
-    y: Array
-
-    def __post_init__(self):
-        x = np.asarray(self.x, dtype=float)
-        y = np.asarray(self.y, dtype=float)
-        if x.shape != y.shape:
-            raise MetricError("position and velocity shapes differ")
-        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
-            raise MetricError("non-finite phase point")
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", y)
-
-
 def _as_xy(p) -> tuple[Array, Array]:
-    if isinstance(p, PhasePoint):
-        return p.x, p.y
     x, y = p
     return np.asarray(x, dtype=float), np.asarray(y, dtype=float)
 
@@ -237,11 +219,8 @@ class GroundMetric:
 # ---------------------------------------------------------------------------
 
 def ensemble_dist(metric: GroundMetric, a, b, mode: str = "l1_mean") -> float:
-    """Mean (or root-mean-square) of per-pair distances of two equal ensembles.
-
-    ``a`` and ``b`` are (x, y) pairs of (N, d) arrays or lists of
-    PhasePoints of equal length.
-    """
+    """Mean (or root-mean-square) of per-pair distances of two equal
+    ensembles, given as (x, y) pairs of (N, d) arrays."""
     ax, ay = _ensemble_xy(a)
     bx, by = _ensemble_xy(b)
     if ax.shape != bx.shape:
@@ -264,16 +243,13 @@ def ell1_ensemble(a, b) -> float:
 
 
 def project_centered(a):
-    """Subtract the ensemble mean from positions and velocities (idempotent)."""
+    """Subtract the ensemble mean, taken over axis -2, from positions and
+    velocities (idempotent); (R, N, d) stacks are centered per replica."""
     ax, ay = _ensemble_xy(a)
-    return ax - ax.mean(axis=0, keepdims=True), ay - ay.mean(axis=0, keepdims=True)
+    return ax - ax.mean(axis=-2, keepdims=True), ay - ay.mean(axis=-2, keepdims=True)
 
 
 def _ensemble_xy(a) -> tuple[Array, Array]:
-    if isinstance(a, (list, tuple)) and len(a) > 0 and isinstance(a[0], PhasePoint):
-        x = np.stack([p.x for p in a])
-        y = np.stack([p.y for p in a])
-        return x, y
     x, y = a
     x = np.atleast_2d(np.asarray(x, dtype=float))
     y = np.atleast_2d(np.asarray(y, dtype=float))

@@ -21,8 +21,15 @@ from numpy.random import Generator, Philox
 # Fixed substream ids used across the package.
 SUB_MAIN = 0        # plain simulations / first Brownian family
 SUB_REFLECT = 1     # B^rc family of a coupled run
+SUB_PROXY = 5       # law-proxy ensemble of a chaos run
+SUB_SLOTS = 6       # initial slots of a chaos run
 SUB_INIT = 7        # initial-condition sampling
+SUB_SECOND_INIT = 9  # second initial law of a coupled run
 SUB_BOOTSTRAP = 11  # resampling inside estimators
+
+# step key of the W-curve's replica subsample on SUB_BOOTSTRAP, far above
+# the keys 2 (first + b) + {0, 1} of the bootstrap resamples
+STEP_SUBSAMPLE = 10_000_019
 
 
 # constructing a Philox pulls OS entropy even when the key is explicit, so

@@ -1,7 +1,7 @@
 """Wasserstein distances between empirical measures.
 
-Empirical measures here are uniform over n support points; for equal
-sizes the L^p Wasserstein distance is the assignment problem on the
+Empirical measures here are uniform over n support points, given as
+``(x, y)`` pairs of (n, d) position and velocity arrays; for equal sizes the L^p Wasserstein distance is the assignment problem on the
 matrix of p-th powers of the ground cost:
 
     W_p(A, B) = (min over permutations pi of mean_i d(a_i, b_pi(i))^p)^(1/p).
@@ -16,7 +16,7 @@ ground costs on the line.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -35,25 +35,6 @@ class TransportError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class EmpiricalMeasure:
-    """Uniformly weighted support points (any array-like per point)."""
-
-    support: tuple
-
-    def __post_init__(self):
-        if len(self.support) < 1:
-            raise TransportError("empirical measure needs at least one point")
-
-
-def cost_matrix(dist_fn: Callable, a: Sequence, b: Sequence) -> Array:
-    out = np.empty((len(a), len(b)))
-    for i, pa in enumerate(a):
-        for j, pb in enumerate(b):
-            out[i, j] = dist_fn(pa, pb)
-    return out
-
-
 def cost_matrix_zw(cost_zw: Callable, ax: Array, ay: Array, bx: Array,
                    by: Array) -> Array:
     """Costs ``cost_zw(ax[i] - bx[j], ay[i] - by[j])`` of two batches of
@@ -68,31 +49,26 @@ def cost_matrix_zw(cost_zw: Callable, ax: Array, ay: Array, bx: Array,
 
 
 def wasserstein_from_costs(costs: Array, p: int = 1) -> float:
-    """Exact W_p from a precomputed ground-cost matrix."""
+    """Exact W_p from a precomputed ground-cost matrix; every exact
+    distance goes through here, so the size and cap checks hold on all."""
     if costs.shape[0] != costs.shape[1]:
         raise TransportError("assignment needs equally sized supports")
+    if costs.shape[0] > SIZE_CAP:
+        raise TransportError(
+            f"support size {costs.shape[0]} exceeds the exact-solver cap {SIZE_CAP}; "
+            "subsample the supports first")
+    if p not in (1, 2):
+        raise TransportError("p must be 1 or 2")
     rows, cols = linear_sum_assignment(costs ** p)
     return float(np.mean(costs[rows, cols] ** p) ** (1.0 / p))
 
 
-def wasserstein_exact(dist_fn: Callable, a, b, p: int = 1) -> float:
+def wasserstein_exact(cost_zw: Callable, a: tuple, b: tuple, p: int = 1) -> float:
     """Exact L^p Wasserstein distance between two equal-size empirical
-    measures under an arbitrary ground distance.
-
-    ``a`` and ``b`` may be EmpiricalMeasure instances or sequences of
-    points; ``dist_fn(point_a, point_b)`` must return a scalar.
-    """
-    sa = a.support if isinstance(a, EmpiricalMeasure) else a
-    sb = b.support if isinstance(b, EmpiricalMeasure) else b
-    if len(sa) != len(sb):
-        raise TransportError("size mismatch between the two supports")
-    if len(sa) > SIZE_CAP:
-        raise TransportError(
-            f"support size {len(sa)} exceeds the exact-solver cap {SIZE_CAP}; "
-            "subsample the supports first")
-    if p not in (1, 2):
-        raise TransportError("p must be 1 or 2")
-    return wasserstein_from_costs(cost_matrix(dist_fn, sa, sb), p)
+    measures with supports ``a = (ax, ay)`` and ``b = (bx, by)`` of (n, d)
+    arrays, under the cost ``cost_zw(z, w)`` of a pair whose difference is
+    (z, w) (e.g. ``GroundMetric.dist_zw``)."""
+    return wasserstein_from_costs(cost_matrix_zw(cost_zw, *a, *b), p)
 
 
 def wasserstein_1d_sorted(a: Array, b: Array, p: int = 1) -> float:
@@ -107,11 +83,10 @@ def wasserstein_1d_sorted(a: Array, b: Array, p: int = 1) -> float:
     return float(np.mean(gaps ** p) ** (1.0 / p))
 
 
-def identity_pairing_cost(dist_fn: Callable, a, b, p: int = 1) -> float:
-    """Mean cost of the index-aligned pairing: an upper bound for W_p."""
-    sa = a.support if isinstance(a, EmpiricalMeasure) else a
-    sb = b.support if isinstance(b, EmpiricalMeasure) else b
-    costs = np.array([dist_fn(pa, pb) for pa, pb in zip(sa, sb)])
+def identity_pairing_cost(cost_zw: Callable, a: tuple, b: tuple, p: int = 1) -> float:
+    """Mean cost of the index-aligned pairing of two (x, y) supports: an
+    upper bound for W_p."""
+    costs = cost_zw(a[0] - b[0], a[1] - b[1])
     return float(np.mean(costs ** p) ** (1.0 / p))
 
 
@@ -126,15 +101,17 @@ class DistanceCurve:
     w_se: Array
 
 
-def distance_curve(run_a, run_b, dist_fn: Callable, p: int = 1,
+def distance_curve(run_a, run_b, cost_zw: Callable, p: int = 1,
                    times: Optional[Array] = None, n_boot: int = 200,
                    seed: int = 0) -> DistanceCurve:
     """Per-time Wasserstein estimates between two trajectory dumps.
 
     ``run_a``/``run_b`` are trajectories with aligned dump times whose
-    snapshots provide the supports.  The standard error is a bootstrap
-    over support points (resampling indices into the precomputed cost
-    matrix, so the assignment is re-solved but costs are not).
+    (N, d) snapshots ``x[k]``, ``y[k]`` provide the supports, and
+    ``cost_zw`` is the ground cost as in :func:`wasserstein_exact`.  The
+    standard error is a bootstrap over support points (resampling indices
+    into the precomputed cost matrix, so the assignment is re-solved but
+    costs are not); dump k draws its resamples at ``first = k n_boot``.
     """
     if run_a.x.shape[0] != run_b.x.shape[0] or not np.allclose(run_a.times, run_b.times):
         raise TransportError("dump times of the two runs are not aligned")
@@ -142,9 +119,7 @@ def distance_curve(run_a, run_b, dist_fn: Callable, p: int = 1,
         int(np.argmin(np.abs(run_a.times - t))) for t in np.asarray(times)]
     ts, ws, ses = [], [], []
     for k in sel:
-        a = [(run_a.x[k, i], run_a.y[k, i]) for i in range(run_a.x.shape[1])]
-        b = [(run_b.x[k, i], run_b.y[k, i]) for i in range(run_b.x.shape[1])]
-        costs = cost_matrix(dist_fn, a, b)
+        costs = cost_matrix_zw(cost_zw, run_a.x[k], run_a.y[k], run_b.x[k], run_b.y[k])
         ts.append(run_a.times[k])
         ws.append(wasserstein_from_costs(costs, p))
         ses.append(bootstrap_se(costs, seed, n_boot, first=k * n_boot, p=p))

@@ -263,8 +263,10 @@ class TestAscent:
 
 class TestHardFailure:
     def test_cutoff_outside_bracket_raises(self, dw_spec, dw_constants):
-        from kinlang.constants import compute_small_cutoff
+        from kinlang.constants import _max_norm_ratios, compute_small_cutoff
         mc = dw_constants
+        ratios = _max_norm_ratios(dw_spec, mc.tau, mc.alpha)
         with pytest.raises(ConstantsError):
             compute_small_cutoff(dw_spec, mc.tau, mc.alpha, mc.eps, mc.ratio_floor,
-                                 radius_sq=1e-6, glue_offset=mc.glue_offset)
+                                 radius_sq=1e-6, glue_offset=mc.glue_offset,
+                                 ratios=ratios)

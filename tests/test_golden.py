@@ -59,6 +59,12 @@ def test_noise_fingerprint():
     assert h.hexdigest() == NOISE_FINGERPRINT
 
 
+def test_substream_ids_are_distinct():
+    ids = {name: value for name, value in vars(rng).items() if name.startswith("SUB_")}
+    assert {"SUB_PROXY", "SUB_SLOTS", "SUB_SECOND_INIT"} <= set(ids)
+    assert len(set(ids.values())) == len(ids)
+
+
 def test_every_config_is_pinned():
     assert sorted(p.name for p in CONFIGS.glob("*.json")) == sorted(GOLDEN)
 

@@ -7,16 +7,18 @@ import numpy as np
 import pytest
 
 from kinlang.constants import derive_constants
+from kinlang.dynamics import Trajectory
+from kinlang.harness import cli as cli_mod
 from kinlang.harness import record as record_mod
 from kinlang.harness.cli import main as cli_main
 from kinlang.harness.config import (ConfigError, config_hash, load_config,
                                     validate_config)
 from kinlang.harness.experiments import (ExperimentRecord, build_initial_pair,
-                                         fit_decay_rate, run_chaos, run_contraction,
-                                         run_moments)
+                                         coupled_trajectory, fit_decay_rate, run_chaos,
+                                         run_contraction, run_moments)
 from kinlang.harness.record import record_json, write_record
 from kinlang.metrics import GroundMetric
-from kinlang.transport import wasserstein_from_costs
+from kinlang.transport import distance_curve, wasserstein_from_costs
 
 
 def quad_doc(**over):
@@ -246,6 +248,21 @@ class TestRecords:
         costs = metric.dist_zw(s0.ax[:, None] - s0.bx[None], s0.ay[:, None] - s0.by[None])
         assert rec.curves["wasserstein"][1][0, 1] == wasserstein_from_costs(costs)
 
+    def test_wasserstein_curve_is_the_distance_curve_of_the_pairs(self):
+        cfg = load_config({**quad_doc(initial={"kind": "gaussian", "std": 1.0},
+                                      initial_second={"shift_x": 1.0}, replicas=64,
+                                      dump_count=5), "wasserstein_curve": True})
+        rec = run_contraction(cfg)
+        constants = derive_constants(cfg.spec)
+        traj = coupled_trajectory(cfg, constants, cfg.step)
+        metric = GroundMetric.from_constants(cfg.spec, constants, "r_strong")
+        # dump k bootstraps at first = k n_boot, as distance_curve does
+        curve = distance_curve(Trajectory(traj.times, traj.ax, traj.ay),
+                               Trajectory(traj.times, traj.bx, traj.by),
+                               metric.dist_zw, n_boot=100, seed=cfg.seed)
+        assert np.array_equal(np.asarray(rec.curves["wasserstein"][1]),
+                              np.column_stack([curve.times, curve.w, curve.w_se]))
+
     def test_chaos_smoke(self):
         doc = quad_doc(experiment="chaos",
                        model={"dimension": 1, "gamma": 2.0, "u": 1.0,
@@ -397,14 +414,34 @@ class TestCli:
         assert cli_main(["couple", "-c", str(cfgp), "--out", str(out)]) == 0
         run_dir = next(out.iterdir())
         before = {p.name: p.read_bytes() for p in run_dir.iterdir()}
-        assert sorted(before) == ["coupled.csv", "metadata.json", "trajectory.csv"]
+        assert sorted(before) == ["coupled.csv", "coupled.json", "trajectory.csv",
+                                  "trajectory.json"]
+        assert "system" in json.loads(before["trajectory.json"])
+        assert "mode" in json.loads(before["coupled.json"])
         assert cli_main(["run", "-c", str(cfgp), "--out", str(out)]) == 0
         assert [p.name for p in out.iterdir()] == [run_dir.name]
         assert sorted(p.name for p in run_dir.iterdir()) == [
-            "coupled.csv", "metadata.json", "moments.csv", "record.json",
-            "trajectory.csv"]
+            "coupled.csv", "coupled.json", "moments.csv", "record.json",
+            "trajectory.csv", "trajectory.json"]
         assert all((run_dir / name).read_bytes() == data
                    for name, data in before.items())
+
+    def test_failed_couple_leaves_the_earlier_run_intact(self, tmp_path, monkeypatch):
+        cfgp = tmp_path / "dw.json"
+        cfgp.write_text(json.dumps(dw_doc(replicas=8, dump_count=3)))
+        out = tmp_path / "runs"
+        assert cli_main(["simulate", "-c", str(cfgp), "--out", str(out)]) == 0
+        run_dir = next(out.iterdir())
+        before = {p.name: p.read_bytes() for p in run_dir.iterdir()}
+
+        def failing_write_csv(path, columns, rows):
+            path.write_text("t\n")  # a partly written file, then the failure
+            raise OSError("disk full")
+
+        monkeypatch.setattr(cli_mod, "write_csv", failing_write_csv)
+        assert cli_main(["couple", "-c", str(cfgp), "--out", str(out)]) == 1
+        assert [p.name for p in out.iterdir()] == [run_dir.name]
+        assert {p.name: p.read_bytes() for p in run_dir.iterdir()} == before
 
     def test_rerun_reproduces_csv_bytes(self, tmp_path):
         cfgp = tmp_path / "quad.json"

@@ -5,9 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from kinlang.metrics import (GroundMetric, MetricError, PhasePoint, ell1_ensemble,
-                             ensemble_dist, project_centered, row_norm, small_norm,
-                             twisted_norm)
+from kinlang.metrics import (GroundMetric, MetricError, ell1_ensemble, ensemble_dist,
+                             project_centered, row_norm, small_norm, twisted_norm)
 
 
 def rand_pairs(n, d, seed=0, scale=2.0):
@@ -205,21 +204,16 @@ class TestProjection:
         cx2, cy2 = project_centered((cx, cy))
         assert np.allclose(cx, cx2, atol=1e-15) and np.allclose(cy, cy2, atol=1e-15)
 
+    def test_stacked_ensembles_center_per_replica(self):
+        g = np.random.default_rng(15)
+        x, y = g.normal(size=(3, 5, 2)), g.normal(size=(3, 5, 2))
+        cx, cy = project_centered((x, y))
+        for r in range(3):
+            ex, ey = project_centered((x[r], y[r]))
+            assert np.array_equal(cx[r], ex) and np.array_equal(cy[r], ey)
+
     def test_already_centered_unchanged(self):
         x = np.array([[1.0], [-1.0]])
         y = np.array([[0.5], [-0.5]])
         cx, cy = project_centered((x, y))
         assert np.array_equal(cx, x) and np.array_equal(cy, y)
-
-
-class TestPhasePoint:
-    def test_finite_required(self):
-        with pytest.raises(MetricError):
-            PhasePoint(x=np.array([np.inf]), y=np.array([0.0]))
-
-    def test_dist_accepts_phase_points(self, dw_spec, dw_constants):
-        m = GroundMetric.from_constants(dw_spec, dw_constants, "r_s")
-        a = PhasePoint(x=np.array([1.0]), y=np.array([0.0]))
-        b = PhasePoint(x=np.array([0.0]), y=np.array([0.0]))
-        expected = dw_constants.alpha + 1.0
-        assert m.dist(a, b) == pytest.approx(expected)

@@ -9,65 +9,76 @@ import pytest
 from kinlang import rng
 from kinlang.dynamics import Trajectory
 from kinlang.metrics import GroundMetric, ell1_norm
-from kinlang.transport import (BLOCK_ELEMENTS, EmpiricalMeasure, TransportError,
-                               cost_matrix, cost_matrix_zw, distance_curve,
-                               identity_pairing_cost, wasserstein_1d_sorted,
-                               wasserstein_exact, wasserstein_from_costs)
+from kinlang.transport import (BLOCK_ELEMENTS, SIZE_CAP, TransportError, cost_matrix_zw,
+                               distance_curve, identity_pairing_cost,
+                               wasserstein_1d_sorted, wasserstein_exact,
+                               wasserstein_from_costs)
 
 
-def euclid(a, b):
-    return float(np.linalg.norm(np.asarray(a, dtype=float) - np.asarray(b, dtype=float)))
+euclid = GroundMetric.euclidean().dist_zw
+
+
+def normal_support(gen, n, d):
+    """An (x, y) support of n points in d dimensions."""
+    return gen.normal(size=(n, d)), gen.normal(size=(n, d))
+
+
+def per_point_costs(dist_fn, a, b):
+    """Reference: the per-point double loop over (x, y) points that the
+    blocked builder replaced."""
+    out = np.empty((len(a[0]), len(b[0])))
+    for i in range(len(a[0])):
+        for j in range(len(b[0])):
+            out[i, j] = dist_fn((a[0][i], a[1][i]), (b[0][j], b[1][j]))
+    return out
 
 
 class TestExactSolver:
     def test_same_points_zero(self):
-        pts = [np.array([0.0]), np.array([1.0]), np.array([2.0])]
+        pts = (np.array([[0.0], [1.0], [2.0]]), np.zeros((3, 1)))
         assert wasserstein_exact(euclid, pts, pts) == pytest.approx(0.0)
 
     def test_two_singletons(self):
-        a = [np.array([0.0, 0.0])]
-        b = [np.array([3.0, 4.0])]
+        a = (np.array([[0.0, 0.0]]), np.zeros((1, 2)))
+        b = (np.array([[3.0, 4.0]]), np.zeros((1, 2)))
         assert wasserstein_exact(euclid, a, b) == pytest.approx(5.0)
 
     @pytest.mark.parametrize("p", [1, 2])
-    def test_matches_brute_force_permutations(self, p):
+    def test_matches_brute_force_permutations(self, dw_spec, dw_constants, p):
+        m = GroundMetric.from_constants(dw_spec, dw_constants, "rho")
         gen = np.random.default_rng(0)
-        a = [gen.normal(size=2) for _ in range(3)]
-        b = [gen.normal(size=2) for _ in range(3)]
-        costs = cost_matrix(euclid, a, b)
-        brute = min(np.mean([costs[i, pi[i]] ** p for i in range(3)])
-                    for pi in itertools.permutations(range(3)))
-        assert wasserstein_exact(euclid, a, b, p) == pytest.approx(brute ** (1 / p))
+        a, b = normal_support(gen, 4, 1), normal_support(gen, 4, 1)
+        costs = per_point_costs(lambda pa, pb: float(m.dist(pa, pb)), a, b)
+        brute = min(np.mean([costs[i, pi[i]] ** p for i in range(4)])
+                    for pi in itertools.permutations(range(4)))
+        assert wasserstein_exact(m.dist_zw, a, b, p) == pytest.approx(brute ** (1 / p))
 
     def test_permutation_invariance(self):
         gen = np.random.default_rng(1)
-        a = [gen.normal(size=1) for _ in range(16)]
-        b = [gen.normal(size=1) for _ in range(16)]
+        a, b = normal_support(gen, 16, 1), normal_support(gen, 16, 1)
         w = wasserstein_exact(euclid, a, b)
         perm = gen.permutation(16)
-        assert wasserstein_exact(euclid, [a[i] for i in perm], b) == pytest.approx(w)
+        assert wasserstein_exact(euclid, (a[0][perm], a[1][perm]), b) == pytest.approx(w)
 
     def test_size_mismatch_rejected(self):
         with pytest.raises(TransportError):
-            wasserstein_exact(euclid, [np.zeros(1)], [np.zeros(1)] * 2)
+            wasserstein_exact(euclid, (np.zeros((1, 1)), np.zeros((1, 1))),
+                              (np.zeros((2, 1)), np.zeros((2, 1))))
 
     def test_cap_rejected_with_hint(self):
-        pts = [np.zeros(1)] * 2049
+        costs = np.broadcast_to(0.0, (SIZE_CAP + 1, SIZE_CAP + 1))
         with pytest.raises(TransportError, match="subsample"):
-            wasserstein_exact(euclid, pts, pts)
+            wasserstein_from_costs(costs)
 
     def test_upper_bound_identity_pairing(self):
         gen = np.random.default_rng(2)
-        a = [gen.normal(size=2) for _ in range(32)]
-        b = [gen.normal(size=2) for _ in range(32)]
+        a, b = normal_support(gen, 32, 2), normal_support(gen, 32, 2)
         assert wasserstein_exact(euclid, a, b) <= identity_pairing_cost(euclid, a, b) + 1e-12
 
     def test_triangle_inequality_small_measures(self):
         gen = np.random.default_rng(3)
-        size = 8
-        mk = lambda: EmpiricalMeasure(tuple(gen.normal(size=2) for _ in range(size)))
         for _ in range(20):
-            a, b, c = mk(), mk(), mk()
+            a, b, c = (normal_support(gen, 8, 1) for _ in range(3))
             wab = wasserstein_exact(euclid, a, b)
             wbc = wasserstein_exact(euclid, b, c)
             wac = wasserstein_exact(euclid, a, c)
@@ -76,12 +87,10 @@ class TestExactSolver:
     def test_ground_metric_cost(self, dw_spec, dw_constants):
         m = GroundMetric.from_constants(dw_spec, dw_constants, "rho")
         gen = np.random.default_rng(4)
-        a = [(gen.normal(size=1), gen.normal(size=1)) for _ in range(8)]
-        b = [(gen.normal(size=1), gen.normal(size=1)) for _ in range(8)]
-        dist = lambda pa, pb: float(m.dist(pa, pb))
-        w = wasserstein_exact(dist, a, b)
+        a, b = normal_support(gen, 8, 1), normal_support(gen, 8, 1)
+        w = wasserstein_exact(m.dist_zw, a, b)
         assert w >= 0
-        assert wasserstein_exact(dist, a, a) == pytest.approx(0.0, abs=1e-14)
+        assert wasserstein_exact(m.dist_zw, a, a) == pytest.approx(0.0, abs=1e-14)
 
 
 def slot_ell1(z, w):
@@ -116,6 +125,21 @@ class TestBlockedCosts:
         full = m.dist_zw(ax[:, None] - bx[None], ay[:, None] - by[None])
         assert np.array_equal(cost_matrix_zw(m.dist_zw, ax, ay, bx, by), full)
 
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_matches_the_per_point_loop(self, dw_spec, dw_constants, d):
+        # bitwise in d = 1; an anisotropic K in d = 2 may sum in another order
+        mc = dw_constants
+        k = np.eye(1) if d == 1 else np.array([[1.0, 0.3], [0.3, 2.0]])
+        m = GroundMetric.glued(k, mc.tau, mc.alpha, mc.eps, mc.glue_offset,
+                               mc.profile, dw_spec.gamma, dw_spec.u)
+        ax, ay, bx, by = self.supports(40 + d, (48, d), scale=20.0)
+        loop = per_point_costs(lambda pa, pb: float(m.dist(pa, pb)), (ax, ay), (bx, by))
+        costs = cost_matrix_zw(m.dist_zw, ax, ay, bx, by)
+        if d == 1:
+            assert np.array_equal(costs, loop)
+        else:
+            assert np.all(np.abs(costs - loop) <= 1e-15 * np.abs(loop))
+
     def test_peak_memory_is_bounded(self):
         r, n = 256, 128
         ax, ay, bx, by = self.supports(30, (r, n, 1))
@@ -144,8 +168,9 @@ class TestSorted1d:
         gen = np.random.default_rng(5)
         a = gen.normal(size=64)
         b = gen.normal(size=64) + 0.5
-        exact = wasserstein_exact(lambda x, y: abs(float(x) - float(y)),
-                                  list(a), list(b), p)
+        zeros = np.zeros((64, 1))
+        exact = wasserstein_exact(lambda z, w: np.abs(z[..., 0]),
+                                  (a[:, None], zeros), (b[:, None], zeros), p)
         assert wasserstein_1d_sorted(a, b, p) == pytest.approx(exact, abs=1e-10)
 
     def test_rejects_vector_input(self):
@@ -163,8 +188,7 @@ class TestDistanceCurve:
         x = gen.normal(size=(3, 16, 1))
         y = gen.normal(size=(3, 16, 1))
         run = self.mk_traj(x, y, [0.0, 1.0, 2.0])
-        dist = lambda a, b: euclid(np.concatenate(a), np.concatenate(b))
-        curve = distance_curve(run, run, dist)
+        curve = distance_curve(run, run, euclid)
         assert np.allclose(curve.w, 0.0)
 
     def test_misaligned_times_rejected(self):
@@ -173,9 +197,8 @@ class TestDistanceCurve:
         y = gen.normal(size=(2, 4, 1))
         a = self.mk_traj(x, y, [0.0, 1.0])
         b = self.mk_traj(x, y, [0.0, 1.5])
-        dist = lambda p, q: euclid(np.concatenate(p), np.concatenate(q))
         with pytest.raises(TransportError):
-            distance_curve(a, b, dist)
+            distance_curve(a, b, euclid)
 
     def test_deterministic_diracs_decay_exactly(self, quad_spec, quad_constants):
         # two synchronous Dirac trajectories: the Wasserstein curve under the
@@ -192,8 +215,7 @@ class TestDistanceCurve:
         m = GroundMetric.from_constants(quad_spec, mc, "r_strong")
         run_a = self.mk_traj(traj.ax, traj.ay, traj.times)
         run_b = self.mk_traj(traj.bx, traj.by, traj.times)
-        dist = lambda a, b: float(m.dist(a, b))
-        curve = distance_curve(run_a, run_b, dist, n_boot=10)
+        curve = distance_curve(run_a, run_b, m.dist_zw, n_boot=10)
         direct = traj.distance_series(m)[:, 0]
         assert np.allclose(curve.w, direct, atol=1e-12)
         # single-atom supports: the bootstrap spread collapses
@@ -206,12 +228,10 @@ class TestDistanceCurve:
         run_a = self.mk_traj(x, y, [0.0, 1.0])
         run_b = self.mk_traj(x + 0.5, y - 0.2, [0.0, 1.0])
         m = GroundMetric.from_constants(dw_spec, dw_constants, "rho")
-        dist = lambda a, b: float(m.dist(a, b))
-        curve = distance_curve(run_a, run_b, dist, n_boot=25)
+        curve = distance_curve(run_a, run_b, m.dist_zw, n_boot=25)
         for k in range(2):
-            a = [(x[k, i], y[k, i]) for i in range(24)]
-            b = [(x[k, i] + 0.5, y[k, i] - 0.2) for i in range(24)]
-            assert curve.w[k] <= identity_pairing_cost(dist, a, b) + 1e-12
+            a, b = (x[k], y[k]), (x[k] + 0.5, y[k] - 0.2)
+            assert curve.w[k] <= identity_pairing_cost(m.dist_zw, a, b) + 1e-12
         assert np.all(curve.w_se >= 0)
 
     def test_bootstrap_keys_follow_the_dump_index(self):
@@ -220,14 +240,11 @@ class TestDistanceCurve:
         y = gen.normal(size=(3, 12, 1))
         run_a = self.mk_traj(x, y, [0.0, 1.0, 2.0])
         run_b = self.mk_traj(x + 0.3, 0.5 * y, [0.0, 1.0, 2.0])
-        dist = lambda a, b: euclid(np.concatenate(a), np.concatenate(b))
         n_boot, seed = 25, 4
-        curve = distance_curve(run_a, run_b, dist, times=[1.0, 2.0],
+        curve = distance_curve(run_a, run_b, euclid, times=[1.0, 2.0],
                                n_boot=n_boot, seed=seed)
         for j, k in enumerate([1, 2]):
-            a = [(x[k, i], y[k, i]) for i in range(12)]
-            b = [(x[k, i] + 0.3, 0.5 * y[k, i]) for i in range(12)]
-            costs = cost_matrix(dist, a, b)
+            costs = cost_matrix_zw(euclid, x[k], y[k], x[k] + 0.3, 0.5 * y[k])
             boots = np.empty(n_boot)
             for r in range(n_boot):
                 ia = rng.integers(seed, rng.SUB_BOOTSTRAP, 2 * (k * n_boot + r), 0, 12, (12,))
