@@ -17,13 +17,13 @@ xi`` inside the gap region.  A vanishing gluing offset (or synchronous
 mode) makes the coupling purely synchronous.  Coefficients and ``e`` are
 frozen at the start of each step.
 
-Both copies step through the integrator update and the force dispatcher
-of :mod:`kinlang.dynamics`.  Law terms inside nonlinear coupled runs are
-approximated by the empirical marginals of the coupled batch itself.  The
-componentwise variant is the same step with one more leading axis: it
-couples N independent nonlinear copies (law mean supplied externally,
-e.g. by a large proxy run) against one N-particle system, slot by slot,
-on (R, N, d) arrays.
+Both copies step through the stepping loop, the integrator update and
+the force dispatcher of :mod:`kinlang.dynamics`.  Law terms inside
+nonlinear coupled runs are approximated by the empirical marginals of the
+coupled batch itself.  The componentwise variant is the same step with
+one more leading axis: it couples N independent nonlinear copies (law
+mean supplied externally, e.g. by a large proxy run) against one
+N-particle system, slot by slot, on (R, N, d) arrays.
 """
 
 from __future__ import annotations
@@ -37,10 +37,10 @@ import numpy as np
 
 from . import rng
 from .constants import MetricConstants
-from .dynamics import (BlowUpError, DynamicsError, IntegratorConfig, _advance,
-                       _quiet_overflow, _require_split, drift)
+from .dynamics import (DynamicsError, IntegratorConfig, _advance, _require_split,
+                       drift, march)
 from .metrics import GroundMetric, small_norm, twisted_norm
-from .model import ModelError, ModelSpec
+from .model import ModelSpec
 
 Array = np.ndarray
 
@@ -119,11 +119,6 @@ class CoupledState:
     @property
     def e(self) -> Array:
         return _unit_q(self.z, self.w, self.gamma)
-
-    def require_finite(self) -> None:
-        for a in (self.ax, self.ay, self.bx, self.by):
-            if not np.all(np.isfinite(a)):
-                raise BlowUpError(self.t)
 
 
 def pair_state(spec: ModelSpec, first, second, n: int = 1) -> CoupledState:
@@ -204,43 +199,6 @@ def _law_system(spec: ModelSpec, law: str) -> tuple[str, Optional[Array]]:
     raise DynamicsError(f"unknown law {law!r}")
 
 
-def _pair_step_arrays(spec: ModelSpec, arrays: tuple, control: CouplingControl,
-                      cfg: IntegratorConfig, constants: MetricConstants,
-                      step_index: int, system: str, mean_a: Optional[Array],
-                      mean_b: Optional[Array]) -> tuple:
-    ax, ay, bx, by = arrays
-    z, w = ax - bx, ay - by
-    rc = rc_value(control, spec, constants, z, w)
-    noise_a, noise_b = _coupled_noise_arrays(z, w, spec.gamma, rc, cfg, step_index)
-    force_a = drift(spec, ax, system, mean_a)
-    force_b = drift(spec, bx, system, mean_b)
-    h, g, u = cfg.step, spec.gamma, spec.u
-    ax, ay = _advance(ax, ay, force_a, noise_a, h, g, u, cfg.scheme)
-    bx, by = _advance(bx, by, force_b, noise_b, h, g, u, cfg.scheme)
-    return ax, ay, bx, by
-
-
-def step_coupled_pair(spec: ModelSpec, state: CoupledState, control: CouplingControl,
-                      cfg: IntegratorConfig, constants: MetricConstants,
-                      step_index: int = 0, law: str = "replica_proxy") -> CoupledState:
-    """One step of a batch of coupled pairs sharing one model.
-
-    ``law`` selects how nonlinear terms are fed: ``"replica_proxy"`` uses
-    the batch's own empirical marginals, ``"analytic_zero"`` substitutes
-    the exactly-centered law mean of the unconfined theory, ``"none"``
-    drops the interaction (classical dynamics).
-    """
-    system, law_mean = _law_system(spec, law)
-    with _quiet_overflow():
-        arrays = _pair_step_arrays(spec, (state.ax, state.ay, state.bx, state.by),
-                                   control, cfg, constants, step_index, system,
-                                   law_mean, law_mean)
-    out = CoupledState(ax=arrays[0], ay=arrays[1], bx=arrays[2], by=arrays[3],
-                       gamma=spec.gamma, t=state.t + cfg.step)
-    out.require_finite()
-    return out
-
-
 # ---------------------------------------------------------------------------
 # coupled trajectory driver
 # ---------------------------------------------------------------------------
@@ -266,54 +224,47 @@ def simulate_coupled(spec: ModelSpec, state0: CoupledState, control: CouplingCon
                      ) -> CoupledTrajectory:
     """March a batch of coupled pairs to the horizon, recording dumps.
 
-    ``law`` is as in :func:`step_coupled_pair`.  With ``componentwise``
-    the second component evolves as the N-particle system on its own
-    empirical marginal (axis -2, so (R, N, d) arrays hold R replicas), and
-    the first as N independent nonlinear copies whose law mean at step k
-    is ``law_means[k]`` (e.g. a large-proxy mean path), or the law's own
-    default when omitted.  Each slot carries its own blend and reflection
-    direction.  A non-finite state aborts with a :class:`BlowUpError`.
+    ``law`` selects how nonlinear terms are fed: ``"replica_proxy"`` uses
+    each copy's own empirical marginal over the batch, ``"analytic_zero"``
+    substitutes the exactly-centered law mean of the unconfined theory,
+    ``"none"`` drops the interaction (classical dynamics).  With
+    ``componentwise`` the second component evolves as the N-particle system
+    on its own empirical marginal (axis -2, so (R, N, d) arrays hold R
+    replicas), and the first as N independent nonlinear copies whose law
+    mean at step k is ``law_means[k]`` (e.g. a large-proxy mean path), or
+    the law's own default when omitted.  Each slot carries its own blend
+    and reflection direction.  Dumps and blow-ups follow
+    :func:`kinlang.dynamics.march`.
     """
     system, default_mean = _law_system(spec, law)
-    n_steps = cfg.n_steps
-    if dump_times is None:
-        dump_times = np.array([cfg.horizon])
-    dump_steps = set(np.unique(np.clip(np.round(np.asarray(dump_times) / cfg.step), 0,
-                                       n_steps).astype(int)).tolist())
-    ts, axs, ays, bxs, bys, rcs = [], [], [], [], [], []
-    state0.require_finite()
-    arrays = (state0.ax, state0.ay, state0.bx, state0.by)
-
-    def record(arrays, t):
-        ax, ay, bx, by = arrays
-        if not all(np.all(np.isfinite(a)) for a in arrays):
-            raise BlowUpError(t)
-        ts.append(t)
-        axs.append(ax.copy()), ays.append(ay.copy())
-        bxs.append(bx.copy()), bys.append(by.copy())
-        rcs.append(float(np.mean(rc_value(control, spec, constants,
-                                          ax - bx, ay - by))))
-
-    if 0 in dump_steps:
-        record(arrays, state0.t)
-    mean_a = default_mean
     mean_b = None if componentwise else default_mean
-    with _quiet_overflow():
-        for k in range(n_steps):
-            if law_means is not None:
-                mean_a = law_means[k]
-            try:
-                arrays = _pair_step_arrays(spec, arrays, control, cfg, constants, k,
-                                           system, mean_a, mean_b)
-            except ModelError as err:
-                # a non-finite position reaching the force evaluators IS a blow-up
-                raise BlowUpError(state0.t + k * cfg.step) from err
-            if (k + 1) in dump_steps:
-                record(arrays, state0.t + (k + 1) * cfg.step)
-    if not all(np.all(np.isfinite(a)) for a in arrays):
-        raise BlowUpError(state0.t + n_steps * cfg.step)
-    return CoupledTrajectory(times=np.array(ts), ax=np.stack(axs), ay=np.stack(ays),
-                             bx=np.stack(bxs), by=np.stack(bys), rc_mean=np.array(rcs))
+    h, g, u = cfg.step, spec.gamma, spec.u
+
+    def step(k: int, arrays: tuple) -> tuple:
+        ax, ay, bx, by = arrays
+        z, w = ax - bx, ay - by
+        rc = rc_value(control, spec, constants, z, w)
+        noise_a, noise_b = _coupled_noise_arrays(z, w, g, rc, cfg, k)
+        mean_a = default_mean if law_means is None else law_means[k]
+        force_a = drift(spec, ax, system, mean_a)
+        force_b = drift(spec, bx, system, mean_b)
+        ax, ay = _advance(ax, ay, force_a, noise_a, h, g, u, cfg.scheme)
+        bx, by = _advance(bx, by, force_b, noise_b, h, g, u, cfg.scheme)
+        return ax, ay, bx, by
+
+    kept = []
+
+    def keep(k: int, arrays: tuple) -> None:
+        ax, ay, bx, by = arrays
+        rc = rc_value(control, spec, constants, ax - bx, ay - by)
+        kept.append((k, arrays, float(np.mean(rc))))
+
+    march((state0.ax, state0.ay, state0.bx, state0.by), cfg, step, keep,
+          dump_times, t0=state0.t)
+    ks = np.array([k for k, _, _ in kept])
+    ax, ay, bx, by = (np.stack([arrays[i] for _, arrays, _ in kept]) for i in range(4))
+    return CoupledTrajectory(times=state0.t + ks * h, ax=ax, ay=ay, bx=bx, by=by,
+                             rc_mean=np.array([rc for _, _, rc in kept]))
 
 
 # ---------------------------------------------------------------------------

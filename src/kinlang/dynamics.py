@@ -5,18 +5,18 @@ Three drifts share one stepping core:
 * classical dynamics: ``dX = Y dt``, ``dY = (-gamma Y + u b(X)) dt + sqrt(2 gamma u) dB``,
 * the mean-field particle system, whose drift adds the empirical mean of
   the pairwise interaction over the ensemble.  The nonlinear
-  (McKean-Vlasov) dynamics is integrated as this system too, its law
-  approximated by the empirical measure of a proxy ensemble; trajectories
-  are flagged so experiments can budget the proxy's own O(M^-1/2) bias,
+  (McKean-Vlasov) dynamics is this system with its law mean supplied from
+  outside, e.g. the mean path of a large proxy ensemble,
 * the unconfined dynamics: no external force, interaction with a linear
   part plus an anti-symmetric perturbation, run on centered ensembles.
 
 The core is shared with the couplings in :mod:`kinlang.coupling`:
-``_advance`` is the only integrator update and :func:`drift` the only
-force dispatcher.  :func:`interaction_mean` reduces over axis -2, so one
-code path serves (N, d) ensembles and stacks such as (R, N, d) chaos
-slots, and accepts an external law mean (a proxy mean path, or the exact
-zero of the centered unconfined theory) in place of the empirical one.
+:func:`march` is the only stepping loop, ``_advance`` the only integrator
+update and :func:`drift` the only force dispatcher.  :func:`interaction_mean`
+reduces over axis -2, so one code path serves (N, d) ensembles and stacks
+such as (R, N, d) chaos slots, and accepts an external law mean (a proxy
+mean path, or the exact zero of the centered unconfined theory) in place
+of the empirical one.
 
 Two schemes are provided.  ``euler_maruyama`` is the plain first-order
 scheme.  The default ``ou_splitting`` applies the force kick by Euler and
@@ -28,27 +28,37 @@ couplings can therefore reflect or synchronize the per-step normal
 increments directly.
 
 Noise draws are counter-based: step ``k`` of a run keyed ``(seed,
-substream)`` consumes row block ``normals(seed, substream, k)``, with row
-``i`` owned by the particle whose ``noise_id`` is ``i``.
+substream)`` on (N, d) positions consumes the block
+``normals(seed, substream, k, (N, d))``, whose row ``i`` drives particle ``i``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
 from . import rng
-from .model import ModelSpec, eval_external
+from .model import ModelSpec
 
 Array = np.ndarray
 
 
 class BlowUpError(RuntimeError):
+    """A run reached a non-finite state.
+
+    ``t`` is the time of the first state with a non-finite position or
+    velocity, ``t0 + k * step`` for state ``k``, whichever driver ran.
+    """
+
     def __init__(self, t: float):
         super().__init__(f"non-finite state at t={t:.6g}")
         self.t = t
+
+
+class _NonFinitePositions(ArithmeticError):
+    """Raised by :func:`drift`; :func:`march` turns it into a BlowUpError."""
 
 
 class DynamicsError(ValueError):
@@ -81,55 +91,16 @@ def default_step(gamma: float) -> float:
     return min(0.01, 0.1 / gamma)
 
 
-@dataclass(frozen=True)
-class Ensemble:
-    """N phase points marching in lockstep; noise_ids route noise rows."""
-
-    x: Array
-    y: Array
-    t: float = 0.0
-    noise_ids: Optional[Array] = None
-
-    def __post_init__(self):
-        x = np.atleast_2d(np.asarray(self.x, dtype=float))
-        y = np.atleast_2d(np.asarray(self.y, dtype=float))
-        if x.shape != y.shape:
-            raise DynamicsError("position/velocity shape mismatch")
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", y)
-        ids = self.noise_ids
-        if ids is None:
-            ids = np.arange(x.shape[0])
-        object.__setattr__(self, "noise_ids", np.asarray(ids))
-
-    @property
-    def n(self) -> int:
-        return self.x.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.x.shape[1]
-
-    def require_finite(self) -> None:
-        if not (np.all(np.isfinite(self.x)) and np.all(np.isfinite(self.y))):
-            raise BlowUpError(self.t)
-
-    def centered(self) -> bool:
-        n = self.n
-        tol = 1e-9 * max(1.0, float(np.abs(self.x).max()), float(np.abs(self.y).max()))
-        return (np.linalg.norm(self.x.mean(axis=0)) <= tol
-                and np.linalg.norm(self.y.mean(axis=0)) <= tol) or n == 0
+def _centered(x: Array, y: Array) -> bool:
+    """Whether both empirical means vanish, relative to the ensemble's scale."""
+    tol = 1e-9 * max(1.0, float(np.abs(x).max()), float(np.abs(y).max()))
+    return (np.linalg.norm(x.mean(axis=0)) <= tol
+            and np.linalg.norm(y.mean(axis=0)) <= tol)
 
 
 # ---------------------------------------------------------------------------
 # stepping core
 # ---------------------------------------------------------------------------
-
-def _quiet_overflow():
-    """Overflow is deliberately left to produce inf: blow-up detection keys
-    off non-finite states, so stepping loops run with these warnings off."""
-    return np.errstate(over="ignore", invalid="ignore")
-
 
 def _advance(x: Array, y: Array, force: Array, noise: Array, h: float,
              gamma: float, u: float, scheme: str) -> tuple[Array, Array]:
@@ -180,10 +151,16 @@ def interaction_mean(spec: ModelSpec, x: Array, law_mean: Optional[Array] = None
 def drift(spec: ModelSpec, x: Array, system: str,
           law_mean: Optional[Array] = None) -> Array:
     """Total force of a system: ``classical`` (external only), ``particles``
-    (external plus law term) or ``unconfined`` (law term only)."""
+    (external plus law term) or ``unconfined`` (law term only).
+
+    Non-finite positions raise here, once per call for every system: this
+    is the per-step blow-up check of :func:`march`.
+    """
+    if not np.all(np.isfinite(x)):
+        raise _NonFinitePositions
     if system == "unconfined":
         return interaction_mean(spec, x, law_mean)
-    base = eval_external(spec, x)
+    base = spec.external.force(x)
     if system == "classical":
         return base
     return base + interaction_mean(spec, x, law_mean)
@@ -194,33 +171,71 @@ def _require_split(spec: ModelSpec) -> None:
         raise DynamicsError("unconfined dynamics needs an interaction splitting")
 
 
-def step_classical(spec: ModelSpec, state: Ensemble, cfg: IntegratorConfig,
-                   step_index: int = 0) -> Ensemble:
-    """One step of the classical dynamics (interaction ignored)."""
-    return _step_system(spec, state, cfg, step_index, system="classical")
+def _finite(arrays: tuple) -> bool:
+    return all(np.all(np.isfinite(a)) for a in arrays)
 
 
-def step_unconfined(spec: ModelSpec, ens: Ensemble, cfg: IntegratorConfig,
-                    step_index: int = 0, check_centering: bool = True) -> Ensemble:
-    """One step of the unconfined dynamics (external force dropped)."""
-    _require_split(spec)
-    if check_centering and step_index == 0 and not ens.centered():
-        raise DynamicsError("unconfined dynamics requires a centered initial ensemble")
-    return _step_system(spec, ens, cfg, step_index, system="unconfined")
+def march(arrays: tuple, cfg: IntegratorConfig, step: Callable, keep: Callable,
+          dump_times=None, t0: float = 0.0) -> None:
+    """The stepping loop every run goes through.
+
+    ``arrays`` is the state, a tuple of arrays; ``step(k, arrays)`` returns
+    the state after step ``k`` for ``k < cfg.n_steps`` and must be a pure
+    function of its arguments (a blow-up replays it).  ``keep(k, arrays)`` receives state ``k`` at
+    each dump time, snapped to the step grid (default: the horizon alone).
+    Overflow runs quietly into inf/nan, and a non-finite state raises
+    :class:`BlowUpError` at the time of the first state holding one.  The
+    only per-step check is :func:`drift`'s test of the positions, plus a
+    test of the whole state at the start and at the end.
+    """
+    n, h = cfg.n_steps, cfg.step
+    if dump_times is None:
+        dump_times = [cfg.horizon]
+    snapped = np.clip(np.round(np.asarray(dump_times) / h), 0, n).astype(int)
+    dumps = set(snapped.tolist())
+    if not _finite(arrays):
+        raise BlowUpError(t0)
+    start = arrays
+    # overflow is left to produce inf: blow-up detection keys off
+    # non-finite states, so the loop runs with these warnings off
+    with np.errstate(over="ignore", invalid="ignore"):
+        if 0 in dumps:
+            keep(0, arrays)
+        try:
+            for k in range(n):
+                arrays = step(k, arrays)
+                if k + 1 in dumps:
+                    keep(k + 1, arrays)
+        except _NonFinitePositions:
+            raise BlowUpError(t0 + _first_nonfinite(start, step, k) * h) from None
+        if not _finite(arrays):
+            raise BlowUpError(t0 + _first_nonfinite(start, step, n) * h)
 
 
-def _step_system(spec: ModelSpec, ens: Ensemble, cfg: IntegratorConfig,
-                 step_index: int, system: str) -> Ensemble:
-    block = rng.normals(cfg.seed, cfg.substream, step_index,
-                        (int(ens.noise_ids.max()) + 1, ens.dim))
-    noise = block[ens.noise_ids]
-    force = drift(spec, ens.x, system)
-    with _quiet_overflow():
-        x, y = _advance(ens.x, ens.y, force, noise, cfg.step, spec.gamma, spec.u,
-                        cfg.scheme)
-    out = Ensemble(x=x, y=y, t=ens.t + cfg.step, noise_ids=ens.noise_ids)
-    out.require_finite()
-    return out
+def _first_nonfinite(arrays: tuple, step: Callable, k: int) -> int:
+    """Index of the first non-finite state, when state ``k`` is the first
+    with non-finite positions or the last state of a run.
+
+    A non-finite velocity reaches the positions one step later, so it is
+    state ``k - 1`` if that one holds a non-finite velocity.  The run is
+    replayed from its start to find out, rather than keeping the previous
+    state alive at every step.
+    """
+    for j in range(k - 1):
+        arrays = step(j, arrays)
+    return k if _finite(arrays) else k - 1
+
+
+def system_step(spec: ModelSpec, cfg: IntegratorConfig, system: str) -> Callable:
+    """Step function of one system on ``(x, y)`` for :func:`march`."""
+    h, g, u = cfg.step, spec.gamma, spec.u
+
+    def step(k: int, state: tuple) -> tuple:
+        x, y = state
+        noise = rng.normals(cfg.seed, cfg.substream, k, x.shape)
+        return _advance(x, y, drift(spec, x, system), noise, h, g, u, cfg.scheme)
+
+    return step
 
 
 # ---------------------------------------------------------------------------
@@ -232,42 +247,29 @@ class Trajectory:
     times: Array          # (T,)
     x: Array              # (T, N, d)
     y: Array              # (T, N, d)
-    law_proxy: bool = False
 
 
-def simulate(spec: ModelSpec, ens0: Ensemble, cfg: IntegratorConfig,
+def simulate(spec: ModelSpec, x: Array, y: Array, cfg: IntegratorConfig,
              system: str = "classical", dump_times: Optional[Array] = None) -> Trajectory:
-    """March an ensemble to the horizon, recording snapshots at dump times.
-
-    Dump times are snapped to the step grid.  A non-finite state aborts
-    with a :class:`BlowUpError` carrying the time stamp.
-    """
-    if system not in ("classical", "particles", "mckean_vlasov", "unconfined"):
+    """March an ensemble of (N, d) positions and velocities to the horizon,
+    recording snapshots at dump times (see :func:`march`)."""
+    if system not in ("classical", "particles", "unconfined"):
         raise DynamicsError(f"unknown system {system!r}")
-    if system == "mckean_vlasov" and ens0.n < 2:
-        raise DynamicsError("law proxy needs M >= 2 members")
+    if x.shape != y.shape:
+        raise DynamicsError("position/velocity shape mismatch")
     if system == "unconfined":
         _require_split(spec)
-        if not ens0.centered():
+        if not _centered(x, y):
             raise DynamicsError("unconfined dynamics requires a centered initial ensemble")
-    sys_key = "particles" if system == "mckean_vlasov" else system
-
-    n_steps = cfg.n_steps
-    if dump_times is None:
-        dump_times = np.array([cfg.horizon])
-    dump_steps = np.unique(np.clip(np.round(np.asarray(dump_times) / cfg.step), 0,
-                                   n_steps).astype(int))
-    xs, ys, ts = [], [], []
-    ens = ens0
-    ens.require_finite()
-    if 0 in dump_steps:
-        ts.append(0.0), xs.append(ens.x.copy()), ys.append(ens.y.copy())
-    for k in range(n_steps):
-        ens = _step_system(spec, ens, cfg, k, system=sys_key)
-        if (k + 1) in dump_steps:
-            ts.append(ens.t), xs.append(ens.x.copy()), ys.append(ens.y.copy())
-    return Trajectory(times=np.array(ts), x=np.stack(xs), y=np.stack(ys),
-                      law_proxy=(system == "mckean_vlasov"))
+    kept = []
+    march((x, y), cfg, system_step(spec, cfg, system),
+          lambda k, state: kept.append((k, state)), dump_times)
+    # stamps are running sums of the step (simulate_coupled stamps t0 + k h);
+    # the golden digests of moments.json and of `kinlang simulate` pin them
+    clock = np.concatenate(([0.0], np.cumsum(np.full(cfg.n_steps, cfg.step))))
+    return Trajectory(times=clock[[k for k, _ in kept]],
+                      x=np.stack([state[0] for _, state in kept]),
+                      y=np.stack([state[1] for _, state in kept]))
 
 
 # ---------------------------------------------------------------------------
@@ -311,21 +313,26 @@ def track_moments(traj: Trajectory, spec: ModelSpec, twist: float,
 # initial ensembles
 # ---------------------------------------------------------------------------
 
-def dirac_ensemble(x0, y0, n: int = 1, t: float = 0.0) -> Ensemble:
+def dirac_ensemble(x0, y0, n: int = 1) -> tuple[Array, Array]:
+    """``n`` copies of the phase point ``(x0, y0)`` as (n, d) arrays."""
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     y0 = np.atleast_1d(np.asarray(y0, dtype=float))
-    return Ensemble(x=np.tile(x0, (n, 1)), y=np.tile(y0, (n, 1)), t=t)
+    return np.tile(x0, (n, 1)), np.tile(y0, (n, 1))
 
 
-def gaussian_ensemble(mean_x, mean_y, std: float, n: int, dim: int,
-                      seed: int, center: bool = False) -> Ensemble:
-    draw = rng.normals(seed, rng.SUB_INIT, 0, (2 * n, dim)) * std
-    x = draw[:n] + np.asarray(mean_x, dtype=float)
-    y = draw[n:] + np.asarray(mean_y, dtype=float)
+def gaussian_ensemble(mean_x, mean_y, std: float, n: int, dim: int, seed: int,
+                      substream: int = rng.SUB_INIT,
+                      center: bool = False) -> tuple[Array, Array]:
+    """``n`` Gaussian phase points as (n, d) arrays, drawn as one block at
+    step 0 of ``(seed, substream)``: its first ``n`` rows are the
+    positions.  ``center`` subtracts both empirical means."""
+    draw = rng.normals(seed, substream, 0, (2 * n, dim)) * std
+    x = draw[:n] + mean_x
+    y = draw[n:] + mean_y
     if center:
         x = x - x.mean(axis=0)
         y = y - y.mean(axis=0)
-    return Ensemble(x=x, y=y)
+    return x, y
 
 
 def trajectory_to_rows(traj: Trajectory) -> tuple[list[str], np.ndarray]:

@@ -31,8 +31,8 @@ import numpy as np
 from .. import rng
 from ..constants import MetricConstants, derive_constants
 from ..coupling import CoupledState, CoupledTrajectory, CouplingControl, simulate_coupled
-from ..dynamics import (BlowUpError, Ensemble, IntegratorConfig, Trajectory,
-                        _step_system, simulate, track_moments)
+from ..dynamics import (BlowUpError, IntegratorConfig, Trajectory, dirac_ensemble,
+                        gaussian_ensemble, march, simulate, system_step, track_moments)
 from ..metrics import GroundMetric, ell1_norm, project_centered
 from ..model import ModelSpec
 from ..transport import (bootstrap_se, cost_matrix_zw, distance_curve,
@@ -76,18 +76,11 @@ def _draw_initial(doc: dict, spec: ModelSpec, n: int, seed: int, substream: int,
         return (x + float(doc.get("shift_x", 0.0)),
                 y + float(doc.get("shift_y", 0.0)))
     if kind == "dirac":
-        x0 = np.asarray(doc.get("x", np.zeros(d)), dtype=float)
-        y0 = np.asarray(doc.get("y", np.zeros(d)), dtype=float)
-        return np.tile(x0, (n, 1)), np.tile(y0, (n, 1))
+        return dirac_ensemble(doc.get("x", np.zeros(d)), doc.get("y", np.zeros(d)), n)
     if kind == "gaussian":
-        std = float(doc.get("std", 1.0))
-        draw = rng.normals(seed, substream, 0, (2 * n, d)) * std
-        x = draw[:n] + float(doc.get("mean_x", 0.0))
-        y = draw[n:] + float(doc.get("mean_y", 0.0))
-        if doc.get("center", False):
-            x = x - x.mean(axis=0)
-            y = y - y.mean(axis=0)
-        return x, y
+        return gaussian_ensemble(float(doc.get("mean_x", 0.0)),
+                                 float(doc.get("mean_y", 0.0)), float(doc.get("std", 1.0)),
+                                 n, d, seed, substream, center=doc.get("center", False))
     if kind == "csv":
         rows = np.loadtxt(doc["path"], delimiter=",", skiprows=1, ndmin=2)
         if rows.shape[1] != 2 * d:
@@ -185,7 +178,7 @@ def _coupling_control(cfg: ExperimentConfig, constants: MetricConstants) -> Coup
 
 
 def _coupled_law(cfg: ExperimentConfig) -> str:
-    """How the coupled run feeds law terms (see ``step_coupled_pair``)."""
+    """How the coupled run feeds law terms (the ``law`` of ``simulate_coupled``)."""
     inter = cfg.spec.interaction
     if cfg.experiment in ("contract_strong", "contract_classical"):
         return "none"
@@ -306,8 +299,9 @@ def _wasserstein_curve(traj: CoupledTrajectory, metric: GroundMetric, seed: int,
 # propagation of chaos
 # ---------------------------------------------------------------------------
 
-def _law_mean_series(cfg: ExperimentConfig, n_steps: int) -> Array:
-    """Evolve the proxy ensemble once, recording its empirical mean path."""
+def _law_mean_series(cfg: ExperimentConfig) -> Array:
+    """Evolve the proxy ensemble to the evaluation time, keeping only its
+    empirical mean after each step."""
     spec = cfg.spec
     # the nonlinear dynamics, its law proxied by this ensemble's empirical measure
     system = "unconfined" if cfg.experiment == "unconfined_chaos" else "particles"
@@ -315,13 +309,14 @@ def _law_mean_series(cfg: ExperimentConfig, n_steps: int) -> Array:
     if system == "unconfined":
         init.setdefault("center", True)
     x, y = _draw_initial(init, spec, cfg.proxy_size, cfg.seed, rng.SUB_INIT)
-    icfg = _integrator(cfg, substream=rng.SUB_PROXY)
-    ens = Ensemble(x=x, y=y)
-    means = np.empty((n_steps + 1, spec.dim))
-    means[0] = ens.x.mean(axis=0)
-    for k in range(n_steps):
-        ens = _step_system(spec, ens, icfg, k, system=system)
-        means[k + 1] = ens.x.mean(axis=0)
+    icfg = _integrator(cfg, horizon=cfg.eval_time, substream=rng.SUB_PROXY)
+    means = np.empty((icfg.n_steps + 1, spec.dim))
+
+    def keep(k, state):
+        means[k] = state[0].mean(axis=0)
+
+    march((x, y), icfg, system_step(spec, icfg, system), keep,
+          dump_times=icfg.step * np.arange(icfg.n_steps + 1))
     return means
 
 
@@ -335,8 +330,7 @@ def run_chaos(cfg: ExperimentConfig) -> ExperimentRecord:
     if cfg.proxy_size < 8 * max_n:
         raise ConfigError(f"proxy size {cfg.proxy_size} too small: "
                           f"need at least 8 x max ensemble size = {8 * max_n}")
-    n_steps = int(round(cfg.eval_time / cfg.step))
-    law_means = _law_mean_series(cfg, n_steps)
+    law_means = _law_mean_series(cfg)
     control = CouplingControl.for_constants(constants, mode="componentwise")
     law = "analytic_zero" if unconfined else "replica_proxy"
 
@@ -408,7 +402,7 @@ def simulate_particles(cfg: ExperimentConfig) -> tuple[str, Trajectory]:
     if system == "unconfined":
         init.setdefault("center", True)
     x, y = _draw_initial(init, spec, cfg.replicas, cfg.seed, rng.SUB_INIT)
-    return system, simulate(spec, Ensemble(x=x, y=y), _integrator(cfg), system=system,
+    return system, simulate(spec, x, y, _integrator(cfg), system=system,
                             dump_times=cfg.dump_times)
 
 

@@ -9,8 +9,9 @@ experiment drivers rely on:
 * bitwise reproducibility of a run from its seed,
 * coupled and independent runs can consume *exactly* the same increments
   by sharing (seed, substream),
-* permuting particle slots together with their noise rows commutes with
-  time stepping.
+* a block of ``n`` rows starts with the block of any ``m < n`` rows at
+  the same key, so without interaction the first ``m`` particles of an
+  ``n``-particle run follow the ``m``-particle run bitwise.
 """
 
 from __future__ import annotations
@@ -64,8 +65,7 @@ def _generator(seed: int, substream: int, step: int) -> Generator:
 def normals(seed: int, substream: int, step: int, shape: tuple[int, ...]) -> np.ndarray:
     """Standard normal block for one time step.
 
-    Row ``i`` of the block is the increment owned by noise slot ``i``; the
-    caller routes slots to particles (identity routing by default).
+    Row ``i`` of the block is the increment of particle ``i``.
     """
     return _generator(seed, substream, step).standard_normal(shape)
 

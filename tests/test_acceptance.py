@@ -15,7 +15,7 @@ import pytest
 from kinlang.constants import derive_constants
 from kinlang.coupling import (CoupledState, CouplingControl, marginal_check,
                               pair_state, rc_value, sc_value, simulate_coupled)
-from kinlang.dynamics import Ensemble, IntegratorConfig, simulate
+from kinlang.dynamics import IntegratorConfig, gaussian_ensemble, simulate
 from kinlang.harness.config import load_config
 from kinlang.harness.experiments import run_chaos, run_contraction, run_moments
 from kinlang.metrics import GroundMetric
@@ -189,18 +189,17 @@ def test_c05_coupling_validity():
     n = 10000
     h = 0.01
     cfg = IntegratorConfig(step=h, horizon=5.0, seed=11)
-    from kinlang.dynamics import gaussian_ensemble
-    first = gaussian_ensemble(0.0, 0.0, 1.0, n=n, dim=1, seed=21)
-    state = CoupledState(ax=first.x, ay=first.y, bx=first.x + 2.0, by=first.y,
+    fx, fy = gaussian_ensemble(0.0, 0.0, 1.0, n=n, dim=1, seed=21)
+    state = CoupledState(ax=fx, ay=fy, bx=fx + 2.0, by=fy,
                          gamma=spec.gamma)
     dumps = np.linspace(1.0, 5.0, 5)
     traj = simulate_coupled(spec, state, control, cfg, mc, dump_times=dumps,
                             law="none")
-    indep_first = simulate(spec, gaussian_ensemble(0.0, 0.0, 1.0, n=n, dim=1, seed=22),
+    indep_first = simulate(spec, *gaussian_ensemble(0.0, 0.0, 1.0, n=n, dim=1, seed=22),
                            IntegratorConfig(step=h, horizon=5.0, seed=1011),
                            dump_times=dumps)
-    second0 = gaussian_ensemble(0.0, 0.0, 1.0, n=n, dim=1, seed=23)
-    indep_second = simulate(spec, Ensemble(x=second0.x + 2.0, y=second0.y),
+    sx, sy = gaussian_ensemble(0.0, 0.0, 1.0, n=n, dim=1, seed=23)
+    indep_second = simulate(spec, sx + 2.0, sy,
                             IntegratorConfig(step=h, horizon=5.0, seed=2011),
                             dump_times=dumps)
     report = marginal_check(traj, indep_first, indep_second, threshold=4.0)

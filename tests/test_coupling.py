@@ -8,9 +8,8 @@ import pytest
 import kinlang.coupling as cp
 from kinlang import rng
 from kinlang.coupling import (CoupledState, CouplingControl, marginal_check,
-                              pair_state, rc_value, sc_value, simulate_coupled,
-                              step_coupled_pair)
-from kinlang.dynamics import IntegratorConfig, gaussian_ensemble, simulate
+                              pair_state, rc_value, sc_value, simulate_coupled)
+from kinlang.dynamics import BlowUpError, IntegratorConfig, gaussian_ensemble, simulate
 from kinlang.metrics import GroundMetric
 from kinlang.model import ExternalForce, InteractionForce, ModelSpec
 from kinlang.constants import derive_constants
@@ -140,27 +139,33 @@ class TestCoupledPair:
         from kinlang.model import eval_external
         drift = (h / g) * u * (eval_external(dw_spec, state.ax)
                                - eval_external(dw_spec, state.bx))
-        out = step_coupled_pair(dw_spec, state, control, cfg, dw_constants,
-                                step_index=0, law="none")
+        out = simulate_coupled(dw_spec, state, control, cfg, dw_constants,
+                               dump_times=[h], law="none")
+        q1 = (out.ax[-1] - out.bx[-1]) + (out.ay[-1] - out.by[-1]) / g
         xi_rc = rng.normals(cfg.seed, rng.SUB_REFLECT, 0, (1, 1))
         expected = q0 + drift + math.sqrt(8 / g * u) * (e * xi_rc) * math.sqrt(h) * e
-        assert np.allclose(out.q, expected, atol=1e-12)
+        assert np.allclose(q1, expected, atol=1e-12)
 
-    def test_synchronous_first_copy_matches_uncoupled_bitwise(self, dw_spec, dw_constants):
+    @pytest.mark.parametrize("system, law", [("classical", "none"),
+                                             ("particles", "replica_proxy")])
+    def test_synchronous_first_copy_matches_uncoupled_bitwise(self, system, law):
+        spec = ModelSpec(external=ExternalForce.double_well(1.0, dim=1),
+                         interaction=(InteractionForce.none() if law == "none"
+                                      else InteractionForce.linear(0.3)),
+                         gamma=10.0, u=1.0, dim=1)
+        constants = derive_constants(spec)
         control = CouplingControl(mode="synchronous", xi=1e-3)
         cfg = IntegratorConfig(step=0.01, horizon=0.5, seed=6)
         n = 8
         gen = np.random.default_rng(7)
         fx, fy = gen.normal(size=(n, 1)), gen.normal(size=(n, 1))
         sx, sy = fx + 1.0, fy.copy()
-        state = CoupledState(ax=fx, ay=fy, bx=sx, by=sy, gamma=dw_spec.gamma)
-        traj = simulate_coupled(dw_spec, state, control, cfg, dw_constants,
-                                dump_times=[0.5], law="none")
-        from kinlang.dynamics import Ensemble
-        solo = simulate(dw_spec, Ensemble(x=fx, y=fy), cfg, system="classical",
-                        dump_times=[0.5])
-        assert np.array_equal(traj.ax[-1], solo.x[-1])
-        assert np.array_equal(traj.ay[-1], solo.y[-1])
+        state = CoupledState(ax=fx, ay=fy, bx=sx, by=sy, gamma=spec.gamma)
+        traj = simulate_coupled(spec, state, control, cfg, constants,
+                                dump_times=[0.25, 0.5], law=law)
+        solo = simulate(spec, fx, fy, cfg, system=system, dump_times=[0.25, 0.5])
+        assert np.array_equal(traj.ax, solo.x)
+        assert np.array_equal(traj.ay, solo.y)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_blow_up_detected(self, dw_constants):
@@ -170,9 +175,42 @@ class TestCoupledPair:
         cfg = IntegratorConfig(step=5.0, horizon=500.0, scheme="euler_maruyama")
         state = pair_state(stiff, (np.array([1.0]), np.array([0.0])),
                            (np.array([0.0]), np.array([0.0])))
-        from kinlang.dynamics import BlowUpError
         with pytest.raises(BlowUpError):
             simulate_coupled(stiff, state, control, cfg, dw_constants, law="none")
+
+    @pytest.mark.parametrize("kappa, h", [(1e8, 10.0), (1e9, 5.0)])
+    @pytest.mark.parametrize("law", ["none", "analytic_zero"])
+    def test_blow_up_time_is_the_solo_runs(self, kappa, h, law, dw_constants):
+        # the first copy of a synchronous coupling is bitwise the solo run,
+        # so both drivers must stamp the same first non-finite state; under
+        # analytic_zero the first copy feels -(x - 0) Kt, the solo force -K x
+        solo_spec = ModelSpec(external=ExternalForce.quadratic(np.eye(1) * kappa),
+                              interaction=InteractionForce.none(),
+                              gamma=0.1, u=1.0, dim=1)
+        spec = solo_spec if law == "none" else ModelSpec(
+            external=ExternalForce.zero(1),
+            interaction=InteractionForce.linear_difference(kappa, dim=1),
+            gamma=0.1, u=1.0, dim=1)
+        cfg = IntegratorConfig(step=h, horizon=400 * h, scheme="euler_maruyama")
+        x, y = np.array([[1.0]]), np.array([[0.0]])
+        with pytest.raises(BlowUpError) as solo:
+            simulate(solo_spec, x, y, cfg)
+        t = solo.value.t
+        assert 0 < t < cfg.horizon
+        # every state before t is finite
+        before = simulate(solo_spec, x, y, IntegratorConfig(step=h, horizon=t - h,
+                                                            scheme="euler_maruyama"))
+        assert np.all(np.isfinite(before.x)) and np.all(np.isfinite(before.y))
+        state = pair_state(spec, (x[0], y[0]), (x[0] + 1.0, y[0]))
+        control = CouplingControl(mode="synchronous", xi=1e-3)
+        # mid-run, and at the last state or just before it (the end check)
+        for horizon in (cfg.horizon, t, t + h):
+            with pytest.raises(BlowUpError) as coupled:
+                simulate_coupled(spec, state, control,
+                                 IntegratorConfig(step=h, horizon=horizon,
+                                                  scheme="euler_maruyama"),
+                                 dw_constants, law=law)
+            assert coupled.value.t == t
 
 
 class TestComponentwise:
@@ -223,8 +261,8 @@ class TestGluedDecay:
         # glued distance never rises beyond two standard errors
         control = CouplingControl.for_constants(dw_constants, mode="reflection_mix")
         cfg = IntegratorConfig(step=0.01, horizon=5.0, seed=17)
-        ens = gaussian_ensemble(0.0, 0.0, 0.5, n=2000, dim=1, seed=18)
-        state = CoupledState(ax=ens.x, ay=ens.y, bx=ens.x + 1.5, by=ens.y,
+        x, y = gaussian_ensemble(0.0, 0.0, 0.5, n=2000, dim=1, seed=18)
+        state = CoupledState(ax=x, ay=y, bx=x + 1.5, by=y,
                              gamma=dw_spec.gamma)
         traj = simulate_coupled(dw_spec, state, control, cfg, dw_constants,
                                 dump_times=np.linspace(0, 5, 11), law="none")
@@ -241,8 +279,8 @@ class TestMonitor:
         from kinlang.coupling import contraction_monitor
         control = CouplingControl.for_constants(dw_constants, mode="reflection_mix")
         cfg = IntegratorConfig(step=0.01, horizon=4.0, seed=20)
-        ens = gaussian_ensemble(0.0, 0.0, 0.5, n=1000, dim=1, seed=21)
-        state = CoupledState(ax=ens.x, ay=ens.y, bx=ens.x + 1.5, by=ens.y,
+        x, y = gaussian_ensemble(0.0, 0.0, 0.5, n=1000, dim=1, seed=21)
+        state = CoupledState(ax=x, ay=y, bx=x + 1.5, by=y,
                              gamma=dw_spec.gamma)
         traj = simulate_coupled(dw_spec, state, control, cfg, dw_constants,
                                 dump_times=np.linspace(0, 4, 9), law="none")
@@ -260,13 +298,13 @@ class TestMarginalCheck:
         control = CouplingControl(mode="synchronous", xi=1e-3)
         cfg = IntegratorConfig(step=0.01, horizon=0.5, seed=12)
         n = 64
-        ens = gaussian_ensemble(0.0, 0.0, 1.0, n=n, dim=1, seed=13)
-        state = CoupledState(ax=ens.x, ay=ens.y, bx=ens.x + 2.0, by=ens.y,
+        x, y = gaussian_ensemble(0.0, 0.0, 1.0, n=n, dim=1, seed=13)
+        state = CoupledState(ax=x, ay=y, bx=x + 2.0, by=y,
                              gamma=dw_spec.gamma)
         dumps = np.linspace(0, 0.5, 6)
         traj = simulate_coupled(dw_spec, state, control, cfg, dw_constants,
                                 dump_times=dumps, law="none")
-        solo = simulate(dw_spec, ens, cfg, system="classical", dump_times=dumps)
+        solo = simulate(dw_spec, x, y, cfg, system="classical", dump_times=dumps)
         # the first coupled component IS the uncoupled run, so its moment
         # z-scores vanish identically
         report = marginal_check(traj, solo, solo, threshold=4.0)
@@ -282,14 +320,12 @@ class TestMarginalCheck:
                             lambda seed, sub, step, shape: np.zeros(shape))
         control = CouplingControl(mode="reflection_mix", xi=0.05)
         cfg = IntegratorConfig(step=0.01, horizon=0.4, seed=14)
-        ens = gaussian_ensemble(0.5, 0.0, 1.0, n=16, dim=1, seed=15)
-        state = CoupledState(ax=ens.x, ay=ens.y, bx=ens.x, by=ens.y,
+        x, y = gaussian_ensemble(0.5, 0.0, 1.0, n=16, dim=1, seed=15)
+        state = CoupledState(ax=x, ay=y, bx=x, by=y,
                              gamma=dw_spec.gamma)
         dumps = [0.0, 0.2, 0.4]
         traj = simulate_coupled(dw_spec, state, control, cfg, dw_constants,
                                 dump_times=dumps, law="none")
-        from kinlang.dynamics import Ensemble
-        solo = simulate(dw_spec, Ensemble(x=ens.x, y=ens.y), cfg,
-                        system="classical", dump_times=dumps)
+        solo = simulate(dw_spec, x, y, cfg, system="classical", dump_times=dumps)
         report = marginal_check(traj, solo, solo)
         assert report.ok and report.max_abs_z == 0.0

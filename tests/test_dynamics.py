@@ -6,10 +6,9 @@ import numpy as np
 import pytest
 
 import kinlang.dynamics as dyn
-from kinlang.dynamics import (BlowUpError, DynamicsError, Ensemble, IntegratorConfig,
-                              default_step, dirac_ensemble, gaussian_ensemble,
-                              interaction_mean, simulate, step_classical,
-                              step_unconfined, track_moments, trajectory_to_rows)
+from kinlang.dynamics import (BlowUpError, DynamicsError, IntegratorConfig, default_step,
+                              dirac_ensemble, drift, gaussian_ensemble, interaction_mean,
+                              simulate, track_moments, trajectory_to_rows)
 from kinlang.model import ExternalForce, InteractionForce, ModelSpec
 
 
@@ -34,10 +33,9 @@ class TestScheme:
                          interaction=InteractionForce.none(), gamma=1.0, u=1.0, dim=1)
         h = 0.3
         cfg = IntegratorConfig(step=h, horizon=h, scheme="ou_splitting")
-        ens = dirac_ensemble([0.5], [1.0])
-        out = step_classical(spec, ens, cfg)
-        assert out.y[0, 0] == pytest.approx(math.exp(-h))
-        assert out.x[0, 0] == pytest.approx(0.5 + (1 - math.exp(-h)) * 1.0)
+        out = simulate(spec, *dirac_ensemble([0.5], [1.0]), cfg)
+        assert out.y[-1, 0, 0] == pytest.approx(math.exp(-h))
+        assert out.x[-1, 0, 0] == pytest.approx(0.5 + (1 - math.exp(-h)) * 1.0)
 
     def test_default_step(self):
         assert default_step(10.0) == pytest.approx(0.01)
@@ -47,8 +45,8 @@ class TestScheme:
         # Boltzmann-Gibbs marginals: Var(X) = 1/kappa, Var(Y) = u
         spec = quad_spec(u=1.0)
         cfg = IntegratorConfig(step=0.01, horizon=30.0, seed=77)
-        ens = gaussian_ensemble(0.0, 0.0, 1.0, n=20000, dim=1, seed=1)
-        traj = simulate(spec, ens, cfg, system="classical")
+        x, y = gaussian_ensemble(0.0, 0.0, 1.0, n=20000, dim=1, seed=1)
+        traj = simulate(spec, x, y, cfg, system="classical")
         assert float(np.var(traj.x[-1])) == pytest.approx(1.0, abs=0.05)
         assert float(np.var(traj.y[-1])) == pytest.approx(1.0, abs=0.05)
 
@@ -85,24 +83,24 @@ class TestScheme:
     def test_determinism_bitwise(self):
         spec = quad_spec(dim=2, inter=InteractionForce.linear(0.2))
         cfg = IntegratorConfig(step=0.02, horizon=1.0, seed=123)
-        ens = gaussian_ensemble(0.0, 0.0, 1.0, n=32, dim=2, seed=5)
-        t1 = simulate(spec, ens, cfg, system="particles")
-        t2 = simulate(spec, ens, cfg, system="particles")
+        x, y = gaussian_ensemble(0.0, 0.0, 1.0, n=32, dim=2, seed=5)
+        t1 = simulate(spec, x, y, cfg, system="particles")
+        t2 = simulate(spec, x, y, cfg, system="particles")
         assert np.array_equal(t1.x, t2.x) and np.array_equal(t1.y, t2.y)
 
     def test_seed_changes_trajectory(self):
         spec = quad_spec()
-        ens = dirac_ensemble([1.0], [0.0])
-        a = simulate(spec, ens, IntegratorConfig(step=0.02, horizon=1.0, seed=1))
-        b = simulate(spec, ens, IntegratorConfig(step=0.02, horizon=1.0, seed=2))
+        x, y = dirac_ensemble([1.0], [0.0])
+        a = simulate(spec, x, y, IntegratorConfig(step=0.02, horizon=1.0, seed=1))
+        b = simulate(spec, x, y, IntegratorConfig(step=0.02, horizon=1.0, seed=2))
         assert not np.array_equal(a.x, b.x)
 
     def test_horizon_zero_is_identity(self):
         spec = quad_spec()
         cfg = IntegratorConfig(step=0.01, horizon=0.0)
-        ens = dirac_ensemble([1.0], [2.0])
-        traj = simulate(spec, ens, cfg, dump_times=[0.0])
-        assert np.array_equal(traj.x[0], ens.x) and np.array_equal(traj.y[0], ens.y)
+        x, y = dirac_ensemble([1.0], [2.0])
+        traj = simulate(spec, x, y, cfg, dump_times=[0.0])
+        assert np.array_equal(traj.x[0], x) and np.array_equal(traj.y[0], y)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_blow_up_reports_time(self):
@@ -110,22 +108,23 @@ class TestScheme:
                           interaction=InteractionForce.none(), gamma=0.1, u=1.0, dim=1)
         cfg = IntegratorConfig(step=10.0, horizon=10000.0, scheme="euler_maruyama")
         with pytest.raises(BlowUpError) as err:
-            simulate(stiff, dirac_ensemble([1.0], [0.0]), cfg)
+            simulate(stiff, *dirac_ensemble([1.0], [0.0]), cfg)
         assert err.value.t > 0
 
 
 class TestParticles:
     def test_no_interaction_decouples(self):
+        # prefix check: row i draws the same noise in every run of more
+        # than i particles, so the first m rows of a 4-particle run are
+        # the run of those m rows alone
         spec = quad_spec(inter=InteractionForce.none())
         cfg = IntegratorConfig(step=0.02, horizon=0.5, seed=9)
-        ens = gaussian_ensemble(0.0, 0.0, 1.0, n=4, dim=1, seed=2)
-        joint = simulate(spec, ens, cfg, system="particles")
-        for i in range(4):
-            solo = Ensemble(x=ens.x[i:i + 1], y=ens.y[i:i + 1],
-                            noise_ids=np.array([i]))
-            tsolo = simulate(spec, solo, cfg, system="classical")
-            assert np.array_equal(tsolo.x[-1, 0], joint.x[-1, i])
-            assert np.array_equal(tsolo.y[-1, 0], joint.y[-1, i])
+        x, y = gaussian_ensemble(0.0, 0.0, 1.0, n=4, dim=1, seed=2)
+        joint = simulate(spec, x, y, cfg, system="particles")
+        for m in range(1, 4):
+            prefix = simulate(spec, x[:m], y[:m], cfg, system="classical")
+            assert np.array_equal(prefix.x[-1], joint.x[-1, :m])
+            assert np.array_equal(prefix.y[-1], joint.y[-1, :m])
 
     def test_fast_path_matches_reference(self):
         for inter in (InteractionForce.linear(0.4),
@@ -170,40 +169,34 @@ class TestParticles:
         assert np.allclose(interaction_mean(spec, x), expected)
 
     def test_exchangeability(self):
-        spec = quad_spec(inter=InteractionForce.linear(0.3))
-        cfg = IntegratorConfig(step=0.02, horizon=0.6, seed=31)
-        base = gaussian_ensemble(0.0, 0.0, 1.0, n=8, dim=1, seed=6)
+        # the drift is permutation equivariant: relabelling the particles
+        # relabels their forces (up to summation order in the law term)
+        x = np.random.default_rng(6).normal(size=(8, 2))
         perm = np.random.default_rng(7).permutation(8)
-        permuted = Ensemble(x=base.x[perm], y=base.y[perm],
-                            noise_ids=base.noise_ids[perm])
-        t_base = simulate(spec, base, cfg, system="particles")
-        t_perm = simulate(spec, permuted, cfg, system="particles")
-        assert np.array_equal(t_base.x[-1][perm], t_perm.x[-1])
-        assert np.array_equal(t_base.y[-1][perm], t_perm.y[-1])
+        for inter in (InteractionForce.linear(0.3),
+                      InteractionForce.linear_difference(0.7, dim=2),
+                      InteractionForce.mollified_log()):
+            spec = quad_spec(dim=2, inter=inter)
+            systems = ("particles", "unconfined") if inter.has_split else ("particles",)
+            for system in systems:
+                assert np.allclose(drift(spec, x[perm], system),
+                                   drift(spec, x, system)[perm], rtol=1e-13, atol=1e-13)
 
 
 class TestMcKeanVlasov:
-    def test_requires_two_members(self):
-        spec = quad_spec(inter=InteractionForce.linear(0.1))
-        cfg = IntegratorConfig(step=0.01, horizon=0.1)
-        with pytest.raises(DynamicsError):
-            simulate(spec, dirac_ensemble([0.0], [0.0], n=1), cfg,
-                     system="mckean_vlasov")
-
     def test_no_interaction_coincides_with_classical(self):
         spec = quad_spec()
         cfg = IntegratorConfig(step=0.02, horizon=0.5, seed=11)
-        ens = gaussian_ensemble(0.0, 0.0, 1.0, n=16, dim=1, seed=3)
-        a = simulate(spec, ens, cfg, system="mckean_vlasov")
-        b = simulate(spec, ens, cfg, system="classical")
+        x, y = gaussian_ensemble(0.0, 0.0, 1.0, n=16, dim=1, seed=3)
+        a = simulate(spec, x, y, cfg, system="particles")
+        b = simulate(spec, x, y, cfg, system="classical")
         assert np.array_equal(a.x, b.x) and np.array_equal(a.y, b.y)
-        assert a.law_proxy and not b.law_proxy
 
     def test_centered_attractive_mean_stays_zero(self):
         spec = quad_spec(inter=InteractionForce.linear(0.5))
         cfg = IntegratorConfig(step=0.01, horizon=2.0, seed=13)
-        ens = gaussian_ensemble(0.0, 0.0, 1.0, n=4000, dim=1, seed=8, center=True)
-        traj = simulate(spec, ens, cfg, system="mckean_vlasov")
+        x, y = gaussian_ensemble(0.0, 0.0, 1.0, n=4000, dim=1, seed=8, center=True)
+        traj = simulate(spec, x, y, cfg, system="particles")
         assert abs(float(traj.x[-1].mean())) < 5.0 / math.sqrt(4000)
 
     def test_proxy_noise_scales_like_inverse_root_m(self):
@@ -217,9 +210,9 @@ class TestMcKeanVlasov:
             finals = []
             for rep in range(100):
                 cfg = IntegratorConfig(step=h, horizon=cfg_t, seed=1000 + rep)
-                ens = gaussian_ensemble(0.0, 0.0, 1.0, n=m_size, dim=1,
-                                        seed=500 + rep, center=True)
-                traj = simulate(spec, ens, cfg, system="mckean_vlasov")
+                x, y = gaussian_ensemble(0.0, 0.0, 1.0, n=m_size, dim=1,
+                                         seed=500 + rep, center=True)
+                traj = simulate(spec, x, y, cfg, system="particles")
                 finals.append(float(traj.x[-1].mean()))
             fluct[m_size] = float(np.std(finals))
         ratio = fluct[64] / fluct[256]
@@ -238,9 +231,8 @@ class TestUnconfined:
     def test_uncentered_rejected(self):
         spec = self.unconf_spec()
         cfg = IntegratorConfig(step=0.01, horizon=0.1)
-        ens = dirac_ensemble([1.0], [0.0], n=4)
         with pytest.raises(DynamicsError):
-            simulate(spec, ens, cfg, system="unconfined")
+            simulate(spec, *dirac_ensemble([1.0], [0.0], n=4), cfg, system="unconfined")
 
     def test_antisymmetric_interaction_cancels_in_the_mean(self, zero_noise):
         # with the noise switched off the ensemble-mean velocity must decay
@@ -250,17 +242,16 @@ class TestUnconfined:
         cfg = IntegratorConfig(step=h, horizon=h)
         x = np.array([[0.4], [-1.0], [2.2]])
         y = np.array([[1.0], [0.5], [-0.2]])
-        ens = Ensemble(x=x, y=y)
-        out = step_unconfined(spec, ens, cfg, check_centering=False)
-        assert float(out.y.mean()) == pytest.approx(
+        out = dyn.system_step(spec, cfg, "unconfined")(0, (x, y))
+        assert float(out[1].mean()) == pytest.approx(
             math.exp(-spec.gamma * h) * float(y.mean()), abs=1e-13)
 
     def test_centering_is_preserved_on_average(self):
         # the sin perturbation has no fast path: keep N modest (O(N^2) drift)
         spec = self.unconf_spec()
         cfg = IntegratorConfig(step=0.01, horizon=1.0, seed=21)
-        ens = gaussian_ensemble(0.0, 0.0, 1.0, n=400, dim=1, seed=9, center=True)
-        traj = simulate(spec, ens, cfg, system="unconfined",
+        x, y = gaussian_ensemble(0.0, 0.0, 1.0, n=400, dim=1, seed=9, center=True)
+        traj = simulate(spec, x, y, cfg, system="unconfined",
                         dump_times=np.linspace(0, 1, 6))
         se = 1.0 / math.sqrt(400)
         assert np.all(np.abs(traj.x.mean(axis=1)) < 5 * se)
@@ -272,16 +263,16 @@ class TestMoments:
         spec = ModelSpec(external=ExternalForce.zero(1),
                          interaction=InteractionForce.none(), gamma=1.0, u=1.0, dim=1)
         cfg = IntegratorConfig(step=0.01, horizon=1.0)
-        ens = dirac_ensemble([0.0], [0.0], n=8)
-        traj = simulate(spec, ens, cfg, dump_times=np.linspace(0, 1, 11))
+        traj = simulate(spec, *dirac_ensemble([0.0], [0.0], n=8), cfg,
+                        dump_times=np.linspace(0, 1, 11))
         mom = track_moments(traj, spec, twist=0.1)
         assert np.all(mom.ex2 == 0) and np.all(mom.ey2 == 0) and np.all(mom.lyapunov == 0)
 
     def test_quadratic_moments_plateau_near_stationary(self):
         spec = quad_spec()
         cfg = IntegratorConfig(step=0.01, horizon=30.0, seed=4)
-        ens = gaussian_ensemble(0.0, 0.0, 1.0, n=16000, dim=1, seed=10)
-        traj = simulate(spec, ens, cfg, dump_times=np.linspace(0, 30, 21))
+        x, y = gaussian_ensemble(0.0, 0.0, 1.0, n=16000, dim=1, seed=10)
+        traj = simulate(spec, x, y, cfg, dump_times=np.linspace(0, 30, 21))
         mom = track_moments(traj, spec, twist=0.125)
         assert mom.plateau()
         assert float(mom.ex2[-1]) == pytest.approx(1.0, abs=0.1)
@@ -290,8 +281,8 @@ class TestMoments:
         spec = ModelSpec(external=ExternalForce.zero(1),
                          interaction=InteractionForce.none(), gamma=1.0, u=1.0, dim=1)
         cfg = IntegratorConfig(step=0.01, horizon=1.0)
-        ens = dirac_ensemble([1.0], [0.0], n=2)
-        traj = simulate(spec, ens, cfg, dump_times=np.linspace(0, 1, 5))
+        traj = simulate(spec, *dirac_ensemble([1.0], [0.0], n=2), cfg,
+                        dump_times=np.linspace(0, 1, 5))
         mom = track_moments(traj, spec, twist=0.0)
         assert np.allclose(mom.ex2, 1.0)
 
@@ -300,7 +291,7 @@ class TestTrajectoryRows:
     def test_header_and_shape(self):
         spec = quad_spec(dim=2)
         cfg = IntegratorConfig(step=0.1, horizon=0.2, seed=1)
-        traj = simulate(spec, dirac_ensemble([0.0, 0.0], [1.0, 0.0], n=3), cfg,
+        traj = simulate(spec, *dirac_ensemble([0.0, 0.0], [1.0, 0.0], n=3), cfg,
                         dump_times=[0.0, 0.1, 0.2])
         header, rows = trajectory_to_rows(traj)
         assert header == ["t", "i", "x0", "x1", "y0", "y1"]

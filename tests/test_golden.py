@@ -18,6 +18,7 @@ import pytest
 
 from kinlang import rng
 from kinlang.harness import load_config_file, run_experiment, write_record
+from kinlang.harness.cli import main as cli_main
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -43,6 +44,10 @@ GOLDEN = {
         "record.json": "0802505fa4559366584ee29edb317a882cecdfee9ec0daa4648d8d34d473ca66",
     },
 }
+
+# trajectory.csv of ``kinlang simulate -c configs/moments.json``: the plain
+# particle run, which no record digest covers
+SIMULATE_TRAJECTORY = "31d200b40af1c1c819572e41084b6948c4fc0b929ce415880bd228127687184f"
 
 # (seed, substream, step, shape): plain, reflection, chaos-slot and
 # bootstrap substreams, small and huge step counters
@@ -76,3 +81,10 @@ def test_config_digests(name, tmp_path):
     digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
                for p in sorted(run_dir.iterdir())}
     assert digests == GOLDEN[name]
+
+
+def test_simulate_trajectory_digest(tmp_path):
+    assert cli_main(["simulate", "-c", str(CONFIGS / "moments.json"),
+                     "--out", str(tmp_path)]) == 0
+    (csv,) = tmp_path.glob("*/trajectory.csv")
+    assert hashlib.sha256(csv.read_bytes()).hexdigest() == SIMULATE_TRAJECTORY
