@@ -14,7 +14,7 @@ from .dynamics import (BlowUpError, DynamicsError, IntegratorConfig, Trajectory,
                        track_moments)
 from .metrics import GroundMetric, MetricError, ell1_ensemble, ensemble_dist, project_centered
 from .model import (AssumptionReport, ExternalForce, InteractionForce, ModelError,
-                    ModelSpec, eval_external, eval_interaction, validate_assumptions)
+                    ModelSpec, validate_assumptions)
 from .profile import ConcaveProfile, build_profile
 from .transport import (TransportError, distance_curve, wasserstein_1d_sorted,
                         wasserstein_exact)

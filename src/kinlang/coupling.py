@@ -37,8 +37,8 @@ import numpy as np
 
 from . import rng
 from .constants import MetricConstants
-from .dynamics import (DynamicsError, IntegratorConfig, _advance, _require_split,
-                       drift, march)
+from .dynamics import (DynamicsError, IntegratorConfig, _require_split, drift,
+                       integrator, march)
 from .metrics import GroundMetric, small_norm, twisted_norm
 from .model import ModelSpec
 
@@ -134,16 +134,21 @@ def pair_state(spec: ModelSpec, first, second, n: int = 1) -> CoupledState:
 # rc / sc
 # ---------------------------------------------------------------------------
 
+def purely_synchronous(control: CouplingControl, constants: MetricConstants) -> bool:
+    """Whether the blend is zero everywhere: synchronous mode, or a gluing
+    offset that is not positive."""
+    return control.mode == "synchronous" or not constants.glue_offset > 0
+
+
 def rc_value(control: CouplingControl, spec: ModelSpec, constants: MetricConstants,
              z: Array, w: Array) -> Array:
     """Reflection blend in [0, 1]: product of two Lipschitz clamps.
 
-    Identically zero in synchronous mode or when the gluing offset
-    vanishes, in which case the coupling is purely synchronous.
+    Identically zero when :func:`purely_synchronous` holds.
     """
     z = np.atleast_2d(np.asarray(z, dtype=float))
     w = np.atleast_2d(np.asarray(w, dtype=float))
-    if control.mode == "synchronous" or not constants.glue_offset > 0:
+    if purely_synchronous(control, constants):
         return np.zeros(z.shape[:-1])
     xi = control.xi
     g = spec.gamma
@@ -170,13 +175,9 @@ def _unit_q(z: Array, w: Array, gamma: float) -> Array:
     return np.where(norm > Q_TINY, q / np.maximum(norm, Q_TINY), 0.0)
 
 
-def _coupled_noise_arrays(z: Array, w: Array, gamma: float, rc: Array,
-                          cfg: IntegratorConfig, step_index: int
-                          ) -> tuple[Array, Array]:
-    xi_sc = rng.normals(cfg.seed, rng.SUB_MAIN, step_index, z.shape)
-    if np.all(rc == 0.0):
-        # purely synchronous: both copies share the increment bitwise
-        return xi_sc, xi_sc
+def _reflected_noise(z: Array, w: Array, gamma: float, rc: Array, xi_sc: Array,
+                     cfg: IntegratorConfig, step_index: int) -> tuple[Array, Array]:
+    """Noise of both copies for a blend ``rc`` that is not zero on every pair."""
     xi_rc = rng.normals(cfg.seed, rng.SUB_REFLECT, step_index, z.shape)
     sc = sc_value(rc)[..., None]
     rc = np.asarray(rc)[..., None]
@@ -238,18 +239,22 @@ def simulate_coupled(spec: ModelSpec, state0: CoupledState, control: CouplingCon
     """
     system, default_mean = _law_system(spec, law)
     mean_b = None if componentwise else default_mean
-    h, g, u = cfg.step, spec.gamma, spec.u
+    advance = integrator(cfg.step, spec.gamma, spec.u, cfg.scheme)
+    # a purely synchronous run shares one increment bitwise at every step;
+    # otherwise that holds only on steps whose blend is zero on every pair
+    synchronous = purely_synchronous(control, constants)
 
     def step(k: int, arrays: tuple) -> tuple:
         ax, ay, bx, by = arrays
-        z, w = ax - bx, ay - by
-        rc = rc_value(control, spec, constants, z, w)
-        noise_a, noise_b = _coupled_noise_arrays(z, w, g, rc, cfg, k)
+        noise_a = noise_b = rng.normals(cfg.seed, rng.SUB_MAIN, k, ax.shape)
+        if not synchronous:
+            z, w = ax - bx, ay - by
+            rc = rc_value(control, spec, constants, z, w)
+            if not np.all(rc == 0.0):
+                noise_a, noise_b = _reflected_noise(z, w, spec.gamma, rc, noise_a, cfg, k)
         mean_a = default_mean if law_means is None else law_means[k]
-        force_a = drift(spec, ax, system, mean_a)
-        force_b = drift(spec, bx, system, mean_b)
-        ax, ay = _advance(ax, ay, force_a, noise_a, h, g, u, cfg.scheme)
-        bx, by = _advance(bx, by, force_b, noise_b, h, g, u, cfg.scheme)
+        ax, ay = advance(ax, ay, drift(spec, ax, system, mean_a), noise_a)
+        bx, by = advance(bx, by, drift(spec, bx, system, mean_b), noise_b)
         return ax, ay, bx, by
 
     kept = []
@@ -263,7 +268,7 @@ def simulate_coupled(spec: ModelSpec, state0: CoupledState, control: CouplingCon
           dump_times, t0=state0.t)
     ks = np.array([k for k, _, _ in kept])
     ax, ay, bx, by = (np.stack([arrays[i] for _, arrays, _ in kept]) for i in range(4))
-    return CoupledTrajectory(times=state0.t + ks * h, ax=ax, ay=ay, bx=bx, by=by,
+    return CoupledTrajectory(times=state0.t + ks * cfg.step, ax=ax, ay=ay, bx=bx, by=by,
                              rc_mean=np.array([rc for _, _, rc in kept]))
 
 

@@ -11,8 +11,9 @@ Three drifts share one stepping core:
   part plus an anti-symmetric perturbation, run on centered ensembles.
 
 The core is shared with the couplings in :mod:`kinlang.coupling`:
-:func:`march` is the only stepping loop, ``_advance`` the only integrator
-update and :func:`drift` the only force dispatcher.  :func:`interaction_mean`
+:func:`march` is the only stepping loop, :func:`integrator` builds the only
+integrator update (once per run, with its step-size coefficients) and
+:func:`drift` is the only force dispatcher.  :func:`interaction_mean`
 reduces over axis -2, so one code path serves (N, d) ensembles and stacks
 such as (R, N, d) chaos slots, and accepts an external law mean (a proxy
 mean path, or the exact zero of the centered unconfined theory) in place
@@ -102,23 +103,33 @@ def _centered(x: Array, y: Array) -> bool:
 # stepping core
 # ---------------------------------------------------------------------------
 
-def _advance(x: Array, y: Array, force: Array, noise: Array, h: float,
-             gamma: float, u: float, scheme: str) -> tuple[Array, Array]:
-    """One step of either scheme; ``noise`` is a standard-normal block.
+def integrator(h: float, gamma: float, u: float, scheme: str) -> Callable:
+    """The update ``advance(x, y, force, noise)`` of either scheme, built
+    once per run; ``noise`` is a standard-normal block.
 
     This is the only integrator update: single ensembles, both copies of
-    coupled pairs and chaos slots all step through it.
+    coupled pairs and chaos slots all step through it.  The step-size
+    coefficients are computed here, once, in the order a per-step
+    evaluation would use, so every step is bitwise the same.
     """
     if scheme == "euler_maruyama":
-        x_new = x + h * y
-        y_new = y + h * (-gamma * y + u * force) + np.sqrt(2.0 * gamma * u * h) * noise
-        return x_new, y_new
+        em_scale = np.sqrt(2.0 * gamma * u * h)
+
+        def advance(x: Array, y: Array, force: Array, noise: Array) -> tuple[Array, Array]:
+            return x + h * y, y + h * (-gamma * y + u * force) + em_scale * noise
+
+        return advance
     # ou_splitting: Euler force kick, then exact damped free flight
     decay = np.exp(-gamma * h)
-    y_kicked = y + h * u * force
-    x_new = x + (1.0 - decay) / gamma * y_kicked
-    y_new = decay * y_kicked + np.sqrt(u * (1.0 - decay * decay)) * noise
-    return x_new, y_new
+    kick = h * u
+    flight = (1.0 - decay) / gamma
+    ou_scale = np.sqrt(u * (1.0 - decay * decay))
+
+    def advance(x: Array, y: Array, force: Array, noise: Array) -> tuple[Array, Array]:
+        y_kicked = y + kick * force
+        return x + flight * y_kicked, decay * y_kicked + ou_scale * noise
+
+    return advance
 
 
 def interaction_mean(spec: ModelSpec, x: Array, law_mean: Optional[Array] = None,
@@ -156,7 +167,7 @@ def drift(spec: ModelSpec, x: Array, system: str,
     Non-finite positions raise here, once per call for every system: this
     is the per-step blow-up check of :func:`march`.
     """
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise _NonFinitePositions
     if system == "unconfined":
         return interaction_mean(spec, x, law_mean)
@@ -228,12 +239,12 @@ def _first_nonfinite(arrays: tuple, step: Callable, k: int) -> int:
 
 def system_step(spec: ModelSpec, cfg: IntegratorConfig, system: str) -> Callable:
     """Step function of one system on ``(x, y)`` for :func:`march`."""
-    h, g, u = cfg.step, spec.gamma, spec.u
+    advance = integrator(cfg.step, spec.gamma, spec.u, cfg.scheme)
 
     def step(k: int, state: tuple) -> tuple:
         x, y = state
         noise = rng.normals(cfg.seed, cfg.substream, k, x.shape)
-        return _advance(x, y, drift(spec, x, system), noise, h, g, u, cfg.scheme)
+        return advance(x, y, drift(spec, x, system), noise)
 
     return step
 

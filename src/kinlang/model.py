@@ -502,25 +502,6 @@ class ModelSpec:
 # operations
 # ---------------------------------------------------------------------------
 
-def eval_external(spec: ModelSpec, x: Array) -> Array:
-    """Total external force -K x + g(x) at one or many positions."""
-    x = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(x)):
-        raise ModelError("non-finite position passed to eval_external")
-    if x.shape[-1] != spec.dim:
-        raise ModelError(f"expected dimension {spec.dim}, got {x.shape[-1]}")
-    return spec.external.force(x)
-
-
-def eval_interaction(spec: ModelSpec, x: Array, z: Array) -> Array:
-    """Pairwise interaction force on a particle at ``x`` from one at ``z``."""
-    x = np.asarray(x, dtype=float)
-    z = np.asarray(z, dtype=float)
-    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(z))):
-        raise ModelError("non-finite input passed to eval_interaction")
-    return spec.interaction.pair_force(x, z)
-
-
 @dataclass(frozen=True)
 class Violation:
     check: str

@@ -33,33 +33,36 @@ SUB_BOOTSTRAP = 11  # resampling inside estimators
 STEP_SUBSAMPLE = 10_000_019
 
 
-# constructing a Philox pulls OS entropy even when the key is explicit, so
-# bit generators are cached per (seed, substream) and re-pointed per step.
-# Draws happen entirely inside the module functions below; handing the
-# underlying generator out would break on interleaved use, and the cache
-# makes this module single-threaded (parallelism belongs at replica level,
-# one process per worker).
-_CACHE: dict[tuple[int, int], Philox] = {}
+# constructing a Philox pulls OS entropy even when the key is explicit, and
+# a Generator costs a few microseconds, so one (key, Philox, Generator) is
+# cached per (seed, substream) and re-pointed per step by assigning a fresh
+# state: the step in the counter, the buffer emptied.  That dict is numpy's
+# private Philox state layout; tests/test_rng.py pins the draws against
+# the public ``Generator(Philox(key=..., counter=...))``.  Draws happen
+# entirely inside the module functions below; handing the underlying
+# generator out would break on interleaved use, and the cache makes this
+# module single-threaded (parallelism belongs at replica level, one
+# process per worker).
+_CACHE: dict[tuple[int, int], tuple[np.ndarray, Philox, Generator]] = {}
+_EMPTY = np.zeros(4, dtype=np.uint64)
 
 
 def _generator(seed: int, substream: int, step: int) -> Generator:
     ident = (seed & 0xFFFFFFFFFFFFFFFF, substream & 0xFFFFFFFFFFFFFFFF)
-    bg = _CACHE.get(ident)
-    if bg is None:
+    cached = _CACHE.get(ident)
+    if cached is None:
         key = np.array(ident, dtype=np.uint64)
-        bg = Philox(key=key, counter=np.zeros(4, dtype=np.uint64))
+        bg = Philox(key=key, counter=_EMPTY)
         if len(_CACHE) > 4096:
             _CACHE.clear()
-        _CACHE[ident] = bg
+        cached = _CACHE[ident] = (key, bg, Generator(bg))
+    key, bg, gen = cached
     # the step index lives in a HIGH counter word: generation increments the
     # low words, so each step owns a disjoint 2^128-value block
-    state = bg.state
-    state["state"]["counter"] = np.array([0, 0, np.uint64(step), 0], dtype=np.uint64)
-    state["buffer_pos"] = 4          # discard any buffered draws
-    state["has_uint32"] = 0
-    state["uinteger"] = 0
-    bg.state = state
-    return Generator(bg)
+    bg.state = {"bit_generator": "Philox",
+                "state": {"counter": (0, 0, step, 0), "key": key},
+                "buffer": _EMPTY, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    return gen
 
 
 def normals(seed: int, substream: int, step: int, shape: tuple[int, ...]) -> np.ndarray:

@@ -102,6 +102,31 @@ class TestCoupledPair:
         assert np.array_equal(traj.ax, traj.bx)
         assert np.array_equal(traj.ay, traj.by)
 
+    def test_zero_offset_reflection_is_synchronous(self, quad_spec, quad_constants,
+                                                   monkeypatch):
+        # a zero gluing offset makes the blend zero everywhere; the run
+        # decides that once, so the blend is evaluated at the dumps only
+        assert quad_constants.glue_offset == 0.0
+        cfg = IntegratorConfig(step=0.01, horizon=1.0, seed=8)
+        gen = np.random.default_rng(9)
+        state = CoupledState(*gen.normal(size=(4, 8, 1)), gamma=quad_spec.gamma)
+        dumps = np.linspace(0, 1, 5)
+        calls = []
+
+        def counted(*args):
+            calls.append(1)
+            return rc_value(*args)
+
+        monkeypatch.setattr(cp, "rc_value", counted)
+        runs = {mode: simulate_coupled(quad_spec, state, CouplingControl(mode=mode),
+                                       cfg, quad_constants, dump_times=dumps, law="none")
+                for mode in ("synchronous", "reflection_mix")}
+        assert len(calls) == 2 * len(dumps)
+        sync, mix = runs["synchronous"], runs["reflection_mix"]
+        for name in ("times", "ax", "ay", "bx", "by", "rc_mean"):
+            assert np.array_equal(getattr(sync, name), getattr(mix, name)), name
+        assert np.all(mix.rc_mean == 0.0)
+
     def test_synchronous_quadratic_contracts_at_rate(self, quad_spec, quad_constants):
         # deterministic difference: r(t) <= exp(-c t) r(0) up to O(h)
         mc = quad_constants
@@ -136,9 +161,8 @@ class TestCoupledPair:
         assert rc[0] == pytest.approx(1.0)
         e = state.e.copy()
         q0 = state.q.copy()
-        from kinlang.model import eval_external
-        drift = (h / g) * u * (eval_external(dw_spec, state.ax)
-                               - eval_external(dw_spec, state.bx))
+        force = dw_spec.external.force
+        drift = (h / g) * u * (force(state.ax) - force(state.bx))
         out = simulate_coupled(dw_spec, state, control, cfg, dw_constants,
                                dump_times=[h], law="none")
         q1 = (out.ax[-1] - out.bx[-1]) + (out.ay[-1] - out.by[-1]) / g

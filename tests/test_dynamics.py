@@ -53,20 +53,19 @@ class TestScheme:
     def test_weak_self_convergence_order_one(self):
         # exact second-moment recursion of the actual one-step map; the
         # scheme is linear for a quadratic force, so the map is extracted
-        # by probing _advance with basis states and basis noise
+        # by probing the integrator update with basis states and basis noise
         spec = quad_spec()
         t_end = 1.0
 
         def moment_after(h, scheme):
+            advance = dyn.integrator(h, spec.gamma, spec.u, scheme)
             a = np.zeros((2, 2))
             for j, (x0, y0) in enumerate(((1.0, 0.0), (0.0, 1.0))):
-                x1, y1 = dyn._advance(np.array([[x0]]), np.array([[y0]]),
-                                      np.array([[-x0]]), np.zeros((1, 1)), h,
-                                      spec.gamma, spec.u, scheme)
+                x1, y1 = advance(np.array([[x0]]), np.array([[y0]]),
+                                 np.array([[-x0]]), np.zeros((1, 1)))
                 a[:, j] = [x1[0, 0], y1[0, 0]]
-            xn, yn = dyn._advance(np.zeros((1, 1)), np.zeros((1, 1)),
-                                  np.zeros((1, 1)), np.ones((1, 1)), h,
-                                  spec.gamma, spec.u, scheme)
+            xn, yn = advance(np.zeros((1, 1)), np.zeros((1, 1)),
+                             np.zeros((1, 1)), np.ones((1, 1)))
             gain = np.array([xn[0, 0], yn[0, 0]])
             m = np.array([[4.0, 0.0], [0.0, 0.0]])  # Dirac at x=2, y=0
             for _ in range(int(round(t_end / h))):

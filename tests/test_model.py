@@ -5,10 +5,10 @@ import math
 import numpy as np
 import pytest
 
+from kinlang.dynamics import BlowUpError, IntegratorConfig, simulate
 from kinlang.model import (ExternalForce, InteractionForce, ModelError, ModelSpec,
-                           double_well_monotonicity_radius, eval_external,
-                           eval_interaction, splitting_from_outside_convexity,
-                           validate_assumptions)
+                           double_well_monotonicity_radius,
+                           splitting_from_outside_convexity, validate_assumptions)
 
 FD = 1e-6
 
@@ -22,11 +22,11 @@ def dw(beta=1.0, gamma=10.0, u=1.0, dim=1, inter=None):
 class TestExternalForce:
     def test_double_well_values(self):
         spec = dw()
-        assert eval_external(spec, np.array([0.0])) == pytest.approx(0.0)
+        assert spec.external.force(np.array([0.0])) == pytest.approx(0.0)
         # the quartic branch has a zero of the force at |x| = 1
-        assert eval_external(spec, np.array([1.0])) == pytest.approx(0.0)
+        assert spec.external.force(np.array([1.0])) == pytest.approx(0.0)
         # outer branch is -3 beta x
-        assert eval_external(spec, np.array([3.0])) == pytest.approx(-9.0)
+        assert spec.external.force(np.array([3.0])) == pytest.approx(-9.0)
 
     def test_double_well_splitting_constants(self):
         ext = ExternalForce.double_well(2.5, dim=1)
@@ -49,7 +49,7 @@ class TestExternalForce:
     def test_gradient_matches_potential(self):
         for spec in (dw(beta=1.3, dim=3), dw(beta=1.0, dim=1)):
             x = np.random.default_rng(11).normal(size=(1000, spec.dim)) * 3
-            force = eval_external(spec, x)
+            force = spec.external.force(x)
             fd = np.empty_like(force)
             for j in range(spec.dim):
                 e = np.zeros(spec.dim)
@@ -64,7 +64,7 @@ class TestExternalForce:
         spec = ModelSpec(external=ExternalForce.quadratic(k),
                          interaction=InteractionForce.none(), gamma=2.0, u=1.0, dim=2)
         x = np.random.default_rng(5).normal(size=(1000, 2))
-        force = eval_external(spec, x)
+        force = spec.external.force(x)
         fd = np.empty_like(force)
         for j in range(2):
             e = np.zeros(2)
@@ -76,14 +76,19 @@ class TestExternalForce:
     def test_deterministic_and_dimension_preserving(self):
         spec = dw(dim=3)
         x = np.random.default_rng(0).normal(size=(17, 3))
-        a = eval_external(spec, x)
-        b = eval_external(spec, x)
+        a = spec.external.force(x)
+        b = spec.external.force(x)
         assert a.shape == x.shape
         assert np.array_equal(a, b)
 
-    def test_rejects_nonfinite(self):
-        with pytest.raises(ModelError):
-            eval_external(dw(), np.array([np.nan]))
+    def test_nonfinite_positions_stop_the_run(self):
+        # the outer branch -3 x overflows at x = 1e308, so state 1 has
+        # infinite positions; drift tests the positions at every step and
+        # the run reports a blow-up at state 1, not at the horizon
+        cfg = IntegratorConfig(step=0.01, horizon=1.0)
+        with pytest.raises(BlowUpError) as err:
+            simulate(dw(), np.array([[1e308]]), np.zeros((1, 1)), cfg)
+        assert err.value.t == 0.01
 
     def test_rejects_bad_k(self):
         with pytest.raises(ModelError):
@@ -100,7 +105,7 @@ class TestExternalForce:
 class TestInteractionForce:
     def test_linear(self):
         spec = dw(inter=InteractionForce.linear(0.5))
-        out = eval_interaction(spec, np.array([7.0]), np.array([2.0]))
+        out = spec.interaction.pair_force(np.array([7.0]), np.array([2.0]))
         assert out == pytest.approx(1.0)
         assert spec.interaction.lip == pytest.approx(0.5)
 
