@@ -17,13 +17,16 @@ xi`` inside the gap region.  A vanishing gluing offset (or synchronous
 mode) makes the coupling purely synchronous.  Coefficients and ``e`` are
 frozen at the start of each step.
 
-Both copies step through the stepping loop, the integrator update and
-the force dispatcher of :mod:`kinlang.dynamics`.  Law terms inside
-nonlinear coupled runs are approximated by the empirical marginals of the
-coupled batch itself.  The componentwise variant is the same step with
-one more leading axis: it couples N independent nonlinear copies (law
-mean supplied externally, e.g. by a large proxy run) against one
-N-particle system, slot by slot, on (R, N, d) arrays.
+The pair is one array with a leading copy axis of length 2: positions
+and velocities of shape (2, R, d), copy ``a`` first.  Each step makes one
+call of the force dispatcher and one of the integrator update of
+:mod:`kinlang.dynamics` for both copies, and the shared noise block of
+shape (R, d) broadcasts over the copy axis.  Law terms inside nonlinear
+coupled runs are approximated by the empirical marginals of the coupled
+batch itself, per copy.  The componentwise variant is the same step with
+one more axis: it couples N independent nonlinear copies (law mean
+supplied externally, e.g. by a large proxy run) against one N-particle
+system, slot by slot, on (2, R, N, d) arrays.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ from . import rng
 from .constants import MetricConstants
 from .dynamics import (DynamicsError, IntegratorConfig, _require_split, drift,
                        integrator, march)
-from .metrics import GroundMetric, small_norm, twisted_norm
+from .metrics import GroundMetric, row_norm, small_norm, twisted_norm
 from .model import ModelSpec
 
 Array = np.ndarray
@@ -80,7 +83,7 @@ class CouplingControl:
 
 @dataclass(frozen=True)
 class CoupledState:
-    """Batch of coupled pairs; views Z, W, Q, e are recomputed on demand."""
+    """Batch of coupled pairs: positions and velocities of both copies."""
 
     ax: Array
     ay: Array
@@ -95,30 +98,6 @@ class CoupledState:
                                np.atleast_2d(np.asarray(getattr(self, name), dtype=float)))
         if not (self.ax.shape == self.ay.shape == self.bx.shape == self.by.shape):
             raise DynamicsError("coupled state shape mismatch")
-
-    @property
-    def n(self) -> int:
-        return self.ax.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.ax.shape[-1]
-
-    @property
-    def z(self) -> Array:
-        return self.ax - self.bx
-
-    @property
-    def w(self) -> Array:
-        return self.ay - self.by
-
-    @property
-    def q(self) -> Array:
-        return self.z + self.w / self.gamma
-
-    @property
-    def e(self) -> Array:
-        return _unit_q(self.z, self.w, self.gamma)
 
 
 def pair_state(spec: ModelSpec, first, second, n: int = 1) -> CoupledState:
@@ -152,9 +131,10 @@ def rc_value(control: CouplingControl, spec: ModelSpec, constants: MetricConstan
         return np.zeros(z.shape[:-1])
     xi = control.xi
     g = spec.gamma
-    qn = np.linalg.norm(z + w / g, axis=-1)
+    qn = row_norm(z + w / g)
     rl = twisted_norm(z, w, spec.external.matrix_k, constants.tau, g, spec.u)
-    gap = small_norm(z, w, constants.alpha, g) - constants.eps * rl
+    # the small norm alpha |Z| + |Q|, sharing |Q| with the first clamp
+    gap = constants.alpha * row_norm(z) + qn - constants.eps * rl
     ramp_q = np.clip(qn / xi, 0.0, 1.0)
     ramp_gap = np.clip((constants.glue_offset + xi - gap) / xi, 0.0, 1.0)
     return ramp_q * ramp_gap
@@ -171,19 +151,18 @@ def sc_value(rc: Array) -> Array:
 def _unit_q(z: Array, w: Array, gamma: float) -> Array:
     """Reflection direction: unit vector along Q = Z + W / gamma, 0 if Q vanishes."""
     q = z + w / gamma
-    norm = np.linalg.norm(q, axis=-1, keepdims=True)
+    norm = row_norm(q, keepdims=True)
     return np.where(norm > Q_TINY, q / np.maximum(norm, Q_TINY), 0.0)
 
 
 def _reflected_noise(z: Array, w: Array, gamma: float, rc: Array, xi_sc: Array,
-                     cfg: IntegratorConfig, step_index: int) -> tuple[Array, Array]:
-    """Noise of both copies for a blend ``rc`` that is not zero on every pair."""
+                     cfg: IntegratorConfig, step_index: int) -> Array:
+    """Noise of both copies, stacked on a leading copy axis, for a blend
+    ``rc`` that is not zero on every pair."""
     xi_rc = rng.normals(cfg.seed, rng.SUB_REFLECT, step_index, z.shape)
-    sc = sc_value(rc)[..., None]
-    rc = np.asarray(rc)[..., None]
     e = _unit_q(z, w, gamma)
     reflected = xi_rc - 2.0 * np.sum(e * xi_rc, axis=-1, keepdims=True) * e
-    return sc * xi_sc + rc * xi_rc, sc * xi_sc + rc * reflected
+    return sc_value(rc)[..., None] * xi_sc + rc[..., None] * np.stack((xi_rc, reflected))
 
 
 def _law_system(spec: ModelSpec, law: str) -> tuple[str, Optional[Array]]:
@@ -234,41 +213,51 @@ def simulate_coupled(spec: ModelSpec, state0: CoupledState, control: CouplingCon
     replicas), and the first as N independent nonlinear copies whose law
     mean at step k is ``law_means[k]`` (e.g. a large-proxy mean path), or
     the law's own default when omitted.  Each slot carries its own blend
-    and reflection direction.  Dumps and blow-ups follow
+    and reflection direction.  Both copies march as one (2, ...) array
+    (see the module docstring); the trajectory's ``ax``, ``ay``, ``bx`` and
+    ``by`` are views of its stacked dumps.  Dumps and blow-ups follow
     :func:`kinlang.dynamics.march`.
     """
+    if law_means is not None and not componentwise:
+        raise DynamicsError("an external law mean path needs componentwise coupling")
     system, default_mean = _law_system(spec, law)
-    mean_b = None if componentwise else default_mean
     advance = integrator(cfg.step, spec.gamma, spec.u, cfg.scheme)
     # a purely synchronous run shares one increment bitwise at every step;
     # otherwise that holds only on steps whose blend is zero on every pair
     synchronous = purely_synchronous(control, constants)
 
-    def step(k: int, arrays: tuple) -> tuple:
-        ax, ay, bx, by = arrays
-        noise_a = noise_b = rng.normals(cfg.seed, rng.SUB_MAIN, k, ax.shape)
+    def law_mean(k: int, x: Array) -> Optional[Array]:
+        """Law mean of both copies; in componentwise runs the second copy's
+        is its own empirical marginal, stacked after the first copy's."""
+        mean_a = default_mean if law_means is None else law_means[k]
+        if not componentwise or mean_a is None:
+            return mean_a
+        own = x[1].mean(axis=-2, keepdims=True)
+        return np.stack((np.broadcast_to(mean_a, own.shape), own))
+
+    def step(k: int, state: tuple) -> tuple:
+        x, y = state
+        noise = rng.normals(cfg.seed, rng.SUB_MAIN, k, x.shape[1:])
         if not synchronous:
-            z, w = ax - bx, ay - by
+            z, w = x[0] - x[1], y[0] - y[1]
             rc = rc_value(control, spec, constants, z, w)
             if not np.all(rc == 0.0):
-                noise_a, noise_b = _reflected_noise(z, w, spec.gamma, rc, noise_a, cfg, k)
-        mean_a = default_mean if law_means is None else law_means[k]
-        ax, ay = advance(ax, ay, drift(spec, ax, system, mean_a), noise_a)
-        bx, by = advance(bx, by, drift(spec, bx, system, mean_b), noise_b)
-        return ax, ay, bx, by
+                noise = _reflected_noise(z, w, spec.gamma, rc, noise, cfg, k)
+        return advance(x, y, drift(spec, x, system, law_mean(k, x)), noise)
 
     kept = []
 
-    def keep(k: int, arrays: tuple) -> None:
-        ax, ay, bx, by = arrays
-        rc = rc_value(control, spec, constants, ax - bx, ay - by)
-        kept.append((k, arrays, float(np.mean(rc))))
+    def keep(k: int, state: tuple) -> None:
+        x, y = state
+        rc = rc_value(control, spec, constants, x[0] - x[1], y[0] - y[1])
+        kept.append((k, state, float(np.mean(rc))))
 
-    march((state0.ax, state0.ay, state0.bx, state0.by), cfg, step, keep,
-          dump_times, t0=state0.t)
+    march((np.stack((state0.ax, state0.bx)), np.stack((state0.ay, state0.by))), cfg,
+          step, keep, dump_times, t0=state0.t)
     ks = np.array([k for k, _, _ in kept])
-    ax, ay, bx, by = (np.stack([arrays[i] for _, arrays, _ in kept]) for i in range(4))
-    return CoupledTrajectory(times=state0.t + ks * cfg.step, ax=ax, ay=ay, bx=bx, by=by,
+    x, y = (np.stack([state[i] for _, state, _ in kept]) for i in (0, 1))
+    return CoupledTrajectory(times=state0.t + ks * cfg.step, ax=x[:, 0], ay=y[:, 0],
+                             bx=x[:, 1], by=y[:, 1],
                              rc_mean=np.array([rc for _, _, rc in kept]))
 
 

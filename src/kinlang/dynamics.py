@@ -107,10 +107,11 @@ def integrator(h: float, gamma: float, u: float, scheme: str) -> Callable:
     """The update ``advance(x, y, force, noise)`` of either scheme, built
     once per run; ``noise`` is a standard-normal block.
 
-    This is the only integrator update: single ensembles, both copies of
-    coupled pairs and chaos slots all step through it.  The step-size
-    coefficients are computed here, once, in the order a per-step
-    evaluation would use, so every step is bitwise the same.
+    This is the only integrator update: single ensembles, coupled pairs
+    (both copies in one call, stacked on a copy axis) and chaos slots all
+    step through it.  The step-size coefficients are computed here, once,
+    in the order a per-step evaluation would use, so every step is
+    bitwise the same.
     """
     if scheme == "euler_maruyama":
         em_scale = np.sqrt(2.0 * gamma * u * h)

@@ -392,16 +392,16 @@ def _loglog_fit(ns: Array, ws: Array) -> dict:
 
 def simulate_particles(cfg: ExperimentConfig) -> tuple[str, Trajectory]:
     """The particle run a config describes: the model's own system, started
-    from the initial law (centered for the unconfined system)."""
+    from the initial law (centered for the unconfined system, whatever the
+    initial kind)."""
     spec = cfg.spec
     if spec.external.kind == "zero" and spec.interaction.has_split:
         system = "unconfined"
     else:
         system = "particles" if spec.interaction.kind != "none" else "classical"
-    init = dict(cfg.initial)
+    x, y = _draw_initial(cfg.initial, spec, cfg.replicas, cfg.seed, rng.SUB_INIT)
     if system == "unconfined":
-        init.setdefault("center", True)
-    x, y = _draw_initial(init, spec, cfg.replicas, cfg.seed, rng.SUB_INIT)
+        x, y = project_centered((x, y))
     return system, simulate(spec, x, y, _integrator(cfg), system=system,
                             dump_times=cfg.dump_times)
 

@@ -83,13 +83,6 @@ def wasserstein_1d_sorted(a: Array, b: Array, p: int = 1) -> float:
     return float(np.mean(gaps ** p) ** (1.0 / p))
 
 
-def identity_pairing_cost(cost_zw: Callable, a: tuple, b: tuple, p: int = 1) -> float:
-    """Mean cost of the index-aligned pairing of two (x, y) supports: an
-    upper bound for W_p."""
-    costs = cost_zw(a[0] - b[0], a[1] - b[1])
-    return float(np.mean(costs ** p) ** (1.0 / p))
-
-
 # ---------------------------------------------------------------------------
 # distance curves with bootstrap error bars
 # ---------------------------------------------------------------------------

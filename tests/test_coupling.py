@@ -9,8 +9,9 @@ import kinlang.coupling as cp
 from kinlang import rng
 from kinlang.coupling import (CoupledState, CouplingControl, marginal_check,
                               pair_state, rc_value, sc_value, simulate_coupled)
-from kinlang.dynamics import BlowUpError, IntegratorConfig, gaussian_ensemble, simulate
-from kinlang.metrics import GroundMetric
+from kinlang.dynamics import (BlowUpError, DynamicsError, IntegratorConfig, drift,
+                              gaussian_ensemble, integrator, march, simulate)
+from kinlang.metrics import GroundMetric, small_norm, twisted_norm
 from kinlang.model import ExternalForce, InteractionForce, ModelSpec
 from kinlang.constants import derive_constants
 
@@ -157,10 +158,11 @@ class TestCoupledPair:
         first = (np.array([0.3]), np.array([0.1]))
         second = (np.array([0.3]), np.array([0.1 - control.xi * g * 2]))
         state = pair_state(dw_spec, first, second)
-        rc = rc_value(control, dw_spec, dw_constants, state.z, state.w)
+        z, w = state.ax - state.bx, state.ay - state.by
+        rc = rc_value(control, dw_spec, dw_constants, z, w)
         assert rc[0] == pytest.approx(1.0)
-        e = state.e.copy()
-        q0 = state.q.copy()
+        e = cp._unit_q(z, w, g)
+        q0 = z + w / g
         force = dw_spec.external.force
         drift = (h / g) * u * (force(state.ax) - force(state.bx))
         out = simulate_coupled(dw_spec, state, control, cfg, dw_constants,
@@ -252,6 +254,14 @@ class TestComponentwise:
                              dump_times=[0.3], law="replica_proxy")
         assert np.array_equal(a.ax, b.ax) and np.array_equal(a.bx, b.bx)
 
+    def test_external_law_means_need_componentwise(self, dw_spec, dw_constants):
+        state = pair_state(dw_spec, (np.array([0.3]), np.array([0.0])),
+                           (np.array([0.0]), np.array([0.0])), n=4)
+        cfg = IntegratorConfig(step=0.01, horizon=0.1)
+        with pytest.raises(DynamicsError, match="componentwise"):
+            simulate_coupled(dw_spec, state, CouplingControl(), cfg, dw_constants,
+                             law_means=np.zeros((cfg.n_steps + 1, 1)))
+
     def test_identical_initializations_synchronous_all_zero(self):
         inter = InteractionForce.linear(0.05)
         spec = quad(inter=inter)
@@ -267,16 +277,152 @@ class TestComponentwise:
         assert np.array_equal(traj.ax, traj.bx) and np.array_equal(traj.ay, traj.by)
 
 
+def per_copy_reference(spec, state0, control, cfg, constants, dump_times, law,
+                       componentwise=False, law_means=None):
+    """The coupled run as four arrays: each copy draws its force and takes
+    its integrator update on its own, with the blend, the reflection and
+    the law means of the per-copy step written out in full."""
+    system, default_mean = {"none": ("classical", None),
+                            "replica_proxy": ("particles", None),
+                            "analytic_zero": ("unconfined", np.zeros(spec.dim))}[law]
+    mean_b = None if componentwise else default_mean
+    advance = integrator(cfg.step, spec.gamma, spec.u, cfg.scheme)
+    g, xi = spec.gamma, control.xi
+
+    def blend(z, w):
+        if control.mode == "synchronous" or not constants.glue_offset > 0:
+            return np.zeros(z.shape[:-1])
+        qn = np.linalg.norm(z + w / g, axis=-1)
+        rl = twisted_norm(z, w, spec.external.matrix_k, constants.tau, g, spec.u)
+        gap = small_norm(z, w, constants.alpha, g) - constants.eps * rl
+        return (np.clip(qn / xi, 0.0, 1.0)
+                * np.clip((constants.glue_offset + xi - gap) / xi, 0.0, 1.0))
+
+    def step(k, arrays):
+        ax, ay, bx, by = arrays
+        noise_a = noise_b = rng.normals(cfg.seed, rng.SUB_MAIN, k, ax.shape)
+        z, w = ax - bx, ay - by
+        rc = blend(z, w)
+        if not np.all(rc == 0.0):
+            xi_rc = rng.normals(cfg.seed, rng.SUB_REFLECT, k, z.shape)
+            sc = sc_value(rc)[..., None]
+            rc = rc[..., None]
+            q = z + w / g
+            norm = np.linalg.norm(q, axis=-1, keepdims=True)
+            e = np.where(norm > cp.Q_TINY, q / np.maximum(norm, cp.Q_TINY), 0.0)
+            reflected = xi_rc - 2.0 * np.sum(e * xi_rc, axis=-1, keepdims=True) * e
+            noise_a, noise_b = sc * noise_a + rc * xi_rc, sc * noise_a + rc * reflected
+        mean_a = default_mean if law_means is None else law_means[k]
+        ax, ay = advance(ax, ay, drift(spec, ax, system, mean_a), noise_a)
+        bx, by = advance(bx, by, drift(spec, bx, system, mean_b), noise_b)
+        return ax, ay, bx, by
+
+    kept = []
+
+    def keep(k, arrays):
+        ax, ay, bx, by = arrays
+        kept.append((k, arrays, float(np.mean(blend(ax - bx, ay - by)))))
+
+    march((state0.ax, state0.ay, state0.bx, state0.by), cfg, step, keep, dump_times,
+          t0=state0.t)
+    return {"times": state0.t + np.array([k for k, _, _ in kept]) * cfg.step,
+            **{name: np.stack([arrays[i] for _, arrays, _ in kept])
+               for i, name in enumerate(("ax", "ay", "bx", "by"))},
+            "rc_mean": np.array([rc for _, _, rc in kept])}
+
+
+ANISOTROPIC_K = np.array([[1.0, 0.4], [0.4, 2.5]])
+
+
+class TestPerCopyReference:
+    """simulate_coupled equals the per-copy step bitwise in d = 2, where the
+    golden digests (all d = 1) do not reach."""
+
+    def assert_matches(self, spec, state, control, cfg, dump_times, law, **kw):
+        constants = derive_constants(spec)
+        traj = simulate_coupled(spec, state, control, cfg, constants,
+                                dump_times=dump_times, law=law, **kw)
+        ref = per_copy_reference(spec, state, control, cfg, constants, dump_times,
+                                 law, **kw)
+        for name, value in ref.items():
+            assert np.array_equal(getattr(traj, name), value), name
+        return traj
+
+    def test_anisotropic_reflection_mix(self):
+        ext = ExternalForce.custom(
+            force=lambda x: -x @ ANISOTROPIC_K.T + 0.5 * np.tanh(-x),
+            k_matrix=ANISOTROPIC_K, lip_g=0.5, radius=1.0, dim=2,
+            g=lambda x: 0.5 * np.tanh(-x))
+        spec = ModelSpec(external=ext, interaction=InteractionForce.none(),
+                         gamma=2.0, u=1.0, dim=2)
+        state = CoupledState(*(0.3 * np.random.default_rng(3).normal(size=(4, 16, 2))),
+                             gamma=spec.gamma)
+        traj = self.assert_matches(spec, state,
+                                   CouplingControl(mode="reflection_mix", xi=0.05),
+                                   IntegratorConfig(step=0.01, horizon=0.5, seed=4),
+                                   np.linspace(0, 0.5, 6), "none")
+        # the blend is active, and partial on some dumps
+        assert np.all(traj.rc_mean > 0) and np.any(traj.rc_mean < 1)
+
+    def test_componentwise_external_law_means(self):
+        spec = ModelSpec(external=ExternalForce.double_well(1.0, dim=2),
+                         interaction=InteractionForce.linear(0.3),
+                         gamma=10.0, u=1.0, dim=2)
+        gen = np.random.default_rng(5)
+        ax, ay = gen.normal(size=(2, 3, 5, 2))
+        state = CoupledState(ax=ax, ay=ay, bx=ax + 0.01, by=ay, gamma=spec.gamma)
+        cfg = IntegratorConfig(step=0.01, horizon=0.3, seed=6)
+        law_means = 0.1 * gen.normal(size=(cfg.n_steps + 1, 2))
+        traj = self.assert_matches(spec, state,
+                                   CouplingControl(mode="componentwise", xi=0.05),
+                                   cfg, [0.0, 0.1, 0.3], "replica_proxy",
+                                   componentwise=True, law_means=law_means)
+        assert np.any(traj.rc_mean > 0)
+
+    def test_componentwise_analytic_zero_unconfined(self):
+        spec = ModelSpec(external=ExternalForce.zero(2),
+                         interaction=InteractionForce.linear_difference(ANISOTROPIC_K),
+                         gamma=2.0, u=1.0, dim=2)
+        ax, ay, bx, by = np.random.default_rng(7).normal(size=(4, 3, 5, 2))
+        state = CoupledState(ax=ax, ay=ay, bx=bx, by=by, gamma=spec.gamma)
+        self.assert_matches(spec, state, CouplingControl(mode="componentwise", xi=0.05),
+                            IntegratorConfig(step=0.01, horizon=0.3, seed=8),
+                            [0.1, 0.3], "analytic_zero", componentwise=True)
+
+    def test_replica_proxy_pairs_linear_interaction(self):
+        spec = ModelSpec(external=ExternalForce.double_well(1.0, dim=2),
+                         interaction=InteractionForce.linear(0.3),
+                         gamma=10.0, u=1.0, dim=2)
+        ax, ay = np.random.default_rng(9).normal(size=(2, 12, 2))
+        state = CoupledState(ax=ax, ay=ay, bx=ax + 0.02, by=ay, gamma=spec.gamma)
+        traj = self.assert_matches(spec, state,
+                                   CouplingControl(mode="reflection_mix", xi=0.05),
+                                   IntegratorConfig(step=0.01, horizon=0.3, seed=10),
+                                   [0.0, 0.15, 0.3], "replica_proxy")
+        assert np.any(traj.rc_mean > 0)
+
+
 class TestViews:
     def test_unit_direction_norm_in_zero_one(self, dw_spec):
         gen = np.random.default_rng(19)
-        state = CoupledState(ax=gen.normal(size=(64, 2)), ay=gen.normal(size=(64, 2)),
-                             bx=gen.normal(size=(64, 2)), by=gen.normal(size=(64, 2)),
-                             gamma=dw_spec.gamma)
-        norms = np.linalg.norm(state.e, axis=-1)
+        z, w = gen.normal(size=(2, 64, 2))
+        z[0] = w[0] = 0.0
+        e = cp._unit_q(z, w, dw_spec.gamma)
+        norms = np.linalg.norm(e, axis=-1)
         assert np.all((np.abs(norms - 1.0) < 1e-12) | (norms == 0.0))
-        # views recomputed from primaries
-        assert np.allclose(state.q, state.z + state.w / dw_spec.gamma)
+        assert norms[0] == 0.0
+        # the direction of Q = Z + W / gamma
+        q = z + w / dw_spec.gamma
+        assert np.allclose(e * np.linalg.norm(q, axis=-1, keepdims=True), q)
+
+    def test_trajectory_copies_are_views_of_one_stack(self, dw_spec, dw_constants):
+        state = pair_state(dw_spec, (np.array([0.3]), np.array([0.1])),
+                           (np.array([-0.3]), np.array([0.0])), n=4)
+        traj = simulate_coupled(dw_spec, state, CouplingControl(mode="synchronous"),
+                                IntegratorConfig(step=0.01, horizon=0.1, seed=1),
+                                dw_constants, dump_times=[0.0, 0.1], law="none")
+        assert traj.ax.base is traj.bx.base and traj.ay.base is traj.by.base
+        assert traj.ax.shape == traj.by.shape == (2, 4, 1)
 
 
 class TestGluedDecay:

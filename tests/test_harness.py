@@ -405,6 +405,18 @@ class TestCli:
         cpl = next(out2.iterdir()) / "coupled.csv"
         assert cpl.read_text().splitlines()[0] == "t,rs,rl,delta,rho,abs_z,abs_q,rc"
 
+    def test_simulate_centers_the_unconfined_dirac(self, tmp_path):
+        # the unconfined system needs a centered start; the shipped config's
+        # Dirac initial law at x = 0.5 is centered like a Gaussian one
+        config = Path(__file__).resolve().parent.parent / "configs" / "unconfined.json"
+        out = tmp_path / "runs"
+        assert cli_main(["simulate", "-c", str(config), "--out", str(out)]) == 0
+        run_dir = next(out.iterdir())
+        assert json.loads((run_dir / "trajectory.json").read_text())["system"] == "unconfined"
+        rows = np.loadtxt(run_dir / "trajectory.csv", delimiter=",", skiprows=1, ndmin=2)
+        assert np.array_equal(rows[0], [0.0, 0.0, 0.0, 0.0])
+        assert np.all(np.isfinite(rows))
+
     def test_run_keeps_simulate_and_couple_outputs(self, tmp_path):
         # all three commands write into the same <out>/<config-hash>/
         cfgp = tmp_path / "dw.json"

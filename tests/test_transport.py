@@ -10,8 +10,7 @@ from kinlang import rng
 from kinlang.dynamics import Trajectory
 from kinlang.metrics import GroundMetric, ell1_norm
 from kinlang.transport import (BLOCK_ELEMENTS, SIZE_CAP, TransportError, cost_matrix_zw,
-                               distance_curve, identity_pairing_cost,
-                               wasserstein_1d_sorted, wasserstein_exact,
+                               distance_curve, wasserstein_1d_sorted, wasserstein_exact,
                                wasserstein_from_costs)
 
 
@@ -73,7 +72,9 @@ class TestExactSolver:
     def test_upper_bound_identity_pairing(self):
         gen = np.random.default_rng(2)
         a, b = normal_support(gen, 32, 2), normal_support(gen, 32, 2)
-        assert wasserstein_exact(euclid, a, b) <= identity_pairing_cost(euclid, a, b) + 1e-12
+        # the index-aligned pairing is one transport plan
+        identity = euclid(a[0] - b[0], a[1] - b[1]).mean()
+        assert wasserstein_exact(euclid, a, b) <= identity + 1e-12
 
     def test_triangle_inequality_small_measures(self):
         gen = np.random.default_rng(3)
@@ -231,7 +232,7 @@ class TestDistanceCurve:
         curve = distance_curve(run_a, run_b, m.dist_zw, n_boot=25)
         for k in range(2):
             a, b = (x[k], y[k]), (x[k] + 0.5, y[k] - 0.2)
-            assert curve.w[k] <= identity_pairing_cost(m.dist_zw, a, b) + 1e-12
+            assert curve.w[k] <= m.dist_zw(a[0] - b[0], a[1] - b[1]).mean() + 1e-12
         assert np.all(curve.w_se >= 0)
 
     def test_bootstrap_keys_follow_the_dump_index(self):
