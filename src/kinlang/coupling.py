@@ -89,7 +89,6 @@ class CoupledState:
     ay: Array
     bx: Array
     by: Array
-    gamma: float
     t: float = 0.0
 
     def __post_init__(self):
@@ -100,13 +99,12 @@ class CoupledState:
             raise DynamicsError("coupled state shape mismatch")
 
 
-def pair_state(spec: ModelSpec, first, second, n: int = 1) -> CoupledState:
+def pair_state(first, second, n: int = 1) -> CoupledState:
     """Coupled state from two phase points, replicated n times."""
     fx, fy = np.atleast_1d(first[0]), np.atleast_1d(first[1])
     sx, sy = np.atleast_1d(second[0]), np.atleast_1d(second[1])
     return CoupledState(ax=np.tile(fx, (n, 1)), ay=np.tile(fy, (n, 1)),
-                        bx=np.tile(sx, (n, 1)), by=np.tile(sy, (n, 1)),
-                        gamma=spec.gamma)
+                        bx=np.tile(sx, (n, 1)), by=np.tile(sy, (n, 1)))
 
 
 # ---------------------------------------------------------------------------

@@ -107,8 +107,7 @@ def build_initial_pair(cfg: ExperimentConfig) -> CoupledState:
     else:
         second = _draw_initial(second_doc, cfg.spec, cfg.replicas, cfg.seed,
                                rng.SUB_INIT, base=first)
-    return CoupledState(ax=first[0], ay=first[1], bx=second[0], by=second[1],
-                        gamma=cfg.spec.gamma)
+    return CoupledState(ax=first[0], ay=first[1], bx=second[0], by=second[1])
 
 
 # ---------------------------------------------------------------------------
@@ -342,7 +341,7 @@ def run_chaos(cfg: ExperimentConfig) -> ExperimentRecord:
         seed_n = cfg.seed + n_slots
         x, y = _draw_initial(cfg.initial, spec, r * n_slots, seed_n, rng.SUB_SLOTS)
         x, y = x.reshape(r, n_slots, d), y.reshape(r, n_slots, d)
-        state = CoupledState(ax=x, ay=y, bx=x, by=y, gamma=spec.gamma)
+        state = CoupledState(ax=x, ay=y, bx=x, by=y)
         traj = simulate_coupled(spec, state, control,
                                 _integrator(cfg, horizon=cfg.eval_time, seed=seed_n),
                                 constants, law=law, componentwise=True,

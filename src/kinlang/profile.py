@@ -13,7 +13,9 @@ Beyond the cutoff ``f`` continues linearly with slope ``phi(cutoff) / 2``.
 The decay constant of the small-distance contraction is
 ``chat = u / (gamma * I(cutoff))``.
 
-Numerics: ``big_phi`` is evaluated in closed form through ``erf``.  The
+Numerics: ``big_phi`` is evaluated in closed form through ``erf``, which
+is imported inside the two functions that call it, so runs with the
+identity profile (quadratic, unconfined) never load ``scipy.special``.  The
 inner integral ``I`` grows like ``exp(a s^2)`` and overflows float64 for
 stiff configurations, so it is accumulated in log space with per-panel
 Gauss-Legendre quadrature; only the ratio ``I(s)/I(cutoff)`` is ever
@@ -28,7 +30,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erf
 
 N_PANELS = 4096
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(10)
@@ -64,6 +65,7 @@ class ConcaveProfile:
         s = np.asarray(s, dtype=float)
         if self.is_identity:
             return s.copy()
+        from scipy.special import erf
         a = self.curvature
         root = np.sqrt(a)
         inner = np.sqrt(np.pi) / (2.0 * root) * erf(root * np.minimum(s, self.cutoff))
@@ -144,6 +146,7 @@ def _log_inner_integral(a: float, knots: np.ndarray, x: np.ndarray,
     varies by at most a factor ~e per panel even when a*cutoff^2 is in the
     thousands, so the quadrature error stays far below 1e-9 relative.
     """
+    from scipy.special import erf
     root = np.sqrt(a)
     with np.errstate(divide="ignore"):
         log_big_phi = np.log(np.sqrt(np.pi) / (2.0 * root) * erf(root * x))

@@ -8,7 +8,9 @@ matrix of p-th powers of the ground cost:
 
 The exact solver delegates to a shortest-augmenting-path assignment
 (O(n^3)); exactness matters more than speed here, so sizes are capped and
-larger inputs should be subsampled.  One-dimensional marginals take the
+larger inputs should be subsampled.  The solver is imported inside
+``wasserstein_from_costs``, so runs that compute no exact distance never
+load ``scipy.optimize``.  One-dimensional marginals take the
 classical sorted quantile coupling instead, which is exact for convex
 ground costs on the line.
 """
@@ -19,7 +21,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from . import rng
 
@@ -59,8 +60,11 @@ def wasserstein_from_costs(costs: Array, p: int = 1) -> float:
             "subsample the supports first")
     if p not in (1, 2):
         raise TransportError("p must be 1 or 2")
-    rows, cols = linear_sum_assignment(costs ** p)
-    return float(np.mean(costs[rows, cols] ** p) ** (1.0 / p))
+    from scipy.optimize import linear_sum_assignment
+    # x ** 1 is exact, so p = 1 assigns on `costs` itself rather than a copy
+    powered = costs if p == 1 else costs ** p
+    rows, cols = linear_sum_assignment(powered)
+    return float(np.mean(powered[rows, cols]) ** (1.0 / p))
 
 
 def wasserstein_exact(cost_zw: Callable, a: tuple, b: tuple, p: int = 1) -> float:

@@ -53,7 +53,7 @@ def test_c01_strongly_convex_exact_check():
         cfg = IntegratorConfig(step=h, horizon=20.0, seed=1)
         z0 = np.full(dim, 1.0)
         w0 = np.zeros(dim)
-        state = pair_state(spec, (z0, w0), (np.zeros(dim), np.zeros(dim)))
+        state = pair_state((z0, w0), (np.zeros(dim), np.zeros(dim)))
         dumps = np.linspace(0.0, 20.0, 100)
         traj = simulate_coupled(spec, state, control, cfg, mc,
                                 dump_times=dumps, law="none")
@@ -78,7 +78,7 @@ def test_c02_spectral_gap_order():
         control = CouplingControl(mode="synchronous", xi=1e-3)
         horizon = 12.0 / math.sqrt(kappa)   # identical windows in scaled time
         cfg = IntegratorConfig(step=h, horizon=horizon, seed=1)
-        state = pair_state(spec, (np.array([1.0]), np.array([0.0])),
+        state = pair_state((np.array([1.0]), np.array([0.0])),
                            (np.zeros(1), np.zeros(1)))
         dumps = np.linspace(0.0, horizon, 60)
         traj = simulate_coupled(spec, state, control, cfg, mc,
@@ -190,8 +190,7 @@ def test_c05_coupling_validity():
     h = 0.01
     cfg = IntegratorConfig(step=h, horizon=5.0, seed=11)
     fx, fy = gaussian_ensemble(0.0, 0.0, 1.0, n=n, dim=1, seed=21)
-    state = CoupledState(ax=fx, ay=fy, bx=fx + 2.0, by=fy,
-                         gamma=spec.gamma)
+    state = CoupledState(ax=fx, ay=fy, bx=fx + 2.0, by=fy)
     dumps = np.linspace(1.0, 5.0, 5)
     traj = simulate_coupled(spec, state, control, cfg, mc, dump_times=dumps,
                             law="none")
@@ -293,7 +292,7 @@ def test_c09_unconfined_exact_check():
     expected_rate = min(2.0 / 16.0, 1.0 / (4.0 * 2.0))
     assert mc.c_unconfined == pytest.approx(expected_rate)
     control = CouplingControl(mode="synchronous", xi=1e-3)
-    state = pair_state(spec, (np.array([0.5]), np.array([0.25])),
+    state = pair_state((np.array([0.5]), np.array([0.25])),
                        (np.array([-0.5]), np.array([-0.25])))
     dumps = np.linspace(0.0, 20.0, 100)
     traj, other = (simulate_coupled(spec, state, control,

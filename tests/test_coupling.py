@@ -96,7 +96,7 @@ class TestCoupledPair:
     def test_identical_copies_stay_glued(self, dw_spec, dw_constants):
         control = CouplingControl(mode="synchronous", xi=1e-3)
         cfg = IntegratorConfig(step=0.01, horizon=1.0, seed=3)
-        state = pair_state(dw_spec, (np.array([0.7]), np.array([-0.2])),
+        state = pair_state((np.array([0.7]), np.array([-0.2])),
                            (np.array([0.7]), np.array([-0.2])), n=16)
         traj = simulate_coupled(dw_spec, state, control, cfg, dw_constants,
                                 dump_times=np.linspace(0, 1, 6), law="none")
@@ -110,7 +110,7 @@ class TestCoupledPair:
         assert quad_constants.glue_offset == 0.0
         cfg = IntegratorConfig(step=0.01, horizon=1.0, seed=8)
         gen = np.random.default_rng(9)
-        state = CoupledState(*gen.normal(size=(4, 8, 1)), gamma=quad_spec.gamma)
+        state = CoupledState(*gen.normal(size=(4, 8, 1)))
         dumps = np.linspace(0, 1, 5)
         calls = []
 
@@ -134,7 +134,7 @@ class TestCoupledPair:
         control = CouplingControl(mode="synchronous", xi=1e-3)
         h = 1e-3
         cfg = IntegratorConfig(step=h, horizon=5.0, seed=4)
-        state = pair_state(quad_spec, (np.array([1.0]), np.array([0.0])),
+        state = pair_state((np.array([1.0]), np.array([0.0])),
                            (np.array([-1.0]), np.array([0.5])))
         metric = GroundMetric.from_constants(quad_spec, mc, "r_strong")
         dumps = np.linspace(0, 5, 26)
@@ -157,7 +157,7 @@ class TestCoupledPair:
         cfg = IntegratorConfig(step=h, horizon=h, seed=5, scheme="euler_maruyama")
         first = (np.array([0.3]), np.array([0.1]))
         second = (np.array([0.3]), np.array([0.1 - control.xi * g * 2]))
-        state = pair_state(dw_spec, first, second)
+        state = pair_state(first, second)
         z, w = state.ax - state.bx, state.ay - state.by
         rc = rc_value(control, dw_spec, dw_constants, z, w)
         assert rc[0] == pytest.approx(1.0)
@@ -186,7 +186,7 @@ class TestCoupledPair:
         gen = np.random.default_rng(7)
         fx, fy = gen.normal(size=(n, 1)), gen.normal(size=(n, 1))
         sx, sy = fx + 1.0, fy.copy()
-        state = CoupledState(ax=fx, ay=fy, bx=sx, by=sy, gamma=spec.gamma)
+        state = CoupledState(ax=fx, ay=fy, bx=sx, by=sy)
         traj = simulate_coupled(spec, state, control, cfg, constants,
                                 dump_times=[0.25, 0.5], law=law)
         solo = simulate(spec, fx, fy, cfg, system=system, dump_times=[0.25, 0.5])
@@ -199,7 +199,7 @@ class TestCoupledPair:
                           interaction=InteractionForce.none(), gamma=0.1, u=1.0, dim=1)
         control = CouplingControl(mode="synchronous", xi=1e-3)
         cfg = IntegratorConfig(step=5.0, horizon=500.0, scheme="euler_maruyama")
-        state = pair_state(stiff, (np.array([1.0]), np.array([0.0])),
+        state = pair_state((np.array([1.0]), np.array([0.0])),
                            (np.array([0.0]), np.array([0.0])))
         with pytest.raises(BlowUpError):
             simulate_coupled(stiff, state, control, cfg, dw_constants, law="none")
@@ -227,7 +227,7 @@ class TestCoupledPair:
         before = simulate(solo_spec, x, y, IntegratorConfig(step=h, horizon=t - h,
                                                             scheme="euler_maruyama"))
         assert np.all(np.isfinite(before.x)) and np.all(np.isfinite(before.y))
-        state = pair_state(spec, (x[0], y[0]), (x[0] + 1.0, y[0]))
+        state = pair_state((x[0], y[0]), (x[0] + 1.0, y[0]))
         control = CouplingControl(mode="synchronous", xi=1e-3)
         # mid-run, and at the last state or just before it (the end check)
         for horizon in (cfg.horizon, t, t + h):
@@ -246,8 +246,7 @@ class TestComponentwise:
         gen = np.random.default_rng(9)
         n = 6
         state = CoupledState(ax=gen.normal(size=(n, 1)), ay=gen.normal(size=(n, 1)),
-                             bx=gen.normal(size=(n, 1)), by=gen.normal(size=(n, 1)),
-                             gamma=dw_spec.gamma)
+                             bx=gen.normal(size=(n, 1)), by=gen.normal(size=(n, 1)))
         a = simulate_coupled(dw_spec, state, control, cfg, dw_constants,
                              dump_times=[0.3], componentwise=True)
         b = simulate_coupled(dw_spec, state, control, cfg, dw_constants,
@@ -255,7 +254,7 @@ class TestComponentwise:
         assert np.array_equal(a.ax, b.ax) and np.array_equal(a.bx, b.bx)
 
     def test_external_law_means_need_componentwise(self, dw_spec, dw_constants):
-        state = pair_state(dw_spec, (np.array([0.3]), np.array([0.0])),
+        state = pair_state((np.array([0.3]), np.array([0.0])),
                            (np.array([0.0]), np.array([0.0])), n=4)
         cfg = IntegratorConfig(step=0.01, horizon=0.1)
         with pytest.raises(DynamicsError, match="componentwise"):
@@ -271,7 +270,7 @@ class TestComponentwise:
         gen = np.random.default_rng(11)
         x = gen.normal(size=(12, 1))
         y = gen.normal(size=(12, 1))
-        state = CoupledState(ax=x, ay=y, bx=x.copy(), by=y.copy(), gamma=spec.gamma)
+        state = CoupledState(ax=x, ay=y, bx=x.copy(), by=y.copy())
         traj = simulate_coupled(spec, state, control, cfg, mc,
                                 dump_times=[0.5], componentwise=True)
         assert np.array_equal(traj.ax, traj.bx) and np.array_equal(traj.ay, traj.by)
@@ -355,8 +354,7 @@ class TestPerCopyReference:
             g=lambda x: 0.5 * np.tanh(-x))
         spec = ModelSpec(external=ext, interaction=InteractionForce.none(),
                          gamma=2.0, u=1.0, dim=2)
-        state = CoupledState(*(0.3 * np.random.default_rng(3).normal(size=(4, 16, 2))),
-                             gamma=spec.gamma)
+        state = CoupledState(*(0.3 * np.random.default_rng(3).normal(size=(4, 16, 2))))
         traj = self.assert_matches(spec, state,
                                    CouplingControl(mode="reflection_mix", xi=0.05),
                                    IntegratorConfig(step=0.01, horizon=0.5, seed=4),
@@ -370,7 +368,7 @@ class TestPerCopyReference:
                          gamma=10.0, u=1.0, dim=2)
         gen = np.random.default_rng(5)
         ax, ay = gen.normal(size=(2, 3, 5, 2))
-        state = CoupledState(ax=ax, ay=ay, bx=ax + 0.01, by=ay, gamma=spec.gamma)
+        state = CoupledState(ax=ax, ay=ay, bx=ax + 0.01, by=ay)
         cfg = IntegratorConfig(step=0.01, horizon=0.3, seed=6)
         law_means = 0.1 * gen.normal(size=(cfg.n_steps + 1, 2))
         traj = self.assert_matches(spec, state,
@@ -384,7 +382,7 @@ class TestPerCopyReference:
                          interaction=InteractionForce.linear_difference(ANISOTROPIC_K),
                          gamma=2.0, u=1.0, dim=2)
         ax, ay, bx, by = np.random.default_rng(7).normal(size=(4, 3, 5, 2))
-        state = CoupledState(ax=ax, ay=ay, bx=bx, by=by, gamma=spec.gamma)
+        state = CoupledState(ax=ax, ay=ay, bx=bx, by=by)
         self.assert_matches(spec, state, CouplingControl(mode="componentwise", xi=0.05),
                             IntegratorConfig(step=0.01, horizon=0.3, seed=8),
                             [0.1, 0.3], "analytic_zero", componentwise=True)
@@ -394,7 +392,7 @@ class TestPerCopyReference:
                          interaction=InteractionForce.linear(0.3),
                          gamma=10.0, u=1.0, dim=2)
         ax, ay = np.random.default_rng(9).normal(size=(2, 12, 2))
-        state = CoupledState(ax=ax, ay=ay, bx=ax + 0.02, by=ay, gamma=spec.gamma)
+        state = CoupledState(ax=ax, ay=ay, bx=ax + 0.02, by=ay)
         traj = self.assert_matches(spec, state,
                                    CouplingControl(mode="reflection_mix", xi=0.05),
                                    IntegratorConfig(step=0.01, horizon=0.3, seed=10),
@@ -416,7 +414,7 @@ class TestViews:
         assert np.allclose(e * np.linalg.norm(q, axis=-1, keepdims=True), q)
 
     def test_trajectory_copies_are_views_of_one_stack(self, dw_spec, dw_constants):
-        state = pair_state(dw_spec, (np.array([0.3]), np.array([0.1])),
+        state = pair_state((np.array([0.3]), np.array([0.1])),
                            (np.array([-0.3]), np.array([0.0])), n=4)
         traj = simulate_coupled(dw_spec, state, CouplingControl(mode="synchronous"),
                                 IntegratorConfig(step=0.01, horizon=0.1, seed=1),
@@ -432,8 +430,7 @@ class TestGluedDecay:
         control = CouplingControl.for_constants(dw_constants, mode="reflection_mix")
         cfg = IntegratorConfig(step=0.01, horizon=5.0, seed=17)
         x, y = gaussian_ensemble(0.0, 0.0, 0.5, n=2000, dim=1, seed=18)
-        state = CoupledState(ax=x, ay=y, bx=x + 1.5, by=y,
-                             gamma=dw_spec.gamma)
+        state = CoupledState(ax=x, ay=y, bx=x + 1.5, by=y)
         traj = simulate_coupled(dw_spec, state, control, cfg, dw_constants,
                                 dump_times=np.linspace(0, 5, 11), law="none")
         rho = GroundMetric.from_constants(dw_spec, dw_constants, "rho")
@@ -450,8 +447,7 @@ class TestMonitor:
         control = CouplingControl.for_constants(dw_constants, mode="reflection_mix")
         cfg = IntegratorConfig(step=0.01, horizon=4.0, seed=20)
         x, y = gaussian_ensemble(0.0, 0.0, 0.5, n=1000, dim=1, seed=21)
-        state = CoupledState(ax=x, ay=y, bx=x + 1.5, by=y,
-                             gamma=dw_spec.gamma)
+        state = CoupledState(ax=x, ay=y, bx=x + 1.5, by=y)
         traj = simulate_coupled(dw_spec, state, control, cfg, dw_constants,
                                 dump_times=np.linspace(0, 4, 9), law="none")
         mon = contraction_monitor(traj, dw_spec, dw_constants)
@@ -469,8 +465,7 @@ class TestMarginalCheck:
         cfg = IntegratorConfig(step=0.01, horizon=0.5, seed=12)
         n = 64
         x, y = gaussian_ensemble(0.0, 0.0, 1.0, n=n, dim=1, seed=13)
-        state = CoupledState(ax=x, ay=y, bx=x + 2.0, by=y,
-                             gamma=dw_spec.gamma)
+        state = CoupledState(ax=x, ay=y, bx=x + 2.0, by=y)
         dumps = np.linspace(0, 0.5, 6)
         traj = simulate_coupled(dw_spec, state, control, cfg, dw_constants,
                                 dump_times=dumps, law="none")
@@ -491,8 +486,7 @@ class TestMarginalCheck:
         control = CouplingControl(mode="reflection_mix", xi=0.05)
         cfg = IntegratorConfig(step=0.01, horizon=0.4, seed=14)
         x, y = gaussian_ensemble(0.5, 0.0, 1.0, n=16, dim=1, seed=15)
-        state = CoupledState(ax=x, ay=y, bx=x, by=y,
-                             gamma=dw_spec.gamma)
+        state = CoupledState(ax=x, ay=y, bx=x, by=y)
         dumps = [0.0, 0.2, 0.4]
         traj = simulate_coupled(dw_spec, state, control, cfg, dw_constants,
                                 dump_times=dumps, law="none")

@@ -5,6 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
 
 from kinlang import rng
 from kinlang.dynamics import Trajectory
@@ -92,6 +93,26 @@ class TestExactSolver:
         w = wasserstein_exact(m.dist_zw, a, b)
         assert w >= 0
         assert wasserstein_exact(m.dist_zw, a, a) == pytest.approx(0.0, abs=1e-14)
+
+    @staticmethod
+    def power_expression(costs, p):
+        """Reference: the solver's body before p = 1 skipped the copy."""
+        rows, cols = linear_sum_assignment(costs ** p)
+        return float(np.mean(costs[rows, cols] ** p) ** (1.0 / p))
+
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_equals_the_power_expression_bitwise(self, p):
+        gen = np.random.default_rng(5)
+        tied = gen.integers(0, 3, size=(64, 64)).astype(float)
+        tied[1::2] = tied[::2]                  # every row appears twice
+        boot = gen.exponential(size=(256, 256))
+        ia, ib = gen.integers(0, 256, 256), gen.integers(0, 256, 256)
+        cases = [gen.random((n, n)) for n in (1, 7, 64)]
+        cases += [tied, tied.T, boot[np.ix_(ia, ib)]]
+        for costs in cases:
+            before = costs.copy()
+            assert wasserstein_from_costs(costs, p) == self.power_expression(costs, p)
+            assert np.array_equal(costs, before)
 
 
 def slot_ell1(z, w):
@@ -210,7 +231,7 @@ class TestDistanceCurve:
         control = CouplingControl(mode="synchronous", xi=1e-3)
         cfg = IntegratorConfig(step=0.01, horizon=2.0, seed=16)
         traj = simulate_coupled(quad_spec, pair_state(
-            quad_spec, (np.array([1.0]), np.array([0.0])),
+            (np.array([1.0]), np.array([0.0])),
             (np.array([0.0]), np.array([0.0]))), control, cfg, mc,
             dump_times=np.linspace(0, 2, 5), law="none")
         m = GroundMetric.from_constants(quad_spec, mc, "r_strong")
