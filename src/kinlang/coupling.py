@@ -15,7 +15,8 @@ the hyperplane Q = 0 and wherever the gluing gap exceeds the gluing
 offset by the smoothing width ``xi``, and saturates at 1 once ``|Q| >=
 xi`` inside the gap region.  A vanishing gluing offset (or synchronous
 mode) makes the coupling purely synchronous.  Coefficients and ``e`` are
-frozen at the start of each step.
+frozen at the start of each step, and Q and |Q| are computed once per
+step: the blend's own Q and |Q| give ``e``.
 
 The pair is one array with a leading copy axis of length 2: positions
 and velocities of shape (2, R, d), copy ``a`` first.  Each step makes one
@@ -127,15 +128,28 @@ def rc_value(control: CouplingControl, spec: ModelSpec, constants: MetricConstan
     w = np.atleast_2d(np.asarray(w, dtype=float))
     if purely_synchronous(control, constants):
         return np.zeros(z.shape[:-1])
+    return _blend(control, spec, constants, z, w)[0]
+
+
+def _blend(control: CouplingControl, spec: ModelSpec, constants: MetricConstants,
+           z: Array, w: Array) -> tuple[Array, Array, Array]:
+    """The blend of :func:`rc_value` for a coupling that is not purely
+    synchronous, with the Q = Z + W / gamma and |Q| it computed."""
     xi = control.xi
     g = spec.gamma
-    qn = row_norm(z + w / g)
+    q = z + w / g
+    qn = row_norm(q)
     rl = twisted_norm(z, w, spec.external.matrix_k, constants.tau, g, spec.u)
     # the small norm alpha |Z| + |Q|, sharing |Q| with the first clamp
     gap = constants.alpha * row_norm(z) + qn - constants.eps * rl
-    ramp_q = np.clip(qn / xi, 0.0, 1.0)
-    ramp_gap = np.clip((constants.glue_offset + xi - gap) / xi, 0.0, 1.0)
-    return ramp_q * ramp_gap
+    # |Q| / xi is never negative, so its clamp needs no lower bound
+    rc = np.minimum(qn / xi, 1.0)
+    ramp_gap = np.subtract(constants.glue_offset + xi, gap, out=gap)
+    ramp_gap /= xi
+    np.maximum(ramp_gap, 0.0, out=ramp_gap)
+    np.minimum(ramp_gap, 1.0, out=ramp_gap)
+    rc *= ramp_gap
+    return rc, q, qn
 
 
 def sc_value(rc: Array) -> Array:
@@ -146,19 +160,20 @@ def sc_value(rc: Array) -> Array:
 # coupled stepping
 # ---------------------------------------------------------------------------
 
-def _unit_q(z: Array, w: Array, gamma: float) -> Array:
-    """Reflection direction: unit vector along Q = Z + W / gamma, 0 if Q vanishes."""
-    q = z + w / gamma
-    norm = row_norm(q, keepdims=True)
+def _unit_q(q: Array, qn: Array) -> Array:
+    """Reflection direction: unit vector along Q (|Q| per row in ``qn``),
+    0 where Q vanishes."""
+    norm = qn[..., None]
     return np.where(norm > Q_TINY, q / np.maximum(norm, Q_TINY), 0.0)
 
 
-def _reflected_noise(z: Array, w: Array, gamma: float, rc: Array, xi_sc: Array,
+def _reflected_noise(q: Array, qn: Array, rc: Array, xi_sc: Array,
                      cfg: IntegratorConfig, step_index: int) -> Array:
     """Noise of both copies, stacked on a leading copy axis, for a blend
-    ``rc`` that is not zero on every pair."""
-    xi_rc = rng.normals(cfg.seed, rng.SUB_REFLECT, step_index, z.shape)
-    e = _unit_q(z, w, gamma)
+    ``rc`` that is not zero on every pair; ``q`` and ``qn`` are the Q and
+    |Q| the blend was computed from."""
+    xi_rc = rng.normals(cfg.seed, rng.SUB_REFLECT, step_index, q.shape)
+    e = _unit_q(q, qn)
     reflected = xi_rc - 2.0 * np.sum(e * xi_rc, axis=-1, keepdims=True) * e
     return sc_value(rc)[..., None] * xi_sc + rc[..., None] * np.stack((xi_rc, reflected))
 
@@ -237,10 +252,9 @@ def simulate_coupled(spec: ModelSpec, state0: CoupledState, control: CouplingCon
         x, y = state
         noise = rng.normals(cfg.seed, rng.SUB_MAIN, k, x.shape[1:])
         if not synchronous:
-            z, w = x[0] - x[1], y[0] - y[1]
-            rc = rc_value(control, spec, constants, z, w)
+            rc, q, qn = _blend(control, spec, constants, x[0] - x[1], y[0] - y[1])
             if not np.all(rc == 0.0):
-                noise = _reflected_noise(z, w, spec.gamma, rc, noise, cfg, k)
+                noise = _reflected_noise(q, qn, rc, noise, cfg, k)
         return advance(x, y, drift(spec, x, system, law_mean(k, x)), noise)
 
     kept = []

@@ -84,8 +84,7 @@ def small_norm(z: Array, w: Array, alpha: float, gamma: float) -> Array:
 
 def ell1_norm(z: Array, w: Array) -> Array:
     """|z| + |w|: the per-pair cost underlying the normalized ensemble 1-distance."""
-    return np.linalg.norm(np.asarray(z, dtype=float), axis=-1) \
-        + np.linalg.norm(np.asarray(w, dtype=float), axis=-1)
+    return row_norm(np.asarray(z, dtype=float)) + row_norm(np.asarray(w, dtype=float))
 
 
 # ---------------------------------------------------------------------------

@@ -62,22 +62,31 @@ def _double_well_g(x: Array, beta: float) -> Array:
     return np.where(r2 <= 4.0, inner, outer)
 
 
+# elements per (rows, grid) temporary of `double_well_monotonicity_radius`
+RADIUS_BLOCK_ELEMENTS = 2 ** 16
+
+
 def double_well_monotonicity_radius(step: float = 0.01, box: float = 10.0) -> float:
     """Smallest radius beyond which the double-well perturbation is monotone.
 
     Brute-force search over 1-d pairs on a regular grid: find the largest
     separation at which ``(g(x) - g(x')) (x - x') > 0`` still occurs and
-    return it padded by one grid step.  The result does not depend on the
-    well depth (the perturbation scales linearly with it).
+    return it padded by one grid step.  The grid is scanned in blocks of
+    rows, each temporary holding about RADIUS_BLOCK_ELEMENTS values, with a
+    running maximum of the separation over the violating pairs.  The
+    result does not depend on the well depth (the perturbation scales
+    linearly with it).
     """
     xs = np.arange(-box, box + step / 2, step)
     g = np.where(np.abs(xs) <= 2.0, -(xs ** 3 - 3.0 * xs), -xs)
-    dx = xs[:, None] - xs[None, :]
-    dg = g[:, None] - g[None, :]
-    viol = dg * dx > 1e-12
-    if not viol.any():
-        return 0.0
-    return float(np.abs(dx[viol]).max() + step)
+    rows = max(1, RADIUS_BLOCK_ELEMENTS // xs.size)
+    # a violating pair has x != x', so a widest separation of 0 means none
+    widest = 0.0
+    for i in range(0, xs.size, rows):
+        dx = xs[i:i + rows, None] - xs
+        viol = (g[i:i + rows, None] - g) * dx > 1e-12
+        widest = np.max(np.abs(dx, out=dx), where=viol, initial=widest)
+    return float(widest + step) if widest > 0 else 0.0
 
 
 # cached: the radius is parameter-free (see docstring above)

@@ -11,7 +11,7 @@ from kinlang.coupling import (CoupledState, CouplingControl, marginal_check,
                               pair_state, rc_value, sc_value, simulate_coupled)
 from kinlang.dynamics import (BlowUpError, DynamicsError, IntegratorConfig, drift,
                               gaussian_ensemble, integrator, march, simulate)
-from kinlang.metrics import GroundMetric, small_norm, twisted_norm
+from kinlang.metrics import GroundMetric, row_norm, small_norm, twisted_norm
 from kinlang.model import ExternalForce, InteractionForce, ModelSpec
 from kinlang.constants import derive_constants
 
@@ -67,6 +67,25 @@ class TestBlend:
         assert quad_constants.glue_offset == 0.0
         assert rc_value(control, quad_spec, quad_constants, z, z)[0] == 0.0
 
+    @pytest.mark.parametrize("shape", [(512, 1), (512, 2), (64, 8, 2)])
+    def test_equals_the_clip_expression_bitwise(self, dw_spec, dw_constants, shape):
+        # reference: both clamps through np.clip on fresh arrays
+        control = CouplingControl(mode="reflection_mix", xi=0.05)
+        gen = np.random.default_rng(23)
+        z = gen.normal(size=shape) * gen.choice([1e-3, 0.02, 0.3, 3.0], size=shape[:-1] + (1,))
+        w = gen.normal(size=shape)
+        z[0], w[0] = 0.0, 0.0
+        z[1], w[1] = 1.0, -dw_spec.gamma  # Q = 0 away from the origin
+        g, mc = dw_spec.gamma, dw_constants
+        qn = row_norm(z + w / g)
+        rl = twisted_norm(z, w, dw_spec.external.matrix_k, mc.tau, g, dw_spec.u)
+        gap = mc.alpha * row_norm(z) + qn - mc.eps * rl
+        expected = (np.clip(qn / control.xi, 0.0, 1.0)
+                    * np.clip((mc.glue_offset + control.xi - gap) / control.xi, 0.0, 1.0))
+        rc = rc_value(control, dw_spec, dw_constants, z, w)
+        assert rc.tobytes() == expected.tobytes()
+        assert np.any(rc == 0.0) and np.any(rc == 1.0) and np.any((rc > 0) & (rc < 1))
+
     def test_default_width_scales_with_cutoff(self, dw_constants, quad_constants):
         c1 = CouplingControl.for_constants(dw_constants)
         assert c1.xi == pytest.approx(1e-3 * dw_constants.small_cutoff)
@@ -90,6 +109,31 @@ class TestReflection:
         cov = reflected.T @ reflected / len(reflected)
         # chi-square style bound: entries within 5 / sqrt(n) of the identity
         assert np.all(np.abs(cov - np.eye(2)) < 5 / math.sqrt(200000))
+
+
+    @pytest.mark.parametrize("shape", [(64, 1), (64, 3), (8, 5, 2)])
+    def test_shared_q_direction_equals_the_recomputed_one_bitwise(self, dw_spec,
+                                                                   dw_constants, shape):
+        # reference: the direction recomputed from Z and W, as a reflecting
+        # step did before the blend handed over its Q and |Q|
+        def recomputed(z, w, gamma):
+            q = z + w / gamma
+            norm = row_norm(q, keepdims=True)
+            return np.where(norm > cp.Q_TINY, q / np.maximum(norm, cp.Q_TINY), 0.0)
+
+        control = CouplingControl(mode="reflection_mix", xi=0.05)
+        g = dw_spec.gamma
+        z, w = np.random.default_rng(29).normal(size=(2,) + shape)
+        z[:5], w[:5] = 0.0, 0.0                 # Q = 0 at the origin (row 0)
+        z[1], w[1] = 1.0, -g                    # Q = 0 away from it
+        z[2, ..., 0] = 1e-13                    # 0 < |Q| < Q_TINY
+        z[3, ..., 0] = cp.Q_TINY                # |Q| = Q_TINY
+        z[4, ..., 0] = 3e-12                    # just above Q_TINY
+        rc, q, qn = cp._blend(control, dw_spec, dw_constants, z, w)
+        e = cp._unit_q(q, qn)
+        expected = recomputed(z, w, g)
+        assert e.tobytes() == expected.tobytes()
+        assert np.all(e[:4] == 0.0) and np.all(e[4, ..., 0] == 1.0)
 
 
 class TestCoupledPair:
@@ -161,8 +205,8 @@ class TestCoupledPair:
         z, w = state.ax - state.bx, state.ay - state.by
         rc = rc_value(control, dw_spec, dw_constants, z, w)
         assert rc[0] == pytest.approx(1.0)
-        e = cp._unit_q(z, w, g)
         q0 = z + w / g
+        e = cp._unit_q(q0, np.linalg.norm(q0, axis=-1))
         force = dw_spec.external.force
         drift = (h / g) * u * (force(state.ax) - force(state.bx))
         out = simulate_coupled(dw_spec, state, control, cfg, dw_constants,
@@ -405,12 +449,12 @@ class TestViews:
         gen = np.random.default_rng(19)
         z, w = gen.normal(size=(2, 64, 2))
         z[0] = w[0] = 0.0
-        e = cp._unit_q(z, w, dw_spec.gamma)
+        q = z + w / dw_spec.gamma
+        e = cp._unit_q(q, np.linalg.norm(q, axis=-1))
         norms = np.linalg.norm(e, axis=-1)
         assert np.all((np.abs(norms - 1.0) < 1e-12) | (norms == 0.0))
         assert norms[0] == 0.0
         # the direction of Q = Z + W / gamma
-        q = z + w / dw_spec.gamma
         assert np.allclose(e * np.linalg.norm(q, axis=-1, keepdims=True), q)
 
     def test_trajectory_copies_are_views_of_one_stack(self, dw_spec, dw_constants):

@@ -1,11 +1,13 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from kinlang.dynamics import BlowUpError, IntegratorConfig, simulate
+from kinlang import model
 from kinlang.model import (ExternalForce, InteractionForce, ModelError, ModelSpec,
                            double_well_monotonicity_radius,
                            splitting_from_outside_convexity, validate_assumptions)
@@ -39,6 +41,40 @@ class TestExternalForce:
         # to separation 2*sqrt(3); the stored radius pads by one grid step
         r = double_well_monotonicity_radius()
         assert 2 * math.sqrt(3) <= r <= 2 * math.sqrt(3) + 0.02
+
+    @pytest.mark.parametrize("step, box", [(0.01, 10.0), (0.05, 5.0), (0.013, 7.0),
+                                           (0.5, 1.0), (3.0, 3.0)])
+    def test_monotonicity_radius_equals_full_grid_bitwise(self, step, box):
+        # reference: the whole (n, n) grid of pairs at once
+        def full_grid(step, box):
+            xs = np.arange(-box, box + step / 2, step)
+            g = np.where(np.abs(xs) <= 2.0, -(xs ** 3 - 3.0 * xs), -xs)
+            dx = xs[:, None] - xs[None, :]
+            dg = g[:, None] - g[None, :]
+            viol = dg * dx > 1e-12
+            if not viol.any():
+                return 0.0
+            return float(np.abs(dx[viol]).max() + step)
+
+        assert double_well_monotonicity_radius(step, box) == full_grid(step, box)
+
+    def test_monotonicity_radius_cases_cover_block_edges(self):
+        # the default grid of 2001 points ends in a partial block of rows,
+        # and the three points of the (3.0, 3.0) grid hold no violating pair
+        rows = model.RADIUS_BLOCK_ELEMENTS // 2001
+        assert 1 < rows < 2001 and 2001 % rows != 0
+        assert double_well_monotonicity_radius() == 3.469999999999926
+        assert double_well_monotonicity_radius(3.0, 3.0) == 0.0
+
+    def test_monotonicity_radius_memory_is_bounded(self):
+        # the full (2001, 2001) grid of pairs took about 100 MB
+        tracemalloc.start()
+        try:
+            double_well_monotonicity_radius()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
 
     def test_splitting_recomposes(self):
         spec = dw(beta=0.7, dim=2)
