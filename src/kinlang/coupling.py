@@ -77,7 +77,7 @@ class CouplingControl:
         The per-step kick of |Q| under full reflection is
         ``sqrt(8 u step / gamma)``; widths below it are skipped over by
         the discrete chain, which then hovers at the kick scale instead
-        of synchronizing (visible in the width-refinement study).
+        of synchronizing.
         """
         return self.xi >= math.sqrt(8.0 * spec.u * step / spec.gamma)
 
@@ -174,8 +174,13 @@ def _reflected_noise(q: Array, qn: Array, rc: Array, xi_sc: Array,
     |Q| the blend was computed from."""
     xi_rc = rng.normals(cfg.seed, rng.SUB_REFLECT, step_index, q.shape)
     e = _unit_q(q, qn)
-    reflected = xi_rc - 2.0 * np.sum(e * xi_rc, axis=-1, keepdims=True) * e
-    return sc_value(rc)[..., None] * xi_sc + rc[..., None] * np.stack((xi_rc, reflected))
+    noise = np.empty((2,) + q.shape)
+    np.subtract(xi_rc, 2.0 * np.sum(e * xi_rc, axis=-1, keepdims=True) * e, out=noise[1])
+    rc = rc[..., None]
+    np.multiply(rc, xi_rc, out=noise[0])
+    noise[1] *= rc
+    noise += sc_value(rc) * xi_sc
+    return noise
 
 
 def _law_system(spec: ModelSpec, law: str) -> tuple[str, Optional[Array]]:
@@ -253,7 +258,7 @@ def simulate_coupled(spec: ModelSpec, state0: CoupledState, control: CouplingCon
         noise = rng.normals(cfg.seed, rng.SUB_MAIN, k, x.shape[1:])
         if not synchronous:
             rc, q, qn = _blend(control, spec, constants, x[0] - x[1], y[0] - y[1])
-            if not np.all(rc == 0.0):
+            if rc.any():
                 noise = _reflected_noise(q, qn, rc, noise, cfg, k)
         return advance(x, y, drift(spec, x, system, law_mean(k, x)), noise)
 

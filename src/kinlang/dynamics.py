@@ -31,6 +31,12 @@ increments directly.
 Noise draws are counter-based: step ``k`` of a run keyed ``(seed,
 substream)`` on (N, d) positions consumes the block
 ``normals(seed, substream, k, (N, d))``, whose row ``i`` drives particle ``i``.
+
+Blow-ups are found at checkpoints, not per step: :func:`march` tests the
+whole state at each dump and after the last step, and on a non-finite
+state replays from the last finite checkpoint to the first non-finite
+state.  A blown-up run therefore costs at most one dump interval of
+extra steps on inf/nan values plus that replay.
 """
 
 from __future__ import annotations
@@ -56,10 +62,6 @@ class BlowUpError(RuntimeError):
     def __init__(self, t: float):
         super().__init__(f"non-finite state at t={t:.6g}")
         self.t = t
-
-
-class _NonFinitePositions(ArithmeticError):
-    """Raised by :func:`drift`; :func:`march` turns it into a BlowUpError."""
 
 
 class DynamicsError(ValueError):
@@ -142,7 +144,17 @@ def interaction_mean(spec: ModelSpec, x: Array, law_mean: Optional[Array] = None
     affine in the second argument take an O(N) path through the mean.
     Those interactions see the law only through its mean, so an external
     ``law_mean`` (broadcastable against ``x``) may replace the empirical one.
+    The result has the shape of ``x``.
     """
+    term = _law_term(spec, x, law_mean, fast)
+    # only the linear kind's term comes back once per ensemble
+    return term if term.shape == x.shape else np.broadcast_to(term, x.shape).copy()
+
+
+def _law_term(spec: ModelSpec, x: Array, law_mean: Optional[Array],
+              fast: bool = True) -> Array:
+    """:func:`interaction_mean`, broadcastable against ``x`` rather than of
+    its shape: the linear kind's ``k * law_mean`` is not repeated per member."""
     inter = spec.interaction
     if inter.kind == "none":
         return np.zeros_like(x)
@@ -156,7 +168,7 @@ def interaction_mean(spec: ModelSpec, x: Array, law_mean: Optional[Array] = None
         raise DynamicsError("an external law mean needs a law term affine in the "
                             "mean: the linear kind or a pure linear splitting")
     if inter.kind == "linear":
-        return np.broadcast_to(inter.params["k"] * law_mean, x.shape).copy()
+        return inter.params["k"] * law_mean
     return -(x - law_mean) @ inter.split_matrix.T
 
 
@@ -165,17 +177,15 @@ def drift(spec: ModelSpec, x: Array, system: str,
     """Total force of a system: ``classical`` (external only), ``particles``
     (external plus law term) or ``unconfined`` (law term only).
 
-    Non-finite positions raise here, once per call for every system: this
-    is the per-step blow-up check of :func:`march`.
+    Non-finite positions are not tested here: they run on into inf/nan,
+    and :func:`march` finds them at its next checkpoint.
     """
-    if not np.isfinite(x).all():
-        raise _NonFinitePositions
     if system == "unconfined":
         return interaction_mean(spec, x, law_mean)
     base = spec.external.force(x)
     if system == "classical":
         return base
-    return base + interaction_mean(spec, x, law_mean)
+    return base + _law_term(spec, x, law_mean)
 
 
 def _require_split(spec: ModelSpec) -> None:
@@ -193,12 +203,18 @@ def march(arrays: tuple, cfg: IntegratorConfig, step: Callable, keep: Callable,
 
     ``arrays`` is the state, a tuple of arrays; ``step(k, arrays)`` returns
     the state after step ``k`` for ``k < cfg.n_steps`` and must be a pure
-    function of its arguments (a blow-up replays it).  ``keep(k, arrays)`` receives state ``k`` at
-    each dump time, snapped to the step grid (default: the horizon alone).
+    function of its arguments that leaves them unchanged (a blow-up replays
+    it).  ``keep(k, arrays)`` receives state ``k`` at each dump time,
+    snapped to the step grid (default: the horizon alone).
+
     Overflow runs quietly into inf/nan, and a non-finite state raises
     :class:`BlowUpError` at the time of the first state holding one.  The
-    only per-step check is :func:`drift`'s test of the positions, plus a
-    test of the whole state at the start and at the end.
+    steps themselves test nothing: the whole state is tested at the start,
+    before each ``keep`` and after the last step.  A failed test replays
+    the steps one by one from the last finite checkpoint (the last kept
+    state, else the start), so a blown-up run costs at most one dump
+    interval of extra steps plus that replay, and only that checkpoint is
+    held for it.
     """
     n, h = cfg.n_steps, cfg.step
     if dump_times is None:
@@ -207,35 +223,29 @@ def march(arrays: tuple, cfg: IntegratorConfig, step: Callable, keep: Callable,
     dumps = set(snapped.tolist())
     if not _finite(arrays):
         raise BlowUpError(t0)
-    start = arrays
+    checkpoint = (0, arrays)
     # overflow is left to produce inf: blow-up detection keys off
     # non-finite states, so the loop runs with these warnings off
     with np.errstate(over="ignore", invalid="ignore"):
         if 0 in dumps:
             keep(0, arrays)
-        try:
-            for k in range(n):
-                arrays = step(k, arrays)
-                if k + 1 in dumps:
-                    keep(k + 1, arrays)
-        except _NonFinitePositions:
-            raise BlowUpError(t0 + _first_nonfinite(start, step, k) * h) from None
-        if not _finite(arrays):
-            raise BlowUpError(t0 + _first_nonfinite(start, step, n) * h)
+        for k in range(1, n + 1):
+            arrays = step(k - 1, arrays)
+            if k in dumps or k == n:
+                if not _finite(arrays):
+                    raise BlowUpError(t0 + _first_nonfinite(*checkpoint, step, k) * h)
+                checkpoint = (k, arrays)
+                if k in dumps:
+                    keep(k, arrays)
 
 
-def _first_nonfinite(arrays: tuple, step: Callable, k: int) -> int:
-    """Index of the first non-finite state, when state ``k`` is the first
-    with non-finite positions or the last state of a run.
-
-    A non-finite velocity reaches the positions one step later, so it is
-    state ``k - 1`` if that one holds a non-finite velocity.  The run is
-    replayed from its start to find out, rather than keeping the previous
-    state alive at every step.
-    """
-    for j in range(k - 1):
-        arrays = step(j, arrays)
-    return k if _finite(arrays) else k - 1
+def _first_nonfinite(k: int, arrays: tuple, step: Callable, last: int) -> int:
+    """Index of the first non-finite state, replayed from the finite state
+    ``k`` towards state ``last``, which is not finite."""
+    while k < last and _finite(arrays):
+        arrays = step(k, arrays)
+        k += 1
+    return k
 
 
 def system_step(spec: ModelSpec, cfg: IntegratorConfig, system: str) -> Callable:

@@ -1,10 +1,11 @@
 """Command-line interface.
 
 Subcommands: ``constants``, ``simulate``, ``couple`` and ``run``.  Every
-command reads a JSON config (``-c/--config``), optionally overridden by
-``--seed``, ``--out``, ``--replicas`` and ``--step``, and writes its
-artifacts into a run directory named by the config hash.  ``run`` executes
-the experiment the config names.
+command reads a JSON config (``-c/--config``).  ``constants`` prints the
+derived constants of its model, or writes them to the file ``--out``.
+The others take ``--seed``, ``--out``, ``--replicas`` and ``--step`` as
+overrides and write their artifacts into a run directory named by the
+config hash; ``run`` executes the experiment the config names.
 
 Exit codes: 0 on success, 2 when the run completed but assumption
 diagnostics fired (results carry no guarantee), 1 on any runtime error
@@ -28,7 +29,7 @@ from ..model import ModelSpec
 from .config import ConfigError, ExperimentConfig, config_hash, load_config, load_document
 from .experiments import (_coupling_control, coupled_trajectory, run_experiment,
                           simulate_particles)
-from .record import filled_run_dir, write_csv, write_record
+from .record import filled_run_dir, write_csv, write_file, write_record
 
 
 def _apply_overrides(doc: dict, args) -> dict:
@@ -40,7 +41,7 @@ def _apply_overrides(doc: dict, args) -> dict:
         integ["step"] = args.step
     if integ:
         doc["integrator"] = integ
-    if getattr(args, "replicas", None) is not None:
+    if args.replicas is not None:
         doc["replicas"] = args.replicas
     if args.out is not None:
         doc["out"] = args.out
@@ -60,7 +61,7 @@ def cmd_constants(args) -> int:
     payload["config_hash"] = config_hash(model_doc)
     text = json.dumps(payload, sort_keys=True, indent=1)
     if args.out:
-        Path(args.out).write_text(text)
+        write_file(Path(args.out), text)
     else:
         print(text)
     return 2 if constants.diagnostics else 0
@@ -137,10 +138,11 @@ def build_parser() -> argparse.ArgumentParser:
     for name, fn in handlers.items():
         p = sub.add_parser(name)
         p.add_argument("-c", "--config", required=True)
-        p.add_argument("--seed", type=int, default=None)
         p.add_argument("--out", default=None)
-        p.add_argument("--step", type=float, default=None)
-        if name not in ("constants",):
+        # the constants depend on the model alone
+        if name != "constants":
+            p.add_argument("--seed", type=int, default=None)
+            p.add_argument("--step", type=float, default=None)
             p.add_argument("--replicas", type=int, default=None)
         if name == "simulate":
             p.add_argument("--binary", action="store_true",

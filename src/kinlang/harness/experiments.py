@@ -33,7 +33,7 @@ from ..constants import MetricConstants, derive_constants
 from ..coupling import CoupledState, CoupledTrajectory, CouplingControl, simulate_coupled
 from ..dynamics import (BlowUpError, IntegratorConfig, Trajectory, dirac_ensemble,
                         gaussian_ensemble, march, simulate, system_step, track_moments)
-from ..metrics import GroundMetric, ell1_norm, project_centered
+from ..metrics import GroundMetric, project_centered
 from ..model import ModelSpec
 from ..transport import (bootstrap_se, cost_matrix_zw, distance_curve,
                          wasserstein_from_costs)
@@ -253,28 +253,6 @@ def run_contraction(cfg: ExperimentConfig) -> ExperimentRecord:
                             diagnostics=tuple(diags))
 
 
-def xi_refinement_study(cfg: ExperimentConfig, factors=(1.0, 0.5, 0.25)) -> dict:
-    """Sensitivity of a contraction run to the blend smoothing width.
-
-    The reflection blend is an approximation of a sharp-interface
-    coupling; this reruns the distance curve at shrinking widths and
-    reports the final mean distances, so the width's footprint can be
-    budgeted the same way the step size is.
-    """
-    if cfg.experiment not in _METRIC_FOR:
-        raise ConfigError("the width study applies to contraction experiments")
-    constants = derive_constants(cfg.spec)
-    base = _coupling_control(cfg, constants).xi
-    finals = {}
-    for f in factors:
-        scaled = ExperimentConfig(**{**cfg.__dict__, "coupling_xi": base * f})
-        _, _, means, _ = _contraction_curve(scaled, constants, cfg.step)
-        finals[f] = float(means[-1])
-    vals = list(finals.values())
-    return {"xi_base": base, "final_mean_dist": finals,
-            "spread": float(max(vals) - min(vals))}
-
-
 def _wasserstein_curve(traj: CoupledTrajectory, metric: GroundMetric, seed: int,
                        cap: int = 256) -> tuple:
     """Empirical Wasserstein between the two coupled marginals per dump
@@ -319,6 +297,19 @@ def _law_mean_series(cfg: ExperimentConfig) -> Array:
     return means
 
 
+def _slot_ell1_cost(z: Array, w: Array) -> Array:
+    """Mean over slots of |dx| + |dy| for every replica pair of a block:
+    ``ell1_norm(z, w).mean(axis=-1)`` op for op, squaring, reducing and
+    taking roots in the blocks' own memory (it overwrites ``z`` and ``w``)."""
+    norms = []
+    for v in (z, w):
+        np.multiply(v, v, out=v)
+        # a sum over a single component is that component
+        sq = v[..., 0] if v.shape[-1] == 1 else np.add.reduce(v, axis=-1)
+        norms.append(np.sqrt(sq, out=sq))
+    return np.add(*norms, out=norms[0]).mean(axis=-1)
+
+
 def run_chaos(cfg: ExperimentConfig) -> ExperimentRecord:
     """N-sweep of the gap between the particle system and independent
     nonlinear copies, coupled slot by slot."""
@@ -350,8 +341,7 @@ def run_chaos(cfg: ExperimentConfig) -> ExperimentRecord:
         if unconfined:
             ax, ay = project_centered((ax, ay))
             bx, by = project_centered((bx, by))
-        # mean over slots of |dx| + |dy| for every replica pair
-        costs = cost_matrix_zw(lambda z, w: ell1_norm(z, w).mean(axis=-1), ax, ay, bx, by)
+        costs = cost_matrix_zw(_slot_ell1_cost, ax, ay, bx, by)
         w1 = wasserstein_from_costs(costs, p=1)
         se = bootstrap_se(costs, cfg.seed, n_boot=100)
         rows.append((n_slots, w1, se))

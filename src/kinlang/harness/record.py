@@ -13,6 +13,7 @@ same (config, seed) reproduces every byte.
 from __future__ import annotations
 
 import json
+import os
 import shutil
 import uuid
 from contextlib import contextmanager
@@ -51,6 +52,19 @@ def filled_run_dir(run_dir: Path):
             old.rename(run_dir)
         raise
     shutil.rmtree(old, ignore_errors=True)
+
+
+def write_file(path: Path, text: str) -> None:
+    """Write one file whole or not at all: a hidden sibling in the target
+    directory (created first if missing) is renamed into place."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(f".{path.name}.{uuid.uuid4().hex}")
+    try:
+        tmp.write_text(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def write_record(record: ExperimentRecord, out_root: Path) -> Path:

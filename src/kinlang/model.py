@@ -48,9 +48,8 @@ def double_well_force(x: Array, beta: float) -> Array:
     """Negative gradient of :func:`double_well_potential`."""
     x = np.asarray(x, dtype=float)
     r2 = np.sum(x ** 2, axis=-1, keepdims=True)
-    inner = -beta * (r2 - 1.0) * x
-    outer = -3.0 * beta * x
-    return np.where(r2 <= 4.0, inner, outer)
+    # one product with x: -beta (r2 - 1) inside, -3 beta outside
+    return np.where(r2 <= 4.0, -beta * (r2 - 1.0), -3.0 * beta) * x
 
 
 def _double_well_g(x: Array, beta: float) -> Array:
@@ -124,6 +123,9 @@ class ExternalForce:
     g_fn: Optional[Callable[[Array], Array]] = None
     force_fn: Optional[Callable[[Array], Array]] = None
     potential_fn: Optional[Callable[[Array], Array]] = None
+    # -K^T, so the quadratic force -K x is one product per call: each entry
+    # of x @ (-K^T) is the product (-x) @ K^T would give, bit for bit
+    neg_kt: Array = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         k = np.asarray(self.matrix_k, dtype=float)
@@ -135,6 +137,7 @@ class ExternalForce:
         if eigs[0] <= 0:
             raise ModelError("K must be positive definite")
         object.__setattr__(self, "matrix_k", k)
+        object.__setattr__(self, "neg_kt", np.negative(k).T)
         if self.kappa > self.lip_k + 1e-12:
             raise ModelError("kappa must not exceed the largest eigenvalue of K")
         if self.radius < 0:
@@ -194,7 +197,7 @@ class ExternalForce:
     def force(self, x: Array) -> Array:
         x = np.asarray(x, dtype=float)
         if self.kind == "quadratic":
-            return -x @ self.matrix_k.T
+            return x @ self.neg_kt
         if self.kind == "double_well":
             return double_well_force(x, self.params["beta"])
         if self.kind == "zero":

@@ -28,7 +28,7 @@ Array = np.ndarray
 
 SIZE_CAP = 2048
 
-# elements per difference temporary of `cost_matrix_zw`
+# elements per difference buffer of `cost_matrix_zw`
 BLOCK_ELEMENTS = 2 ** 16
 
 
@@ -39,13 +39,22 @@ class TransportError(ValueError):
 def cost_matrix_zw(cost_zw: Callable, ax: Array, ay: Array, bx: Array,
                    by: Array) -> Array:
     """Costs ``cost_zw(ax[i] - bx[j], ay[i] - by[j])`` of two batches of
-    supports (e.g. ``GroundMetric.dist_zw``), filled in blocks of rows so
-    each difference temporary holds about BLOCK_ELEMENTS values."""
-    rows = max(1, BLOCK_ELEMENTS // bx.size)
-    out = np.empty((ax.shape[0], bx.shape[0]))
-    for i in range(0, ax.shape[0], rows):
-        out[i:i + rows] = cost_zw(ax[i:i + rows, None] - bx[None],
-                                  ay[i:i + rows, None] - by[None])
+    supports (e.g. ``GroundMetric.dist_zw``), filled in blocks of rows.
+
+    Each block's differences are written into two buffers of about
+    BLOCK_ELEMENTS values, allocated once per call; ``cost_zw`` may
+    overwrite them.
+    """
+    m = ax.shape[0]
+    rows = max(1, min(m, BLOCK_ELEMENTS // bx.size))
+    out = np.empty((m, bx.shape[0]))
+    z_buf = np.empty((rows,) + bx.shape)
+    w_buf = np.empty((rows,) + by.shape)
+    for i in range(0, m, rows):
+        z, w = z_buf[:m - i], w_buf[:m - i]
+        np.subtract(ax[i:i + rows, None], bx, out=z)
+        np.subtract(ay[i:i + rows, None], by, out=w)
+        out[i:i + rows] = cost_zw(z, w)
     return out
 
 
@@ -131,9 +140,15 @@ def bootstrap_se(costs: Array, seed: int, n_boot: int, first: int = 0,
     under one seed take disjoint ``first`` offsets."""
     n = costs.shape[0]
     vals = np.empty(n_boot)
+    # costs[np.ix_(ia, ib)], gathered rows first into buffers reused by every
+    # resample; the indices lie in [0, n), so mode "clip" changes none of
+    # them and spares np.take the buffering of "raise"
+    picked_rows, resampled = np.empty((n, n)), np.empty((n, n))
     for b in range(n_boot):
         key = 2 * (first + b)
         ia = rng.integers(seed, rng.SUB_BOOTSTRAP, key, 0, n, (n,))
         ib = rng.integers(seed, rng.SUB_BOOTSTRAP, key + 1, 0, n, (n,))
-        vals[b] = wasserstein_from_costs(costs[np.ix_(ia, ib)], p)
+        np.take(costs, ia, axis=0, out=picked_rows, mode="clip")
+        np.take(picked_rows, ib, axis=1, out=resampled, mode="clip")
+        vals[b] = wasserstein_from_costs(resampled, p)
     return float(np.std(vals, ddof=1))

@@ -59,3 +59,20 @@ def unconfined_spec():
 @pytest.fixture(scope="session")
 def unconfined_constants(unconfined_spec):
     return derive_constants(unconfined_spec)
+
+
+@pytest.fixture(scope="session")
+def first_nonfinite():
+    """Per-state reference of a blow-up: step from the start, test every
+    state whole, and return the index and the state of the first one with
+    a non-finite entry (None if all ``n + 1`` states are finite)."""
+    def reference(step, state, n):
+        with np.errstate(all="ignore"):
+            for k in range(n + 1):
+                if not all(np.isfinite(a).all() for a in state):
+                    return k, state
+                if k < n:
+                    state = step(k, state)
+        return None
+
+    return reference

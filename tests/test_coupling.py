@@ -282,6 +282,36 @@ class TestCoupledPair:
                                  dw_constants, law=law)
             assert coupled.value.t == t
 
+    def test_blow_up_under_reflection_matches_the_per_state_loop(self, dw_constants,
+                                                                 first_nonfinite):
+        # the twisted norm overflows first, so the blend itself turns the
+        # noise non-finite; the per-copy step tested at every state must
+        # give the same time as the checkpoints
+        stiff = ModelSpec(external=ExternalForce.quadratic(np.eye(1) * 1e8),
+                          interaction=InteractionForce.none(), gamma=0.1, u=1.0, dim=1)
+        control = CouplingControl(mode="reflection_mix", xi=0.05)
+        cfg = IntegratorConfig(step=0.1, horizon=100.0, scheme="euler_maruyama", seed=3)
+        ax = np.random.default_rng(1).normal(size=(8, 1)) * 1e-3
+        state = CoupledState(ax=ax, ay=np.zeros((8, 1)), bx=ax + 1e-3, by=np.zeros((8, 1)))
+        step, _ = per_copy_step(stiff, control, cfg, dw_constants, "none")
+        k_ref, _ = first_nonfinite(step, (state.ax, state.ay, state.bx, state.by),
+                                   cfg.n_steps)
+        assert 0 < k_ref < cfg.n_steps
+        # the blend reflected on some pairs before the blow-up
+        before = simulate_coupled(stiff, state, control,
+                                  IntegratorConfig(step=cfg.step, horizon=(k_ref - 1) * cfg.step,
+                                                   scheme="euler_maruyama", seed=3),
+                                  dw_constants, dump_times=cfg.step * np.arange(k_ref),
+                                  law="none")
+        assert np.count_nonzero(before.rc_mean) > 1
+        for every in (1, 10, cfg.n_steps):
+            assert every == 1 or k_ref % every != 0
+            with pytest.raises(BlowUpError) as err:
+                simulate_coupled(stiff, state, control, cfg, dw_constants,
+                                 dump_times=cfg.step * np.arange(0, cfg.n_steps + 1, every),
+                                 law="none")
+            assert err.value.t == k_ref * cfg.step
+
 
 class TestComponentwise:
     def test_no_interaction_decouples_to_pairs(self, dw_spec, dw_constants):
@@ -320,11 +350,11 @@ class TestComponentwise:
         assert np.array_equal(traj.ax, traj.bx) and np.array_equal(traj.ay, traj.by)
 
 
-def per_copy_reference(spec, state0, control, cfg, constants, dump_times, law,
-                       componentwise=False, law_means=None):
-    """The coupled run as four arrays: each copy draws its force and takes
+def per_copy_step(spec, control, cfg, constants, law, componentwise=False,
+                  law_means=None):
+    """The coupled step on four arrays: each copy draws its force and takes
     its integrator update on its own, with the blend, the reflection and
-    the law means of the per-copy step written out in full."""
+    the law means written out in full.  Returns the step and the blend."""
     system, default_mean = {"none": ("classical", None),
                             "replica_proxy": ("particles", None),
                             "analytic_zero": ("unconfined", np.zeros(spec.dim))}[law]
@@ -360,6 +390,14 @@ def per_copy_reference(spec, state0, control, cfg, constants, dump_times, law,
         bx, by = advance(bx, by, drift(spec, bx, system, mean_b), noise_b)
         return ax, ay, bx, by
 
+    return step, blend
+
+
+def per_copy_reference(spec, state0, control, cfg, constants, dump_times, law,
+                       componentwise=False, law_means=None):
+    """The coupled run stepped by :func:`per_copy_step`."""
+    step, blend = per_copy_step(spec, control, cfg, constants, law, componentwise,
+                                law_means)
     kept = []
 
     def keep(k, arrays):

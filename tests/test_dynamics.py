@@ -111,6 +111,78 @@ class TestScheme:
         assert err.value.t > 0
 
 
+class TestCheckpointBlowUp:
+    """march tests the state only at dumps and after the last step, and
+    replays from the last finite checkpoint: the reported time must be the
+    one a test of every state gives."""
+
+    def stiff_run(self):
+        spec = ModelSpec(external=ExternalForce.quadratic(np.eye(1) * 1e8),
+                         interaction=InteractionForce.none(), gamma=0.1, u=1.0, dim=1)
+        cfg = IntegratorConfig(step=10.0, horizon=10000.0, scheme="euler_maruyama",
+                               seed=4)
+        return spec, cfg, dirac_ensemble([1.0], [0.0])
+
+    def test_blow_up_between_dumps(self, first_nonfinite):
+        spec, cfg, state = self.stiff_run()
+        k_ref, _ = first_nonfinite(dyn.system_step(spec, cfg, "classical"), state,
+                                   cfg.n_steps)
+        every = 7
+        assert 0 < k_ref < cfg.n_steps and k_ref % every != 0
+        dump_times = cfg.step * np.arange(0, cfg.n_steps + 1, every)
+        kept = []
+        with pytest.raises(BlowUpError) as err:
+            dyn.march(state, cfg, dyn.system_step(spec, cfg, "classical"),
+                      lambda k, _: kept.append(k), dump_times)
+        assert err.value.t == k_ref * cfg.step
+        # every dump before the blow-up was kept, none after it
+        assert kept == list(range(0, k_ref, every))
+        with pytest.raises(BlowUpError) as err:
+            simulate(spec, *state, cfg, dump_times=dump_times)
+        assert err.value.t == k_ref * cfg.step
+
+    def test_blow_up_that_starts_in_the_velocity(self, first_nonfinite):
+        # under Euler-Maruyama an infinite force reaches the velocity one
+        # step before the positions
+        spec = ModelSpec(
+            external=ExternalForce.custom(
+                force=lambda x: np.where(x > 1.0, -np.inf, -1e-3 * x),
+                k_matrix=np.eye(1) * 1e-3, lip_g=0.0, radius=0.0, dim=1),
+            interaction=InteractionForce.none(), gamma=1e-3, u=1.0, dim=1)
+        cfg = IntegratorConfig(step=0.01, horizon=2.0, scheme="euler_maruyama", seed=3)
+        x, y = dirac_ensemble([0.0], [1.0], n=3)
+        k_ref, bad = first_nonfinite(dyn.system_step(spec, cfg, "classical"), (x, y),
+                                     cfg.n_steps)
+        assert 1 < k_ref < cfg.n_steps
+        assert np.isfinite(bad[0]).all() and not np.isfinite(bad[1]).all()
+        for dump_times in (None, [0.5, 1.5], cfg.step * np.arange(cfg.n_steps + 1)):
+            with pytest.raises(BlowUpError) as err:
+                simulate(spec, x, y, cfg, dump_times=dump_times)
+            assert err.value.t == k_ref * cfg.step
+
+    def test_replay_starts_at_the_last_kept_state(self):
+        # the replay steps on from the last checkpoint, not from the start
+        spec, cfg, state = self.stiff_run()
+        step = dyn.system_step(spec, cfg, "classical")
+        replayed = []
+
+        def counting(k, arrays):
+            replayed.append(k)
+            return step(k, arrays)
+
+        every = 7
+        with pytest.raises(BlowUpError) as err:
+            dyn.march(state, cfg, counting, lambda k, _: None,
+                      cfg.step * np.arange(0, cfg.n_steps + 1, every))
+        k_bad = round(err.value.t / cfg.step)
+        last_kept = (k_bad // every) * every
+        # the run stops at the first dump after the blow-up, then replays
+        # from the last kept state up to the first non-finite one
+        first_dump_after = last_kept + every
+        assert replayed == (list(range(first_dump_after))
+                            + list(range(last_kept, k_bad)))
+
+
 class TestParticles:
     def test_no_interaction_decouples(self):
         # prefix check: row i draws the same noise in every run of more

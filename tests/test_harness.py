@@ -293,18 +293,6 @@ class TestRecords:
         assert "slope" in rec.stats
         assert rec.constants["c_unconfined"] is not None
 
-    def test_xi_refinement_study(self):
-        from kinlang.harness.experiments import xi_refinement_study
-        doc = dw_doc(experiment="contract_classical", replicas=512,
-                     initial={"kind": "gaussian", "std": 0.5},
-                     initial_second={"shift_x": 1.5}, dump_count=6)
-        doc["integrator"]["step"] = 0.005
-        # in the step-resolved regime (width above the per-step kick of |Q|)
-        # halving the width barely moves the statistic
-        study = xi_refinement_study(load_config(doc), factors=(4.0, 2.0))
-        assert set(study["final_mean_dist"]) == {4.0, 2.0}
-        assert study["spread"] <= 0.05 * max(study["final_mean_dist"].values())
-
     def test_eval_time_beyond_horizon_rejected(self):
         doc = quad_doc(experiment="chaos", eval_time=99.0)
         with pytest.raises(ConfigError, match="eval_time"):
@@ -328,6 +316,41 @@ class TestCli:
         got = json.loads(outp.read_text())
         assert got["tau"] == pytest.approx(0.0019)
         assert got["alpha"] == pytest.approx(0.22)
+
+    @pytest.mark.parametrize("option", [["--seed", "3"], ["--step", "0.01"]])
+    def test_constants_rejects_run_options(self, tmp_path, option, capsys):
+        # the constants depend on the model alone, so these are not offered
+        cfgp = tmp_path / "dw.json"
+        cfgp.write_text(json.dumps(dw_doc()))
+        with pytest.raises(SystemExit) as err:
+            cli_main(["constants", "-c", str(cfgp), *option])
+        assert err.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_constants_out_creates_its_directory(self, tmp_path):
+        cfgp = tmp_path / "dw.json"
+        cfgp.write_text(json.dumps(dw_doc()))
+        outp = tmp_path / "fresh" / "nested" / "constants.json"
+        code = cli_main(["constants", "-c", str(cfgp), "--out", str(outp)])
+        assert code in (0, 2)
+        assert json.loads(outp.read_text())["config_hash"]
+        assert [p.name for p in outp.parent.iterdir()] == ["constants.json"]
+
+    def test_failed_constants_write_keeps_the_earlier_file(self, tmp_path, monkeypatch):
+        cfgp = tmp_path / "dw.json"
+        cfgp.write_text(json.dumps(dw_doc()))
+        outp = tmp_path / "out" / "constants.json"
+        outp.parent.mkdir()
+        outp.write_text("earlier")
+
+        def failing_replace(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(record_mod.os, "replace", failing_replace)
+        code = cli_main(["constants", "-c", str(cfgp), "--out", str(outp)])
+        assert code == 1
+        assert outp.read_text() == "earlier"
+        assert [p.name for p in outp.parent.iterdir()] == ["constants.json"]
 
     def test_contract_command_reports_rate(self, tmp_path):
         cfgp = tmp_path / "quad.json"

@@ -119,12 +119,38 @@ class TestExternalForce:
 
     def test_nonfinite_positions_stop_the_run(self):
         # the outer branch -3 x overflows at x = 1e308, so state 1 has
-        # infinite positions; drift tests the positions at every step and
-        # the run reports a blow-up at state 1, not at the horizon
+        # infinite positions; the test at the horizon finds them and the
+        # replay reports a blow-up at state 1, not at the horizon
         cfg = IntegratorConfig(step=0.01, horizon=1.0)
         with pytest.raises(BlowUpError) as err:
             simulate(dw(), np.array([[1e308]]), np.zeros((1, 1)), cfg)
         assert err.value.t == 0.01
+
+    @pytest.mark.parametrize("k", [[[1.0, 0.4], [0.4, 2.5]], [[1.0, 0.0], [0.0, 2.5]],
+                                   [[3.0, -0.7], [-0.7, 0.5]]])
+    def test_quadratic_force_is_the_negated_product_bitwise(self, k):
+        # x @ (-K)^T against (-x) @ K^T, signed zeros included
+        ext = ExternalForce.quadratic(np.array(k))
+        gen = np.random.default_rng(11)
+        for shape in [(1, 2), (9, 2), (2, 64, 2), (2, 16, 5, 2)]:
+            x = gen.normal(size=shape) * 10.0 ** gen.integers(-5, 5, size=shape)
+            x.flat[::5] = 0.0
+            x.flat[2::7] = -0.0
+            for view in (x, x[..., ::-1]):
+                assert ext.force(view).tobytes() == ((-view) @ ext.matrix_k.T).tobytes()
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_double_well_force_matches_the_two_branch_form(self, dim):
+        beta = 1.3
+        gen = np.random.default_rng(12)
+        x = gen.normal(size=(200, dim)) * 2.0
+        on_sphere = np.zeros((4, dim))
+        on_sphere[:, 0] = [2.0, -2.0, 2.0, -2.0]
+        x = np.concatenate([x, on_sphere, np.full((1, dim), -0.0), np.zeros((1, dim))])
+        r2 = np.sum(x ** 2, axis=-1, keepdims=True)
+        assert (r2 < 4).any() and (r2 == 4).sum() == 4 and (r2 > 4).any()
+        old = np.where(r2 <= 4.0, -beta * (r2 - 1.0) * x, -3.0 * beta * x)
+        assert model.double_well_force(x, beta).tobytes() == old.tobytes()
 
     def test_rejects_bad_k(self):
         with pytest.raises(ModelError):

@@ -10,9 +10,10 @@ from scipy.optimize import linear_sum_assignment
 from kinlang import rng
 from kinlang.dynamics import Trajectory
 from kinlang.metrics import GroundMetric, ell1_norm
-from kinlang.transport import (BLOCK_ELEMENTS, SIZE_CAP, TransportError, cost_matrix_zw,
-                               distance_curve, wasserstein_1d_sorted, wasserstein_exact,
-                               wasserstein_from_costs)
+from kinlang.harness.experiments import _slot_ell1_cost
+from kinlang.transport import (BLOCK_ELEMENTS, SIZE_CAP, TransportError, bootstrap_se,
+                               cost_matrix_zw, distance_curve, wasserstein_1d_sorted,
+                               wasserstein_exact, wasserstein_from_costs)
 
 
 euclid = GroundMetric.euclidean().dist_zw
@@ -162,6 +163,33 @@ class TestBlockedCosts:
         else:
             assert np.all(np.abs(costs - loop) <= 1e-15 * np.abs(loop))
 
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_in_place_slot_cost_matches_the_lambda(self, d):
+        # run_chaos's cost overwrites the difference buffers; it must still
+        # give slot_ell1's costs on the full broadcast bit for bit
+        r, n = 100, 50
+        assert r % (BLOCK_ELEMENTS // (r * n * d)) != 0  # a ragged last block
+        ax, ay, bx, by = self.supports(50 + d, (r, n, d))
+        full = slot_ell1(ax[:, None] - bx[None], ay[:, None] - by[None])
+        got = cost_matrix_zw(_slot_ell1_cost, ax, ay, bx, by)
+        assert got.tobytes() == full.tobytes()
+
+    def test_in_place_slot_cost_keeps_no_block_temporary(self):
+        r, n = 256, 128
+        ax, ay, bx, by = self.supports(31, (r, n, 1))
+        peaks = {}
+        for name, cost in (("in_place", _slot_ell1_cost), ("lambda", slot_ell1)):
+            tracemalloc.start()
+            try:
+                costs = cost_matrix_zw(cost, ax, ay, bx, by)
+                peaks[name] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        # the result and the two difference buffers, plus less than half a
+        # block (ufunc buffers, the per-block means)
+        bound = costs.nbytes + 2 * 8 * BLOCK_ELEMENTS + 256 * 1024
+        assert peaks["in_place"] <= bound < peaks["lambda"]
+
     def test_peak_memory_is_bounded(self):
         r, n = 256, 128
         ax, ay, bx, by = self.supports(30, (r, n, 1))
@@ -255,6 +283,20 @@ class TestDistanceCurve:
             a, b = (x[k], y[k]), (x[k] + 0.5, y[k] - 0.2)
             assert curve.w[k] <= m.dist_zw(a[0] - b[0], a[1] - b[1]).mean() + 1e-12
         assert np.all(curve.w_se >= 0)
+
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_bootstrap_se_matches_the_ix_gather(self, p):
+        gen = np.random.default_rng(13)
+        n, n_boot, seed, first = 37, 30, 8, 5
+        for costs in (gen.random((n, n)), np.round(gen.random((n, n)), 1)):
+            vals = np.empty(n_boot)
+            for b in range(n_boot):
+                key = 2 * (first + b)
+                ia = rng.integers(seed, rng.SUB_BOOTSTRAP, key, 0, n, (n,))
+                ib = rng.integers(seed, rng.SUB_BOOTSTRAP, key + 1, 0, n, (n,))
+                vals[b] = wasserstein_from_costs(costs[np.ix_(ia, ib)], p)
+            assert bootstrap_se(costs, seed, n_boot, first=first, p=p) == \
+                float(np.std(vals, ddof=1))
 
     def test_bootstrap_keys_follow_the_dump_index(self):
         gen = np.random.default_rng(9)
