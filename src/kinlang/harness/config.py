@@ -16,6 +16,7 @@ from typing import Optional
 import jsonschema
 import numpy as np
 
+from .. import transport
 from ..dynamics import default_step
 from ..model import ModelSpec
 
@@ -92,15 +93,17 @@ CONFIG_SCHEMA = {
             },
         },
         "replicas": {"type": "integer", "minimum": 1},
+        # the chaos slope is fitted across the sizes, so it needs two
         "ensemble_sizes": {"type": "array", "items": {"type": "integer", "minimum": 1},
-                           "minItems": 1},
+                           "minItems": 2, "uniqueItems": True},
         "proxy_size": {"type": "integer", "minimum": 2},
         "dump_count": {"type": "integer", "minimum": 2},
         "dump_times": {"type": "array", "items": {"type": "number", "minimum": 0}},
         "initial": INITIAL_SCHEMA,
         "initial_second": INITIAL_SCHEMA,
         "eval_time": _positive,
-        "subsample_pairs": {"type": "integer", "minimum": 2},
+        "subsample_pairs": {"type": "integer", "minimum": 2,
+                            "maximum": transport.SIZE_CAP},
         "step_refinement": {"type": "boolean"},
         "wasserstein_curve": {"type": "boolean"},
         "out": {"type": "string"},

@@ -14,15 +14,17 @@ The decay constant of the small-distance contraction is
 ``chat = u / (gamma * I(cutoff))``.
 
 Numerics: ``big_phi`` is evaluated in closed form through ``erf``, which
-is imported inside the two functions that call it, so runs with the
-identity profile (quadratic, unconfined) never load ``scipy.special``.  The
-inner integral ``I`` grows like ``exp(a s^2)`` and overflows float64 for
-stiff configurations, so it is accumulated in log space with per-panel
-Gauss-Legendre quadrature; only the ratio ``I(s)/I(cutoff)`` is ever
-exponentiated.  ``f`` itself is stored as a piecewise-linear table on 4096
-panels: linear interpolation of concave increasing data is again concave
-and increasing, so the interpolated ``f`` keeps the exact subadditivity
-that the triangle inequality of the glued metric relies on.
+the two functions that call it load from scipy's compiled
+``scipy.special._special_ufuncs`` alone (``_scipy.kernel``): no run imports
+``scipy.special`` itself, and runs with the identity profile (quadratic,
+unconfined) load no scipy.  The inner integral ``I`` grows like
+``exp(a s^2)`` and overflows float64 for stiff configurations, so it is
+accumulated in log space with per-panel Gauss-Legendre quadrature; only the
+ratio ``I(s)/I(cutoff)`` is ever exponentiated.  ``f`` itself is stored as
+a piecewise-linear table on 4096 panels: linear interpolation of concave
+increasing data is again concave and increasing, so the interpolated ``f``
+keeps the exact subadditivity that the triangle inequality of the glued
+metric relies on.
 """
 
 from __future__ import annotations
@@ -30,6 +32,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+from ._scipy import kernel
 
 N_PANELS = 4096
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(10)
@@ -65,7 +69,7 @@ class ConcaveProfile:
         s = np.asarray(s, dtype=float)
         if self.is_identity:
             return s.copy()
-        from scipy.special import erf
+        erf = kernel("special", "_special_ufuncs", "erf")
         a = self.curvature
         root = np.sqrt(a)
         inner = np.sqrt(np.pi) / (2.0 * root) * erf(root * np.minimum(s, self.cutoff))
@@ -146,7 +150,7 @@ def _log_inner_integral(a: float, knots: np.ndarray, x: np.ndarray,
     varies by at most a factor ~e per panel even when a*cutoff^2 is in the
     thousands, so the quadrature error stays far below 1e-9 relative.
     """
-    from scipy.special import erf
+    erf = kernel("special", "_special_ufuncs", "erf")
     root = np.sqrt(a)
     with np.errstate(divide="ignore"):
         log_big_phi = np.log(np.sqrt(np.pi) / (2.0 * root) * erf(root * x))

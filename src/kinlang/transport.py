@@ -8,11 +8,12 @@ matrix of p-th powers of the ground cost:
 
 The exact solver delegates to a shortest-augmenting-path assignment
 (O(n^3)); exactness matters more than speed here, so sizes are capped and
-larger inputs should be subsampled.  The solver is imported inside
-``wasserstein_from_costs``, so runs that compute no exact distance never
-load ``scipy.optimize``.  One-dimensional marginals take the
-classical sorted quantile coupling instead, which is exact for convex
-ground costs on the line.
+larger inputs should be subsampled.  ``wasserstein_from_costs`` loads the
+solver on its first call from scipy's compiled ``scipy.optimize._lsap``
+alone (``_scipy.kernel``), so no run imports ``scipy.optimize`` itself and
+runs that compute no exact distance load no scipy.  One-dimensional
+marginals take the classical sorted quantile coupling instead, which is
+exact for convex ground costs on the line.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import rng
+from ._scipy import kernel
 
 Array = np.ndarray
 
@@ -69,7 +71,7 @@ def wasserstein_from_costs(costs: Array, p: int = 1) -> float:
             "subsample the supports first")
     if p not in (1, 2):
         raise TransportError("p must be 1 or 2")
-    from scipy.optimize import linear_sum_assignment
+    linear_sum_assignment = kernel("optimize", "_lsap", "linear_sum_assignment")
     # x ** 1 is exact, so p = 1 assigns on `costs` itself rather than a copy
     powered = costs if p == 1 else costs ** p
     rows, cols = linear_sum_assignment(powered)

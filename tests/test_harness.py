@@ -18,7 +18,7 @@ from kinlang.harness.experiments import (ExperimentRecord, build_initial_pair,
                                          run_contraction, run_moments)
 from kinlang.harness.record import record_json, write_record
 from kinlang.metrics import GroundMetric
-from kinlang.transport import distance_curve, wasserstein_from_costs
+from kinlang.transport import SIZE_CAP, distance_curve, wasserstein_from_costs
 
 
 def quad_doc(**over):
@@ -68,6 +68,19 @@ class TestConfig:
     def test_dump_times_beyond_horizon_rejected(self):
         doc = quad_doc(dump_times=[0.0, 99.0])
         with pytest.raises(ConfigError, match="dump_times"):
+            load_config(doc)
+
+    def test_subsample_pairs_above_the_solver_cap_rejected(self):
+        doc = quad_doc(experiment="chaos", subsample_pairs=SIZE_CAP + 1)
+        with pytest.raises(ConfigError, match="/subsample_pairs"):
+            load_config(doc)
+        load_config(quad_doc(experiment="chaos", subsample_pairs=SIZE_CAP))
+
+    # one size, and one size twice: the slope would be fitted through one N
+    @pytest.mark.parametrize("sizes", [[8], [8, 8]])
+    def test_fewer_than_two_distinct_ensemble_sizes_rejected(self, sizes):
+        doc = quad_doc(experiment="chaos", ensemble_sizes=sizes)
+        with pytest.raises(ConfigError, match="/ensemble_sizes"):
             load_config(doc)
 
     def test_hash_stable_and_order_independent(self):
@@ -299,7 +312,7 @@ class TestRecords:
             load_config(doc)
 
     def test_chaos_proxy_too_small_rejected(self):
-        doc = quad_doc(experiment="chaos", ensemble_sizes=[16], proxy_size=64)
+        doc = quad_doc(experiment="chaos", ensemble_sizes=[8, 16], proxy_size=64)
         with pytest.raises(ConfigError, match="proxy"):
             run_chaos(load_config(doc))
 
