@@ -3,17 +3,24 @@
 A config document fully determines an experiment; its canonical-JSON
 SHA-256 names the run directory, so identical configs land in the same
 place and different configs never collide.
+
+``validate_config`` checks a document against ``CONFIG_SCHEMA`` with a
+small validator of its own.  It knows exactly the keywords the schema
+uses, with JSON Schema Draft 2020-12 semantics: a bool is not a number, an
+integer-valued float is an integer, and ``enum`` and ``uniqueItems``
+compare numbers by value but never a bool with a number.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import numbers
+import operator
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
-import jsonschema
 import numpy as np
 
 from .. import transport
@@ -56,6 +63,7 @@ MODEL_SCHEMA = {
 # first law with a translation
 INITIAL_SCHEMA = {
     "type": "object",
+    "additionalProperties": False,
     "properties": {
         "kind": {"enum": ["dirac", "gaussian", "csv"]},
         "x": {"type": "array", "items": _number},
@@ -70,14 +78,18 @@ INITIAL_SCHEMA = {
     },
 }
 
+# a misspelt key is an error, not a silent default; only the model's force
+# documents stay open, as their parameters depend on the kind
 CONFIG_SCHEMA = {
     "type": "object",
     "required": ["experiment", "model"],
+    "additionalProperties": False,
     "properties": {
         "experiment": {"enum": list(EXPERIMENTS)},
         "model": MODEL_SCHEMA,
         "integrator": {
             "type": "object",
+            "additionalProperties": False,
             "properties": {
                 "step": _positive,
                 "horizon": {"type": "number", "minimum": 0},
@@ -87,6 +99,7 @@ CONFIG_SCHEMA = {
         },
         "coupling": {
             "type": "object",
+            "additionalProperties": False,
             "properties": {
                 "mode": {"enum": ["synchronous", "reflection_mix", "componentwise"]},
                 "xi": _positive,
@@ -111,14 +124,90 @@ CONFIG_SCHEMA = {
 }
 
 
+def _json_key(value):
+    """A hashable key under which two JSON values are equal exactly when
+    JSON Schema calls them equal: numbers by value, a bool only to a bool."""
+    if isinstance(value, list):
+        return list, tuple(map(_json_key, value))
+    if isinstance(value, dict):
+        return dict, frozenset((k, _json_key(v)) for k, v in value.items())
+    if _TYPES["number"](value):
+        return numbers.Number, value
+    return type(value), value
+
+
+_TYPES = {
+    "object": lambda v: isinstance(v, dict),
+    "array": lambda v: isinstance(v, list),
+    "string": lambda v: isinstance(v, str),
+    "boolean": lambda v: isinstance(v, bool),
+    "number": lambda v: isinstance(v, numbers.Number) and not isinstance(v, bool),
+    "integer": lambda v: (isinstance(v, int) and not isinstance(v, bool)
+                          or isinstance(v, float) and v.is_integer()),
+}
+
+# keyword: (fails(instance, bound), message); each applies to numbers only
+_BOUNDS = {
+    "minimum": (operator.lt, "is less than the minimum of"),
+    "maximum": (operator.gt, "is greater than the maximum of"),
+    "exclusiveMinimum": (operator.le, "is less than or equal to the minimum of"),
+}
+
+
+def _errors(schema: dict, instance, path: tuple):
+    """``(path, message)`` of each violation of ``schema`` by ``instance``,
+    keyword by keyword in the schema's order.  A keyword (or keyword value)
+    this validator does not know raises KeyError rather than pass unchecked."""
+    for key, value in schema.items():
+        if key in _BOUNDS:
+            fails, text = _BOUNDS[key]
+            if _TYPES["number"](instance) and fails(instance, value):
+                yield path, f"{instance!r} {text} {value!r}"
+        elif key == "type":
+            if not _TYPES[value](instance):
+                yield path, f"{instance!r} is not of type {value!r}"
+        elif key == "enum":
+            if _json_key(instance) not in map(_json_key, value):
+                yield path, f"{instance!r} is not one of {value!r}"
+        elif key == "required":
+            if isinstance(instance, dict):
+                for name in value:
+                    if name not in instance:
+                        yield path, f"{name!r} is a required property"
+        elif key == "properties":
+            if isinstance(instance, dict):
+                for name, sub in value.items():
+                    if name in instance:
+                        yield from _errors(sub, instance[name], path + (name,))
+        elif key == "additionalProperties" and value is False:
+            if isinstance(instance, dict):
+                extra = sorted(instance.keys() - schema.get("properties", {}).keys(), key=str)
+                if extra:
+                    names = ", ".join(map(repr, extra))
+                    verb = "was" if len(extra) == 1 else "were"
+                    yield path, f"Additional properties are not allowed ({names} {verb} unexpected)"
+        elif key == "items":
+            if isinstance(instance, list):
+                for i, item in enumerate(instance):
+                    yield from _errors(value, item, path + (i,))
+        elif key == "minItems":
+            if isinstance(instance, list) and len(instance) < value:
+                yield path, f"{instance!r} is too short"
+        elif key == "uniqueItems" and value is True:
+            if isinstance(instance, list) and len(set(map(_json_key, instance))) < len(instance):
+                yield path, f"{instance!r} has non-unique elements"
+        else:
+            raise KeyError(f"config schema keyword {key}: {value!r} is not supported")
+
+
 def validate_config(doc: dict) -> None:
-    """Schema-validate; errors carry the offending JSON pointer."""
-    validator = jsonschema.Draft202012Validator(CONFIG_SCHEMA)
-    errors = sorted(validator.iter_errors(doc), key=lambda e: list(e.absolute_path))
+    """Schema-validate; the error reported is the first in JSON-pointer
+    order, and its message carries that pointer."""
+    errors = list(_errors(CONFIG_SCHEMA, doc, ()))
     if errors:
-        e = errors[0]
-        pointer = "/" + "/".join(str(p) for p in e.absolute_path)
-        raise ConfigError(f"config invalid at {pointer or '/'}: {e.message}")
+        path, message = min(errors, key=lambda e: e[0])
+        pointer = "/" + "/".join(str(p) for p in path)
+        raise ConfigError(f"config invalid at {pointer}: {message}")
 
 
 def config_hash(doc: dict) -> str:

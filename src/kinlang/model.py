@@ -15,7 +15,6 @@ Monte Carlo sampling.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -461,9 +460,6 @@ class ModelSpec:
     def radius(self) -> float:
         return self.external.radius
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
     def to_dict(self) -> dict:
         ext = {"kind": self.external.kind, **self.external.params}
         if self.external.kind == "custom":
@@ -504,10 +500,6 @@ class ModelSpec:
             raise ModelError(f"unknown interaction kind {ikind!r}")
         return ModelSpec(external=ext, interaction=inter,
                          gamma=float(doc["gamma"]), u=float(doc["u"]), dim=d)
-
-    @staticmethod
-    def from_json(text: str) -> "ModelSpec":
-        return ModelSpec.from_dict(json.loads(text))
 
 
 # ---------------------------------------------------------------------------

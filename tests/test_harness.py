@@ -83,6 +83,16 @@ class TestConfig:
         with pytest.raises(ConfigError, match="/ensemble_sizes"):
             load_config(doc)
 
+    # each used to load, and the run went on with the default it misspelt
+    @pytest.mark.parametrize("section, key", [(None, "dump_cont"), ("integrator", "stepp"),
+                                              ("coupling", "mod")])
+    def test_unknown_key_rejected(self, section, key):
+        doc = quad_doc(coupling={"mode": "synchronous"})
+        (doc[section] if section else doc)[key] = 4
+        pointer = f"/{section}" if section else "/"
+        with pytest.raises(ConfigError, match=f"at {pointer}: .*'{key}' was unexpected"):
+            load_config(doc)
+
     def test_hash_stable_and_order_independent(self):
         a = {"b": 1, "a": [1, 2]}
         b = {"a": [1, 2], "b": 1}

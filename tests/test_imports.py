@@ -1,4 +1,10 @@
-"""Import contract: a run loads scipy's compiled kernels, never its packages.
+"""Import contract: loading a config loads only what validates it, and a run
+loads scipy's compiled kernels, never its packages.
+
+``kinlang`` and ``kinlang.harness`` resolve their public names on first use,
+and the config validator is kinlang's own, so ``import kinlang,
+kinlang.harness`` and ``load_config_file`` load no jsonschema and none of
+the modules that derive constants, couple, run or record.
 
 ``erf`` is needed by non-identity profiles and ``linear_sum_assignment`` by
 exact Wasserstein distances.  ``kinlang._scipy.kernel`` loads each from its
@@ -33,6 +39,24 @@ if sys.argv[2] == "run":
 print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
 """
 
+# the modules loaded by import and config loading; then every public name,
+# and one that does not exist
+LAZY = """
+import json, sys
+import kinlang, kinlang.harness
+from kinlang.harness import load_config_file
+load_config_file(sys.argv[1])
+loaded = sorted(sys.modules)
+unresolved = [f"{pkg.__name__}.{name}" for pkg in (kinlang, kinlang.harness)
+              for name in pkg.__all__ if getattr(pkg, name, None) is None]
+try:
+    kinlang.harness.no_such_name
+    missing = "resolved"
+except AttributeError as err:
+    missing = str(err)
+print(json.dumps({"loaded": loaded, "unresolved": unresolved, "missing": missing}))
+"""
+
 # the kernel first, then its package; or the package first, then the kernel
 IDENTITY = """
 import importlib, sys
@@ -65,6 +89,42 @@ def loaded_scipy(config: str, run: bool) -> list[str]:
     loading (and, if ``run``, running) ``configs/<config>``."""
     return json.loads(fresh("-c", SCRIPT, str(ROOT / "configs" / config),
                             "run" if run else "load"))
+
+
+def test_import_and_load_config_load_only_what_validates():
+    out = json.loads(fresh("-c", LAZY, str(ROOT / "configs" / "chaos.json")))
+    loaded = set(out["loaded"])
+    assert not {m for m in loaded if m.split(".")[0] == "jsonschema"}
+    assert not loaded & {"kinlang.constants", "kinlang.coupling",
+                         "kinlang.harness.experiments", "kinlang.harness.record"}
+    assert "kinlang.harness.config" in loaded
+    assert out["unresolved"] == []
+    assert out["missing"] == "module 'kinlang.harness' has no attribute 'no_such_name'"
+
+
+def test_public_names_match_their_homes():
+    import kinlang
+    import kinlang.harness
+
+    for pkg in (kinlang, kinlang.harness):
+        assert pkg.__all__ == sorted(set(pkg.__all__))
+        assert set(pkg.__all__) <= set(dir(pkg))
+        for name in pkg.__all__:
+            obj = getattr(pkg, name)
+            assert getattr(sys.modules[obj.__module__], name) is obj
+    with pytest.raises(AttributeError, match="no_such_name"):
+        kinlang.no_such_name
+
+
+# a public name is looked up anew on each use, so it follows a patch of its
+# submodule (the benchmark's tracer wraps functions where they are defined)
+def test_public_names_follow_their_submodule(monkeypatch):
+    import kinlang
+    import kinlang.dynamics
+
+    assert kinlang.simulate is kinlang.dynamics.simulate
+    monkeypatch.setattr(kinlang.dynamics, "simulate", marker := object())
+    assert kinlang.simulate is marker
 
 
 def test_import_and_load_config_load_no_scipy():

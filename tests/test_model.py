@@ -247,7 +247,7 @@ class TestValidateAssumptions:
 class TestJsonRoundTrip:
     def test_round_trip_double_well(self):
         spec = dw(beta=2.0, gamma=8.0, u=0.5, inter=InteractionForce.linear(0.1))
-        back = ModelSpec.from_json(spec.to_json())
+        back = ModelSpec.from_dict(spec.to_dict())
         assert back.gamma == spec.gamma and back.u == spec.u
         assert back.external.params["beta"] == 2.0
         assert back.interaction.params["k"] == 0.1
@@ -256,14 +256,14 @@ class TestJsonRoundTrip:
         k = np.array([[2.0, 0.5], [0.5, 1.0]])
         spec = ModelSpec(external=ExternalForce.quadratic(k),
                          interaction=InteractionForce.none(), gamma=3.0, u=1.0, dim=2)
-        back = ModelSpec.from_json(spec.to_json())
+        back = ModelSpec.from_dict(spec.to_dict())
         assert np.allclose(back.external.matrix_k, k)
 
     def test_round_trip_mollified(self):
         spec = ModelSpec(external=ExternalForce.quadratic(np.eye(2)),
                          interaction=InteractionForce.mollified_coulomb(2.0, p=3.0, q=0.5),
                          gamma=4.0, u=1.0, dim=2)
-        back = ModelSpec.from_json(spec.to_json())
+        back = ModelSpec.from_dict(spec.to_dict())
         assert back.interaction.params == spec.interaction.params
         assert back.interaction.lip == pytest.approx(spec.interaction.lip)
 
@@ -271,7 +271,7 @@ class TestJsonRoundTrip:
         spec = ModelSpec(external=ExternalForce.zero(1),
                          interaction=InteractionForce.linear_difference(1.5, dim=1),
                          gamma=2.0, u=1.0, dim=1)
-        back = ModelSpec.from_json(spec.to_json())
+        back = ModelSpec.from_dict(spec.to_dict())
         assert back.interaction.has_split
         assert back.interaction.split_kappa == pytest.approx(1.5)
 
