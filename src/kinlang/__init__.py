@@ -15,16 +15,14 @@ __version__ = "0.1.0"
 
 __all__, __getattr__, __dir__ = namespace(__name__, {
     "constants": ("ConstantsError", "MetricConstants", "derive_constants"),
-    "coupling": ("CoupledState", "CouplingControl", "marginal_check", "pair_state",
-                 "rc_value", "sc_value", "simulate_coupled"),
+    "coupling": ("CoupledState", "CouplingControl", "rc_value", "sc_value",
+                 "simulate_coupled"),
     "dynamics": ("BlowUpError", "DynamicsError", "IntegratorConfig", "Trajectory",
                  "default_step", "dirac_ensemble", "gaussian_ensemble", "simulate",
                  "track_moments"),
-    "metrics": ("GroundMetric", "MetricError", "ell1_ensemble", "ensemble_dist",
-                "project_centered"),
+    "metrics": ("GroundMetric", "MetricError", "project_centered"),
     "model": ("AssumptionReport", "ExternalForce", "InteractionForce", "ModelError",
               "ModelSpec", "validate_assumptions"),
     "profile": ("ConcaveProfile", "build_profile"),
-    "transport": ("TransportError", "distance_curve", "wasserstein_1d_sorted",
-                  "wasserstein_exact"),
+    "transport": ("TransportError", "distance_curve", "wasserstein_exact"),
 })

@@ -18,8 +18,8 @@ Everything downstream (metrics, couplings, experiment drivers) consumes the
 
 The two suprema have no closed form; they are computed by multistart
 projected gradient ascent (both objectives are positively homogeneous, so
-radial rescaling is a valid feasibility projection) and can be
-cross-checked against dense grids in low dimension.  When an
+radial rescaling is a valid feasibility projection); the tests
+cross-check them against dense grids in low dimension.  When an
 admissibility condition fails the bundle still carries every quantity
 that remains well defined, plus human-readable diagnostics; nothing
 raises just because a parameter point is outside the guaranteed regime.
@@ -34,7 +34,7 @@ from typing import Optional
 import numpy as np
 
 from . import rng
-from .metrics import row_norm, small_norm, twisted_norm, twisted_norm_terms
+from .metrics import row_norm, twisted_norm, twisted_norm_terms
 from .model import ModelSpec
 from .profile import ConcaveProfile, build_profile
 
@@ -191,70 +191,6 @@ def _max_norm_ratios(spec, tau: float, alpha: float, seed: int = 421) -> tuple[f
         step = np.maximum(step, 1e-16)
     top = best.reshape(2, N_STARTS).max(axis=1)
     return float(top[0]), float(top[1])
-
-
-# ---------------------------------------------------------------------------
-# dense grid oracles (d <= 2)
-# ---------------------------------------------------------------------------
-
-def grid_glue_offset(spec, tau: float, alpha: float, eps: float, radius_sq: float,
-                     points: int = 2001) -> tuple[float, float]:
-    """Dense-lattice supremum of the gluing gap over the synchronous region.
-
-    Only meant for d <= 2; returns (value, resolution error bar)."""
-    grids = _region_grid(spec, tau, radius_sq, points)
-    z, w, h = grids
-    rl = twisted_norm(z, w, spec.external.matrix_k, tau, spec.gamma, spec.u)
-    mask = rl ** 2 <= radius_sq
-    gap = small_norm(z, w, alpha, spec.gamma) - eps * rl
-    val = float(np.where(mask, gap, -np.inf).max())
-    lip = (alpha + 1.0 + eps) * (1.0 + 1.0 / spec.gamma)
-    return val, lip * h
-
-
-def grid_small_cutoff(spec, tau: float, alpha: float, eps: float,
-                      glue_offset: float, points: int = 2001) -> tuple[float, float]:
-    """Dense-lattice supremum of r_small over {gap <= glue_offset} (d <= 2)."""
-    if glue_offset == 0.0:
-        return 0.0, 0.0
-    g = spec.gamma
-    # gap >= r_small / 2, so the feasible set sits inside r_small <= 2 offset
-    z_max = 2.0 * glue_offset / alpha
-    q_max = 2.0 * glue_offset
-    w_max = g * (q_max + z_max)
-    z, w, h = _box_grid(spec.dim, z_max, w_max, points)
-    rl = twisted_norm(z, w, spec.external.matrix_k, tau, g, spec.u)
-    rs = small_norm(z, w, alpha, g)
-    mask = rs - eps * rl <= glue_offset
-    val = float(np.where(mask, rs, -np.inf).max())
-    lip = (alpha + 1.0) * (1.0 + 1.0 / g)
-    return val, lip * h
-
-
-def _region_grid(spec, tau, radius_sq, points):
-    g, u = spec.gamma, spec.u
-    z_max = g * math.sqrt(radius_sq / (u * spec.kappa))
-    w_max = g * math.sqrt(2.0 * radius_sq)
-    return _box_grid(spec.dim, z_max, w_max, points)
-
-
-def _box_grid(d, z_max, w_max, points):
-    if d == 1:
-        zs = np.linspace(-z_max, z_max, points)
-        ws = np.linspace(-w_max, w_max, points)
-        z, w = np.meshgrid(zs, ws, indexing="ij")
-        h = max(zs[1] - zs[0], ws[1] - ws[0])
-        return z.reshape(-1, 1), w.reshape(-1, 1), h
-    if d == 2:
-        n = max(int(points ** 0.5) | 1, 31)
-        zs = np.linspace(-z_max, z_max, n)
-        ws = np.linspace(-w_max, w_max, n)
-        grids = np.meshgrid(zs, zs, ws, ws, indexing="ij")
-        z = np.stack([grids[0].ravel(), grids[1].ravel()], axis=-1)
-        w = np.stack([grids[2].ravel(), grids[3].ravel()], axis=-1)
-        h = max(zs[1] - zs[0], ws[1] - ws[0])
-        return z, w, h
-    raise ConstantsError("grid oracle only supports d <= 2")
 
 
 # ---------------------------------------------------------------------------

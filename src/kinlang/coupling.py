@@ -24,10 +24,10 @@ call of the force dispatcher and one of the integrator update of
 :mod:`kinlang.dynamics` for both copies, and the shared noise block of
 shape (R, d) broadcasts over the copy axis.  Law terms inside nonlinear
 coupled runs are approximated by the empirical marginals of the coupled
-batch itself, per copy.  The componentwise variant is the same step with
-one more axis: it couples N independent nonlinear copies (law mean
-supplied externally, e.g. by a large proxy run) against one N-particle
-system, slot by slot, on (2, R, N, d) arrays.
+batch itself, per copy.  The componentwise adaptation is the same step
+with one more axis: given an external law-mean path (e.g. the mean path
+of a large proxy run), it couples N independent nonlinear copies against
+one N-particle system, slot by slot, on (2, R, N, d) arrays.
 """
 
 from __future__ import annotations
@@ -48,8 +48,11 @@ from .model import ModelSpec
 
 Array = np.ndarray
 
-MODES = ("synchronous", "reflection_mix", "componentwise")
+MODES = ("synchronous", "reflection_mix")
 Q_TINY = 1e-12
+# default smoothing width: XI_SCALE x the small-distance cutoff, floored
+XI_SCALE = 1e-3
+XI_FLOOR = 1e-8
 
 
 @dataclass(frozen=True)
@@ -64,11 +67,11 @@ class CouplingControl:
             raise DynamicsError("smoothing width xi must be positive")
 
     @staticmethod
-    def for_constants(constants: MetricConstants, mode: str = "reflection_mix",
-                      scale: float = 1e-3, floor: float = 1e-8) -> "CouplingControl":
+    def for_constants(constants: MetricConstants,
+                      mode: str = "reflection_mix") -> "CouplingControl":
         """Default smoothing width: a small fraction of the cutoff, floored."""
         cut = constants.small_cutoff
-        xi = max(scale * cut, floor) if np.isfinite(cut) and cut > 0 else floor
+        xi = max(XI_SCALE * cut, XI_FLOOR) if np.isfinite(cut) and cut > 0 else XI_FLOOR
         return CouplingControl(mode=mode, xi=xi)
 
     def resolved_by(self, spec, step: float) -> bool:
@@ -98,14 +101,6 @@ class CoupledState:
                                np.atleast_2d(np.asarray(getattr(self, name), dtype=float)))
         if not (self.ax.shape == self.ay.shape == self.bx.shape == self.by.shape):
             raise DynamicsError("coupled state shape mismatch")
-
-
-def pair_state(first, second, n: int = 1) -> CoupledState:
-    """Coupled state from two phase points, replicated n times."""
-    fx, fy = np.atleast_1d(first[0]), np.atleast_1d(first[1])
-    sx, sy = np.atleast_1d(second[0]), np.atleast_1d(second[1])
-    return CoupledState(ax=np.tile(fx, (n, 1)), ay=np.tile(fy, (n, 1)),
-                        bx=np.tile(sx, (n, 1)), by=np.tile(sy, (n, 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -218,26 +213,23 @@ class CoupledTrajectory:
 def simulate_coupled(spec: ModelSpec, state0: CoupledState, control: CouplingControl,
                      cfg: IntegratorConfig, constants: MetricConstants,
                      dump_times=None, law: str = "replica_proxy",
-                     componentwise: bool = False, law_means: Optional[Array] = None
-                     ) -> CoupledTrajectory:
+                     law_means: Optional[Array] = None) -> CoupledTrajectory:
     """March a batch of coupled pairs to the horizon, recording dumps.
 
     ``law`` selects how nonlinear terms are fed: ``"replica_proxy"`` uses
     each copy's own empirical marginal over the batch, ``"analytic_zero"``
     substitutes the exactly-centered law mean of the unconfined theory,
-    ``"none"`` drops the interaction (classical dynamics).  With
-    ``componentwise`` the second component evolves as the N-particle system
-    on its own empirical marginal (axis -2, so (R, N, d) arrays hold R
-    replicas), and the first as N independent nonlinear copies whose law
-    mean at step k is ``law_means[k]`` (e.g. a large-proxy mean path), or
-    the law's own default when omitted.  Each slot carries its own blend
-    and reflection direction.  Both copies march as one (2, ...) array
+    ``"none"`` drops the interaction (classical dynamics).  A law-mean path
+    ``law_means`` makes the coupling componentwise: the first component
+    evolves as N independent nonlinear copies whose law mean at step k is
+    ``law_means[k]`` (e.g. a large-proxy mean path), and the second as the
+    N-particle system on its own empirical marginal (axis -2, so (R, N, d)
+    arrays hold R replicas).  Each slot carries its own blend and
+    reflection direction.  Both copies march as one (2, ...) array
     (see the module docstring); the trajectory's ``ax``, ``ay``, ``bx`` and
     ``by`` are views of its stacked dumps.  Dumps and blow-ups follow
     :func:`kinlang.dynamics.march`.
     """
-    if law_means is not None and not componentwise:
-        raise DynamicsError("an external law mean path needs componentwise coupling")
     system, default_mean = _law_system(spec, law)
     advance = integrator(cfg.step, spec.gamma, spec.u, cfg.scheme)
     # a purely synchronous run shares one increment bitwise at every step;
@@ -247,11 +239,10 @@ def simulate_coupled(spec: ModelSpec, state0: CoupledState, control: CouplingCon
     def law_mean(k: int, x: Array) -> Optional[Array]:
         """Law mean of both copies; in componentwise runs the second copy's
         is its own empirical marginal, stacked after the first copy's."""
-        mean_a = default_mean if law_means is None else law_means[k]
-        if not componentwise or mean_a is None:
-            return mean_a
+        if law_means is None:
+            return default_mean
         own = x[1].mean(axis=-2, keepdims=True)
-        return np.stack((np.broadcast_to(mean_a, own.shape), own))
+        return np.stack((np.broadcast_to(law_means[k], own.shape), own))
 
     def step(k: int, state: tuple) -> tuple:
         x, y = state
@@ -279,7 +270,7 @@ def simulate_coupled(spec: ModelSpec, state0: CoupledState, control: CouplingCon
 
 
 # ---------------------------------------------------------------------------
-# marginal validity check
+# diagnostics
 # ---------------------------------------------------------------------------
 
 def contraction_monitor(traj: CoupledTrajectory, spec: ModelSpec,
@@ -316,52 +307,3 @@ def contraction_monitor(traj: CoupledTrajectory, spec: ModelSpec,
             "mean_rl_outside": masked_mean(rl, ~inside),
             "mean_f_rs_inside": masked_mean(prof.value(rs), inside),
             "mean_rho": rho.dist_zw(z, w).mean(axis=1)}
-
-
-@dataclass(frozen=True)
-class MarginalReport:
-    observables: tuple
-    max_abs_z: float
-    flagged: tuple
-
-    @property
-    def ok(self) -> bool:
-        return len(self.flagged) == 0
-
-
-def marginal_check(coupled: CoupledTrajectory, independent_first,
-                   independent_second, threshold: float = 4.0) -> MarginalReport:
-    """Compare time-marginal moments of each coupled component against
-    uncoupled simulations of the same laws.
-
-    Each observable (per-component mean and second moment of position and
-    velocity) is compared at every dump time; deviations beyond
-    ``threshold`` combined standard errors are flagged.
-    """
-    rows = []
-    flagged = []
-    for name, coup, ind in (("first", (coupled.ax, coupled.ay), independent_first),
-                            ("second", (coupled.bx, coupled.by), independent_second)):
-        for obs, axis_arrays in (("mean_x", (coup[0], ind.x)),
-                                 ("mean_y", (coup[1], ind.y)),
-                                 ("second_x", (coup[0] ** 2, ind.x ** 2)),
-                                 ("second_y", (coup[1] ** 2, ind.y ** 2))):
-            c_arr, i_arr = axis_arrays
-            zmax = _max_z(c_arr, i_arr)
-            rows.append((name, obs, zmax))
-            if zmax > threshold:
-                flagged.append((name, obs, zmax))
-    return MarginalReport(observables=tuple(rows),
-                          max_abs_z=max(r[2] for r in rows),
-                          flagged=tuple(flagged))
-
-
-def _max_z(a: Array, b: Array) -> float:
-    # a, b: (T, R, d); z-score of the difference of means at each time/coord
-    na, nb = a.shape[1], b.shape[1]
-    ma, mb = a.mean(axis=1), b.mean(axis=1)
-    va, vb = a.var(axis=1, ddof=1), b.var(axis=1, ddof=1)
-    se = np.sqrt(va / na + vb / nb)
-    z = np.abs(ma - mb) / np.maximum(se, 1e-300)
-    z = np.where(np.abs(ma - mb) < 1e-12, 0.0, z)
-    return float(z.max())

@@ -13,11 +13,11 @@ Three drifts share one stepping core:
 The core is shared with the couplings in :mod:`kinlang.coupling`:
 :func:`march` is the only stepping loop, :func:`integrator` builds the only
 integrator update (once per run, with its step-size coefficients) and
-:func:`drift` is the only force dispatcher.  :func:`interaction_mean`
-reduces over axis -2, so one code path serves (N, d) ensembles and stacks
-such as (R, N, d) chaos slots, and accepts an external law mean (a proxy
-mean path, or the exact zero of the centered unconfined theory) in place
-of the empirical one.
+:func:`drift` is the only force dispatcher.  :func:`law_term`, the only
+law-term function, reduces over axis -2, so one code path serves (N, d)
+ensembles and stacks such as (R, N, d) chaos slots, and accepts an
+external law mean (a proxy mean path, or the exact zero of the centered
+unconfined theory) in place of the empirical one.
 
 Two schemes are provided.  ``euler_maruyama`` is the plain first-order
 scheme.  The default ``ou_splitting`` applies the force kick by Euler and
@@ -135,8 +135,8 @@ def integrator(h: float, gamma: float, u: float, scheme: str) -> Callable:
     return advance
 
 
-def interaction_mean(spec: ModelSpec, x: Array, law_mean: Optional[Array] = None,
-                     fast: bool = True) -> Array:
+def law_term(spec: ModelSpec, x: Array, law_mean: Optional[Array] = None,
+             fast: bool = True) -> Array:
     """Law term ``N^-1 sum_j b_int(x_i, x_j)`` over the members on axis -2.
 
     ``x`` is an (N, d) ensemble or a stack of them, e.g. (R, N, d).  The
@@ -144,17 +144,10 @@ def interaction_mean(spec: ModelSpec, x: Array, law_mean: Optional[Array] = None
     affine in the second argument take an O(N) path through the mean.
     Those interactions see the law only through its mean, so an external
     ``law_mean`` (broadcastable against ``x``) may replace the empirical one.
-    The result has the shape of ``x``.
+    The result broadcasts against ``x``: the linear kind's ``k * law_mean``
+    comes back once per ensemble, every other kind's term has the shape of
+    ``x``.
     """
-    term = _law_term(spec, x, law_mean, fast)
-    # only the linear kind's term comes back once per ensemble
-    return term if term.shape == x.shape else np.broadcast_to(term, x.shape).copy()
-
-
-def _law_term(spec: ModelSpec, x: Array, law_mean: Optional[Array],
-              fast: bool = True) -> Array:
-    """:func:`interaction_mean`, broadcastable against ``x`` rather than of
-    its shape: the linear kind's ``k * law_mean`` is not repeated per member."""
     inter = spec.interaction
     if inter.kind == "none":
         return np.zeros_like(x)
@@ -181,11 +174,11 @@ def drift(spec: ModelSpec, x: Array, system: str,
     and :func:`march` finds them at its next checkpoint.
     """
     if system == "unconfined":
-        return interaction_mean(spec, x, law_mean)
+        return law_term(spec, x, law_mean)
     base = spec.external.force(x)
     if system == "classical":
         return base
-    return base + _law_term(spec, x, law_mean)
+    return base + law_term(spec, x, law_mean)
 
 
 def _require_split(spec: ModelSpec) -> None:

@@ -101,7 +101,7 @@ CONFIG_SCHEMA = {
             "type": "object",
             "additionalProperties": False,
             "properties": {
-                "mode": {"enum": ["synchronous", "reflection_mix", "componentwise"]},
+                "mode": {"enum": ["synchronous", "reflection_mix"]},
                 "xi": _positive,
             },
         },
@@ -289,14 +289,21 @@ def load_config(doc: dict) -> ExperimentConfig:
     )
 
 
+def _reject_constant(name: str):
+    # every bound keyword compares False against NaN, so a non-finite
+    # number would pass the schema
+    raise ConfigError(f"config is not valid JSON: {name} is not a number")
+
+
 def load_document(path) -> dict:
-    """The JSON document of a config file; a missing file or malformed
-    JSON raises ConfigError."""
+    """The JSON document of a config file; a missing file, malformed JSON
+    or the non-standard literals NaN, Infinity and -Infinity (which Python's
+    json module accepts) raise ConfigError."""
     p = Path(path)
     if not p.exists():
         raise ConfigError(f"config file not found: {path}")
     try:
-        return json.loads(p.read_text())
+        return json.loads(p.read_text(), parse_constant=_reject_constant)
     except json.JSONDecodeError as err:
         raise ConfigError(f"config is not valid JSON: {err}") from err
 

@@ -10,7 +10,8 @@ Three families of desk-scale experiments, each emitting a reproducible
   budget (2 bootstrap-free standard errors plus a step-size term whose
   coefficient can be calibrated by an h-refinement rerun).
 * ``run_chaos``: couple N independent nonlinear copies (law fed by a
-  large proxy ensemble) componentwise to the N-particle system, estimate
+  large proxy ensemble) componentwise to the N-particle system, with the
+  config's coupling mode and width, estimate
   the normalized-1-distance Wasserstein gap at a fixed time by exact
   assignment over replica pairs, sweep N, and fit the log-log slope.
 * ``run_moments``: track second moments and the contraction Lyapunov
@@ -321,7 +322,7 @@ def run_chaos(cfg: ExperimentConfig) -> ExperimentRecord:
         raise ConfigError(f"proxy size {cfg.proxy_size} too small: "
                           f"need at least 8 x max ensemble size = {8 * max_n}")
     law_means = _law_mean_series(cfg)
-    control = CouplingControl.for_constants(constants, mode="componentwise")
+    control = _coupling_control(cfg, constants)
     law = "analytic_zero" if unconfined else "replica_proxy"
 
     r = cfg.subsample_pairs
@@ -335,8 +336,7 @@ def run_chaos(cfg: ExperimentConfig) -> ExperimentRecord:
         state = CoupledState(ax=x, ay=y, bx=x, by=y)
         traj = simulate_coupled(spec, state, control,
                                 _integrator(cfg, horizon=cfg.eval_time, seed=seed_n),
-                                constants, law=law, componentwise=True,
-                                law_means=law_means)
+                                constants, law=law, law_means=law_means)
         ax, ay, bx, by = traj.ax[-1], traj.ay[-1], traj.bx[-1], traj.by[-1]
         if unconfined:
             ax, ay = project_centered((ax, ay))

@@ -13,8 +13,8 @@ velocity, all parametrized by the friction ``gamma`` and inverse mass
   concave profile, where ``delta = r_small - eps * r_large``.
 
 Every distance is exposed both as a norm of a difference ``(z, w)`` and as
-a distance between two ``(x, y)`` points; ensemble versions average
-per-pair values.  All evaluators are pure and broadcast over leading axes.
+a distance between two ``(x, y)`` points.  All evaluators are pure and
+broadcast over leading axes.
 """
 
 from __future__ import annotations
@@ -42,16 +42,6 @@ def _as_xy(p) -> tuple[Array, Array]:
 # low-level norms on differences (z, w)
 # ---------------------------------------------------------------------------
 
-def twisted_norm_sq(z: Array, w: Array, k_matrix: Array, twist: float,
-                    gamma: float, u: float) -> Array:
-    """Squared twisted norm, evaluated in its completed-square form.
-
-    The completed-square form keeps every term non-negative, which avoids
-    the cancellation the expanded cross-term form suffers from.
-    """
-    return twisted_norm_terms(z, w, k_matrix, twist, gamma, u)[0]
-
-
 def twisted_norm_terms(z: Array, w: Array, k_matrix: Array, twist: float,
                        gamma: float, u: float) -> tuple[Array, Array]:
     """The squared twisted norm and its completed square's mixed coordinate
@@ -66,7 +56,12 @@ def twisted_norm_terms(z: Array, w: Array, k_matrix: Array, twist: float,
 
 
 def twisted_norm(z, w, k_matrix, twist, gamma, u):
-    return np.sqrt(twisted_norm_sq(z, w, k_matrix, twist, gamma, u))
+    """Twisted norm, evaluated in its completed-square form.
+
+    The completed-square form keeps every term non-negative, which avoids
+    the cancellation the expanded cross-term form suffers from.
+    """
+    return np.sqrt(twisted_norm_terms(z, w, k_matrix, twist, gamma, u)[0])
 
 
 def row_norm(x: Array, keepdims: bool = False) -> Array:
@@ -207,39 +202,10 @@ class GroundMetric:
         r_large = twisted_norm(z, w, self.k_matrix, self.twist, self.gamma, self.u)
         return small_norm(z, w, self.alpha, self.gamma) - self.eps * r_large
 
-    def delta(self, a, b) -> Array:
-        ax, ay = _as_xy(a)
-        bx, by = _as_xy(b)
-        return self.delta_zw(ax - bx, ay - by)
-
 
 # ---------------------------------------------------------------------------
 # ensembles
 # ---------------------------------------------------------------------------
-
-def ensemble_dist(metric: GroundMetric, a, b, mode: str = "l1_mean") -> float:
-    """Mean (or root-mean-square) of per-pair distances of two equal
-    ensembles, given as (x, y) pairs of (N, d) arrays."""
-    ax, ay = _ensemble_xy(a)
-    bx, by = _ensemble_xy(b)
-    if ax.shape != bx.shape:
-        raise MetricError("ensemble sizes or dimensions differ")
-    per_pair = metric.dist((ax, ay), (bx, by))
-    if mode == "l1_mean":
-        return float(np.mean(per_pair))
-    if mode == "l2_mean":
-        return float(np.sqrt(np.mean(per_pair ** 2)))
-    raise MetricError(f"unknown mode {mode!r}")
-
-
-def ell1_ensemble(a, b) -> float:
-    """Normalized 1-distance: mean over components of |dx| + |dy|."""
-    ax, ay = _ensemble_xy(a)
-    bx, by = _ensemble_xy(b)
-    if ax.shape != bx.shape:
-        raise MetricError("ensemble sizes or dimensions differ")
-    return float(np.mean(ell1_norm(ax - bx, ay - by)))
-
 
 def project_centered(a):
     """Subtract the ensemble mean, taken over axis -2, from positions and

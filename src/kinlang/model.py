@@ -225,19 +225,6 @@ class ExternalForce:
         raise ModelError(f"no potential available for kind {self.kind!r}")
 
 
-def splitting_from_outside_convexity(k: float, lip_h: float, outside_radius: float,
-                                     l: float) -> dict:
-    """Splitting constants for a force that is k-strongly monotone outside a ball.
-
-    The blend parameter ``l`` trades a smaller linear part for a smaller
-    monotonicity radius; it must satisfy ``l <= min(1, lip_h / k) / 2``.
-    """
-    if not 0 < l <= 0.5 * min(1.0, lip_h / k):
-        raise ModelError("blend parameter out of range")
-    return {"kappa": (1.0 - l) * k,
-            "radius": 2.0 * outside_radius * lip_h / (l * k)}
-
-
 # ---------------------------------------------------------------------------
 # interaction force
 # ---------------------------------------------------------------------------

@@ -1,8 +1,9 @@
 """Wasserstein distances between empirical measures.
 
 Empirical measures here are uniform over n support points, given as
-``(x, y)`` pairs of (n, d) position and velocity arrays; for equal sizes the L^p Wasserstein distance is the assignment problem on the
-matrix of p-th powers of the ground cost:
+``(x, y)`` pairs of (n, d) position and velocity arrays; for equal sizes
+the L^p Wasserstein distance is the assignment problem on the matrix of
+p-th powers of the ground cost:
 
     W_p(A, B) = (min over permutations pi of mean_i d(a_i, b_pi(i))^p)^(1/p).
 
@@ -11,15 +12,13 @@ The exact solver delegates to a shortest-augmenting-path assignment
 larger inputs should be subsampled.  ``wasserstein_from_costs`` loads the
 solver on its first call from scipy's compiled ``scipy.optimize._lsap``
 alone (``_scipy.kernel``), so no run imports ``scipy.optimize`` itself and
-runs that compute no exact distance load no scipy.  One-dimensional
-marginals take the classical sorted quantile coupling instead, which is
-exact for convex ground costs on the line.
+runs that compute no exact distance load no scipy.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -86,18 +85,6 @@ def wasserstein_exact(cost_zw: Callable, a: tuple, b: tuple, p: int = 1) -> floa
     return wasserstein_from_costs(cost_matrix_zw(cost_zw, *a, *b), p)
 
 
-def wasserstein_1d_sorted(a: Array, b: Array, p: int = 1) -> float:
-    """Quantile coupling on the line: sort both samples and pair by rank."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.ndim != 1 or b.ndim != 1:
-        raise TransportError("sorted coupling needs scalar marginals")
-    if a.shape != b.shape:
-        raise TransportError("size mismatch between the two samples")
-    gaps = np.abs(np.sort(a) - np.sort(b))
-    return float(np.mean(gaps ** p) ** (1.0 / p))
-
-
 # ---------------------------------------------------------------------------
 # distance curves with bootstrap error bars
 # ---------------------------------------------------------------------------
@@ -109,10 +96,9 @@ class DistanceCurve:
     w_se: Array
 
 
-def distance_curve(run_a, run_b, cost_zw: Callable, p: int = 1,
-                   times: Optional[Array] = None, n_boot: int = 200,
+def distance_curve(run_a, run_b, cost_zw: Callable, n_boot: int = 200,
                    seed: int = 0) -> DistanceCurve:
-    """Per-time Wasserstein estimates between two trajectory dumps.
+    """Per-dump W_1 estimates between two trajectories.
 
     ``run_a``/``run_b`` are trajectories with aligned dump times whose
     (N, d) snapshots ``x[k]``, ``y[k]`` provide the supports, and
@@ -123,15 +109,12 @@ def distance_curve(run_a, run_b, cost_zw: Callable, p: int = 1,
     """
     if run_a.x.shape[0] != run_b.x.shape[0] or not np.allclose(run_a.times, run_b.times):
         raise TransportError("dump times of the two runs are not aligned")
-    sel = range(len(run_a.times)) if times is None else [
-        int(np.argmin(np.abs(run_a.times - t))) for t in np.asarray(times)]
-    ts, ws, ses = [], [], []
-    for k in sel:
+    ws, ses = [], []
+    for k in range(len(run_a.times)):
         costs = cost_matrix_zw(cost_zw, run_a.x[k], run_a.y[k], run_b.x[k], run_b.y[k])
-        ts.append(run_a.times[k])
-        ws.append(wasserstein_from_costs(costs, p))
-        ses.append(bootstrap_se(costs, seed, n_boot, first=k * n_boot, p=p))
-    return DistanceCurve(times=np.array(ts), w=np.array(ws), w_se=np.array(ses))
+        ws.append(wasserstein_from_costs(costs))
+        ses.append(bootstrap_se(costs, seed, n_boot, first=k * n_boot))
+    return DistanceCurve(times=np.array(run_a.times), w=np.array(ws), w_se=np.array(ses))
 
 
 def bootstrap_se(costs: Array, seed: int, n_boot: int, first: int = 0,

@@ -1,0 +1,167 @@
+"""Test oracles and helpers: reference computations the tests compare the
+library against, and a shorthand for building coupled states.
+
+* dense-grid suprema of the gluing geometry (d <= 2), the reference for
+  the multistart ascent of :mod:`kinlang.constants`;
+* the marginal-validity check of a coupling: each coupled component must
+  have the law of an uncoupled run;
+* the sorted quantile coupling, the exact W_p of two samples on the line;
+* :func:`pair_state`, a coupled batch of replicated phase points.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+
+import numpy as np
+
+from kinlang.constants import ConstantsError
+from kinlang.coupling import CoupledState, CoupledTrajectory
+from kinlang.metrics import small_norm, twisted_norm
+from kinlang.transport import TransportError
+
+Array = np.ndarray
+
+
+# ---------------------------------------------------------------------------
+# dense grid oracles (d <= 2)
+# ---------------------------------------------------------------------------
+
+def grid_glue_offset(spec, tau: float, alpha: float, eps: float, radius_sq: float,
+                     points: int = 2001) -> tuple[float, float]:
+    """Dense-lattice supremum of the gluing gap over the synchronous region.
+
+    Only meant for d <= 2; returns (value, resolution error bar)."""
+    z, w, h = _region_grid(spec, radius_sq, points)
+    rl = twisted_norm(z, w, spec.external.matrix_k, tau, spec.gamma, spec.u)
+    mask = rl ** 2 <= radius_sq
+    gap = small_norm(z, w, alpha, spec.gamma) - eps * rl
+    val = float(np.where(mask, gap, -np.inf).max())
+    lip = (alpha + 1.0 + eps) * (1.0 + 1.0 / spec.gamma)
+    return val, lip * h
+
+
+def grid_small_cutoff(spec, tau: float, alpha: float, eps: float,
+                      glue_offset: float, points: int = 2001) -> tuple[float, float]:
+    """Dense-lattice supremum of r_small over {gap <= glue_offset} (d <= 2)."""
+    if glue_offset == 0.0:
+        return 0.0, 0.0
+    g = spec.gamma
+    # gap >= r_small / 2, so the feasible set sits inside r_small <= 2 offset
+    z_max = 2.0 * glue_offset / alpha
+    q_max = 2.0 * glue_offset
+    w_max = g * (q_max + z_max)
+    z, w, h = _box_grid(spec.dim, z_max, w_max, points)
+    rl = twisted_norm(z, w, spec.external.matrix_k, tau, g, spec.u)
+    rs = small_norm(z, w, alpha, g)
+    mask = rs - eps * rl <= glue_offset
+    val = float(np.where(mask, rs, -np.inf).max())
+    lip = (alpha + 1.0) * (1.0 + 1.0 / g)
+    return val, lip * h
+
+
+def _region_grid(spec, radius_sq, points):
+    g, u = spec.gamma, spec.u
+    z_max = g * math.sqrt(radius_sq / (u * spec.kappa))
+    w_max = g * math.sqrt(2.0 * radius_sq)
+    return _box_grid(spec.dim, z_max, w_max, points)
+
+
+def _box_grid(d, z_max, w_max, points):
+    if d == 1:
+        zs = np.linspace(-z_max, z_max, points)
+        ws = np.linspace(-w_max, w_max, points)
+        z, w = np.meshgrid(zs, ws, indexing="ij")
+        h = max(zs[1] - zs[0], ws[1] - ws[0])
+        return z.reshape(-1, 1), w.reshape(-1, 1), h
+    if d == 2:
+        n = max(int(points ** 0.5) | 1, 31)
+        zs = np.linspace(-z_max, z_max, n)
+        ws = np.linspace(-w_max, w_max, n)
+        grids = np.meshgrid(zs, zs, ws, ws, indexing="ij")
+        z = np.stack([grids[0].ravel(), grids[1].ravel()], axis=-1)
+        w = np.stack([grids[2].ravel(), grids[3].ravel()], axis=-1)
+        h = max(zs[1] - zs[0], ws[1] - ws[0])
+        return z, w, h
+    raise ConstantsError("grid oracle only supports d <= 2")
+
+
+# ---------------------------------------------------------------------------
+# marginal validity of a coupling
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class MarginalReport:
+    observables: tuple
+    max_abs_z: float
+    flagged: tuple
+
+    @property
+    def ok(self) -> bool:
+        return len(self.flagged) == 0
+
+
+def marginal_check(coupled: CoupledTrajectory, independent_first,
+                   independent_second, threshold: float = 4.0) -> MarginalReport:
+    """Compare time-marginal moments of each coupled component against
+    uncoupled simulations of the same laws.
+
+    Each observable (per-component mean and second moment of position and
+    velocity) is compared at every dump time; deviations beyond
+    ``threshold`` combined standard errors are flagged.
+    """
+    rows = []
+    flagged = []
+    for name, coup, ind in (("first", (coupled.ax, coupled.ay), independent_first),
+                            ("second", (coupled.bx, coupled.by), independent_second)):
+        for obs, (c_arr, i_arr) in (("mean_x", (coup[0], ind.x)),
+                                    ("mean_y", (coup[1], ind.y)),
+                                    ("second_x", (coup[0] ** 2, ind.x ** 2)),
+                                    ("second_y", (coup[1] ** 2, ind.y ** 2))):
+            zmax = _max_z(c_arr, i_arr)
+            rows.append((name, obs, zmax))
+            if zmax > threshold:
+                flagged.append((name, obs, zmax))
+    return MarginalReport(observables=tuple(rows),
+                          max_abs_z=max(r[2] for r in rows),
+                          flagged=tuple(flagged))
+
+
+def _max_z(a: Array, b: Array) -> float:
+    # a, b: (T, R, d); z-score of the difference of means at each time/coord
+    na, nb = a.shape[1], b.shape[1]
+    ma, mb = a.mean(axis=1), b.mean(axis=1)
+    va, vb = a.var(axis=1, ddof=1), b.var(axis=1, ddof=1)
+    se = np.sqrt(va / na + vb / nb)
+    z = np.abs(ma - mb) / np.maximum(se, 1e-300)
+    z = np.where(np.abs(ma - mb) < 1e-12, 0.0, z)
+    return float(z.max())
+
+
+# ---------------------------------------------------------------------------
+# transport on the line
+# ---------------------------------------------------------------------------
+
+def wasserstein_1d_sorted(a: Array, b: Array, p: int = 1) -> float:
+    """Quantile coupling on the line: sort both samples and pair by rank."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    if a.ndim != 1 or b.ndim != 1:
+        raise TransportError("sorted coupling needs scalar marginals")
+    if a.shape != b.shape:
+        raise TransportError("size mismatch between the two samples")
+    gaps = np.abs(np.sort(a) - np.sort(b))
+    return float(np.mean(gaps ** p) ** (1.0 / p))
+
+
+# ---------------------------------------------------------------------------
+# coupled states
+# ---------------------------------------------------------------------------
+
+def pair_state(first, second, n: int = 1) -> CoupledState:
+    """Coupled state from two phase points, replicated n times."""
+    fx, fy = np.atleast_1d(first[0]), np.atleast_1d(first[1])
+    sx, sy = np.atleast_1d(second[0]), np.atleast_1d(second[1])
+    return CoupledState(ax=np.tile(fx, (n, 1)), ay=np.tile(fy, (n, 1)),
+                        bx=np.tile(sx, (n, 1)), by=np.tile(sy, (n, 1)))

@@ -79,6 +79,7 @@ def without_model():
     (chaos(initial={"kind": "dirac", "y": [0], "x": [0], "zz": 1, "aa": 2}), "/initial"),
     (chaos(experiment=1), "/experiment"),
     ([], "/"),
+    (chaos(coupling={"mode": "componentwise"}), "/coupling/mode"),
 ])
 def test_edge_cases_agree(doc, invalid_at):
     ours = own_error(doc)

@@ -5,10 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from kinlang.constants import (ConstantsError, derive_constants, grid_glue_offset,
-                               grid_small_cutoff)
+from kinlang.constants import ConstantsError, derive_constants
 from kinlang.model import ExternalForce, InteractionForce, ModelSpec
 from kinlang.profile import _logsumexp_rows, build_profile
+from oracles import grid_glue_offset, grid_small_cutoff
 
 
 def spec_of(kappa, lip_k, lip_g, radius, gamma, u, dim=1, inter=None):

@@ -7,13 +7,14 @@ import pytest
 
 import kinlang.coupling as cp
 from kinlang import rng
-from kinlang.coupling import (CoupledState, CouplingControl, marginal_check,
-                              pair_state, rc_value, sc_value, simulate_coupled)
+from kinlang.coupling import (CoupledState, CouplingControl, rc_value, sc_value,
+                              simulate_coupled)
 from kinlang.dynamics import (BlowUpError, DynamicsError, IntegratorConfig, drift,
                               gaussian_ensemble, integrator, march, simulate)
 from kinlang.metrics import GroundMetric, row_norm, small_norm, twisted_norm
 from kinlang.model import ExternalForce, InteractionForce, ModelSpec
 from kinlang.constants import derive_constants
+from oracles import marginal_check, pair_state
 
 
 def quad(gamma=2.0, inter=None):
@@ -85,6 +86,11 @@ class TestBlend:
         rc = rc_value(control, dw_spec, dw_constants, z, w)
         assert rc.tobytes() == expected.tobytes()
         assert np.any(rc == 0.0) and np.any(rc == 1.0) and np.any((rc > 0) & (rc < 1))
+
+    def test_componentwise_is_not_a_mode(self):
+        # a law-mean path, not a mode, makes a coupling componentwise
+        with pytest.raises(DynamicsError, match="unknown coupling mode"):
+            CouplingControl(mode="componentwise")
 
     def test_default_width_scales_with_cutoff(self, dw_constants, quad_constants):
         c1 = CouplingControl.for_constants(dw_constants)
@@ -315,25 +321,18 @@ class TestCoupledPair:
 
 class TestComponentwise:
     def test_no_interaction_decouples_to_pairs(self, dw_spec, dw_constants):
+        # with no interaction the law-mean path has nothing to act on
         control = CouplingControl(mode="reflection_mix", xi=0.05)
         cfg = IntegratorConfig(step=0.01, horizon=0.3, seed=8)
         gen = np.random.default_rng(9)
         n = 6
         state = CoupledState(ax=gen.normal(size=(n, 1)), ay=gen.normal(size=(n, 1)),
                              bx=gen.normal(size=(n, 1)), by=gen.normal(size=(n, 1)))
-        a = simulate_coupled(dw_spec, state, control, cfg, dw_constants,
-                             dump_times=[0.3], componentwise=True)
+        a = simulate_coupled(dw_spec, state, control, cfg, dw_constants, dump_times=[0.3],
+                             law_means=gen.normal(size=(cfg.n_steps + 1, 1)))
         b = simulate_coupled(dw_spec, state, control, cfg, dw_constants,
                              dump_times=[0.3], law="replica_proxy")
         assert np.array_equal(a.ax, b.ax) and np.array_equal(a.bx, b.bx)
-
-    def test_external_law_means_need_componentwise(self, dw_spec, dw_constants):
-        state = pair_state((np.array([0.3]), np.array([0.0])),
-                           (np.array([0.0]), np.array([0.0])), n=4)
-        cfg = IntegratorConfig(step=0.01, horizon=0.1)
-        with pytest.raises(DynamicsError, match="componentwise"):
-            simulate_coupled(dw_spec, state, CouplingControl(), cfg, dw_constants,
-                             law_means=np.zeros((cfg.n_steps + 1, 1)))
 
     def test_identical_initializations_synchronous_all_zero(self):
         inter = InteractionForce.linear(0.05)
@@ -345,20 +344,19 @@ class TestComponentwise:
         x = gen.normal(size=(12, 1))
         y = gen.normal(size=(12, 1))
         state = CoupledState(ax=x, ay=y, bx=x.copy(), by=y.copy())
-        traj = simulate_coupled(spec, state, control, cfg, mc,
-                                dump_times=[0.5], componentwise=True)
+        traj = simulate_coupled(spec, state, control, cfg, mc, dump_times=[0.5])
         assert np.array_equal(traj.ax, traj.bx) and np.array_equal(traj.ay, traj.by)
 
 
-def per_copy_step(spec, control, cfg, constants, law, componentwise=False,
-                  law_means=None):
+def per_copy_step(spec, control, cfg, constants, law, law_means=None):
     """The coupled step on four arrays: each copy draws its force and takes
     its integrator update on its own, with the blend, the reflection and
-    the law means written out in full.  Returns the step and the blend."""
+    the law means written out in full; a law-mean path makes it
+    componentwise.  Returns the step and the blend."""
     system, default_mean = {"none": ("classical", None),
                             "replica_proxy": ("particles", None),
                             "analytic_zero": ("unconfined", np.zeros(spec.dim))}[law]
-    mean_b = None if componentwise else default_mean
+    mean_b = default_mean if law_means is None else None
     advance = integrator(cfg.step, spec.gamma, spec.u, cfg.scheme)
     g, xi = spec.gamma, control.xi
 
@@ -394,10 +392,9 @@ def per_copy_step(spec, control, cfg, constants, law, componentwise=False,
 
 
 def per_copy_reference(spec, state0, control, cfg, constants, dump_times, law,
-                       componentwise=False, law_means=None):
+                       law_means=None):
     """The coupled run stepped by :func:`per_copy_step`."""
-    step, blend = per_copy_step(spec, control, cfg, constants, law, componentwise,
-                                law_means)
+    step, blend = per_copy_step(spec, control, cfg, constants, law, law_means)
     kept = []
 
     def keep(k, arrays):
@@ -454,9 +451,9 @@ class TestPerCopyReference:
         cfg = IntegratorConfig(step=0.01, horizon=0.3, seed=6)
         law_means = 0.1 * gen.normal(size=(cfg.n_steps + 1, 2))
         traj = self.assert_matches(spec, state,
-                                   CouplingControl(mode="componentwise", xi=0.05),
+                                   CouplingControl(mode="reflection_mix", xi=0.05),
                                    cfg, [0.0, 0.1, 0.3], "replica_proxy",
-                                   componentwise=True, law_means=law_means)
+                                   law_means=law_means)
         assert np.any(traj.rc_mean > 0)
 
     def test_componentwise_analytic_zero_unconfined(self):
@@ -465,9 +462,11 @@ class TestPerCopyReference:
                          gamma=2.0, u=1.0, dim=2)
         ax, ay, bx, by = np.random.default_rng(7).normal(size=(4, 3, 5, 2))
         state = CoupledState(ax=ax, ay=ay, bx=bx, by=by)
-        self.assert_matches(spec, state, CouplingControl(mode="componentwise", xi=0.05),
-                            IntegratorConfig(step=0.01, horizon=0.3, seed=8),
-                            [0.1, 0.3], "analytic_zero", componentwise=True)
+        cfg = IntegratorConfig(step=0.01, horizon=0.3, seed=8)
+        # the centered theory's law mean, as an all-zero path
+        self.assert_matches(spec, state, CouplingControl(mode="reflection_mix", xi=0.05),
+                            cfg, [0.1, 0.3], "analytic_zero",
+                            law_means=np.zeros((cfg.n_steps + 1, 2)))
 
     def test_replica_proxy_pairs_linear_interaction(self):
         spec = ModelSpec(external=ExternalForce.double_well(1.0, dim=2),

@@ -7,7 +7,7 @@ import pytest
 
 import kinlang.dynamics as dyn
 from kinlang.dynamics import (BlowUpError, DynamicsError, IntegratorConfig, default_step,
-                              dirac_ensemble, drift, gaussian_ensemble, interaction_mean,
+                              dirac_ensemble, drift, gaussian_ensemble, law_term,
                               simulate, track_moments, trajectory_to_rows)
 from kinlang.model import ExternalForce, InteractionForce, ModelSpec
 
@@ -202,8 +202,8 @@ class TestParticles:
                       InteractionForce.linear_difference(0.7, dim=1)):
             spec = quad_spec(inter=inter)
             x = np.random.default_rng(3).normal(size=(128, 1))
-            fast = interaction_mean(spec, x, fast=True)
-            slow = interaction_mean(spec, x, fast=False)
+            fast = law_term(spec, x, fast=True)
+            slow = law_term(spec, x, fast=False)
             assert np.allclose(fast, slow, atol=1e-12)
 
     def test_stacked_ensembles_reduce_per_replica(self):
@@ -216,9 +216,9 @@ class TestParticles:
                       InteractionForce.mollified_log()):
             spec = quad_spec(dim=2, inter=inter)
             for fast in (True, False):
-                got = interaction_mean(spec, stack, fast=fast)
+                got = law_term(spec, stack, fast=fast)
                 for r in range(3):
-                    assert np.allclose(got[r], interaction_mean(spec, stack[r], fast=fast),
+                    assert np.allclose(got[r], law_term(spec, stack[r], fast=fast),
                                        atol=1e-12)
 
     def test_external_law_mean_replaces_empirical(self):
@@ -226,18 +226,35 @@ class TestParticles:
         for inter in (InteractionForce.linear(0.4),
                       InteractionForce.linear_difference(0.7, dim=1)):
             spec = quad_spec(inter=inter)
-            own = interaction_mean(spec, x)
-            assert np.array_equal(interaction_mean(spec, x, x.mean(axis=0)), own)
+            own = np.broadcast_to(law_term(spec, x), x.shape)
+            external = np.broadcast_to(law_term(spec, x, x.mean(axis=0)), x.shape)
+            assert np.array_equal(external, own)
         spec = quad_spec(inter=InteractionForce.mollified_log())
         with pytest.raises(DynamicsError):
-            interaction_mean(spec, x, np.zeros(1))
+            law_term(spec, x, np.zeros(1))
+
+    def test_law_term_broadcasts_against_the_ensemble(self):
+        # the linear kind's k * mean comes back once per ensemble; every
+        # other kind's term, and hence the unconfined drift, has x's shape
+        stack = np.random.default_rng(8).normal(size=(3, 16, 2))
+        spec = quad_spec(dim=2, inter=InteractionForce.linear(0.4))
+        assert law_term(spec, stack).shape == (3, 1, 2)
+        for inter in (InteractionForce.none(),
+                      InteractionForce.linear_difference(0.7, dim=2),
+                      InteractionForce.mollified_log()):
+            spec = quad_spec(dim=2, inter=inter)
+            assert law_term(spec, stack).shape == stack.shape
+        unconfined = ModelSpec(external=ExternalForce.zero(2),
+                               interaction=InteractionForce.linear_difference(0.7, dim=2),
+                               gamma=2.0, u=1.0, dim=2)
+        assert drift(unconfined, stack, "unconfined").shape == stack.shape
 
     def test_single_particle_self_interaction(self):
         inter = InteractionForce.linear(0.4)
         spec = quad_spec(inter=inter)
         x = np.array([[2.0]])
         expected = inter.pair_force(x[0], x[0])
-        assert np.allclose(interaction_mean(spec, x), expected)
+        assert np.allclose(law_term(spec, x), expected)
 
     def test_exchangeability(self):
         # the drift is permutation equivariant: relabelling the particles

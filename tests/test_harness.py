@@ -6,13 +6,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from kinlang import coupling, rng
 from kinlang.constants import derive_constants
 from kinlang.dynamics import Trajectory
 from kinlang.harness import cli as cli_mod
 from kinlang.harness import record as record_mod
 from kinlang.harness.cli import main as cli_main
-from kinlang.harness.config import (ConfigError, config_hash, load_config,
-                                    validate_config)
+from kinlang.harness.config import (CONFIG_SCHEMA, ConfigError, config_hash, load_config,
+                                    load_config_file, validate_config)
 from kinlang.harness.experiments import (ExperimentRecord, build_initial_pair,
                                          coupled_trajectory, fit_decay_rate, run_chaos,
                                          run_contraction, run_moments)
@@ -98,6 +99,26 @@ class TestConfig:
         b = {"a": [1, 2], "b": 1}
         assert config_hash(a) == config_hash(b)
         assert len(config_hash(a)) == 16
+
+    def test_coupling_modes_are_the_coupling_modules(self):
+        # the config module does not import the coupling module, so this
+        # test is what keeps the two lists in step
+        schema = CONFIG_SCHEMA["properties"]["coupling"]["properties"]["mode"]
+        assert schema["enum"] == list(coupling.MODES) == ["synchronous", "reflection_mix"]
+
+    @pytest.mark.parametrize("key, literal", [("gamma", "NaN"), ("horizon", "Infinity"),
+                                              ("horizon", "-Infinity")])
+    def test_non_finite_literals_rejected(self, tmp_path, capsys, key, literal):
+        doc = quad_doc()
+        section = doc["integrator"] if key == "horizon" else doc["model"]
+        section[key] = "@"
+        cfgp = tmp_path / "nonfinite.json"
+        cfgp.write_text(json.dumps(doc).replace('"@"', literal))
+        with pytest.raises(ConfigError, match=literal):
+            load_config_file(cfgp)
+        assert cli_main(["run", "-c", str(cfgp), "--out", str(tmp_path / "runs")]) == 1
+        assert literal in capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()
 
     def test_default_step_follows_friction(self):
         doc = dw_doc()
@@ -300,6 +321,32 @@ class TestRecords:
         cols, rows = rec.curves["chaos"]
         assert cols == ["n", "w1_ell1", "w1_se"]
         assert np.asarray(rows).shape == (2, 3)
+
+    @pytest.mark.parametrize("mode", ["synchronous", None])
+    def test_chaos_honours_the_coupling_section(self, monkeypatch, mode):
+        # the double well has a positive gluing offset, so the default
+        # reflection_mix coupling reflects; a synchronous one never draws
+        # the reflection substream
+        doc = quad_doc(experiment="chaos",
+                       model={"dimension": 1, "gamma": 10.0, "u": 1.0,
+                              "external": {"kind": "double_well", "beta": 1.0},
+                              "interaction": {"kind": "linear", "k": 0.001}},
+                       ensemble_sizes=[2, 4], proxy_size=32, subsample_pairs=8,
+                       eval_time=0.2, initial={"kind": "gaussian", "std": 0.01})
+        doc["integrator"] = {"step": 0.01, "horizon": 0.2, "seed": 3}
+        if mode is not None:
+            doc["coupling"] = {"mode": mode}
+        substreams = []
+        normals = rng.normals
+
+        def counted(seed, substream, step, shape):
+            substreams.append(substream)
+            return normals(seed, substream, step, shape)
+
+        monkeypatch.setattr(rng, "normals", counted)
+        run_chaos(load_config(doc))
+        assert rng.SUB_MAIN in substreams
+        assert (rng.SUB_REFLECT in substreams) == (mode is None)
 
     def test_unconfined_chaos_smoke(self):
         doc = quad_doc(experiment="unconfined_chaos",

@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from kinlang.metrics import (GroundMetric, MetricError, ell1_ensemble, ensemble_dist,
-                             project_centered, row_norm, small_norm, twisted_norm)
+from kinlang.metrics import (GroundMetric, MetricError, ell1_norm, project_centered,
+                             row_norm, small_norm, twisted_norm)
 
 
 def rand_pairs(n, d, seed=0, scale=2.0):
@@ -73,13 +73,13 @@ class TestBasics:
 class TestGap:
     def test_gap_zero_at_identity(self, dw_spec, dw_constants):
         m = GroundMetric.from_constants(dw_spec, dw_constants, "rho")
-        p = (np.array([1.0]), np.array([2.0]))
-        assert m.delta(p, p) == pytest.approx(0.0, abs=1e-14)
+        z = np.zeros((1, 1))
+        assert m.delta_zw(z, z)[0] == pytest.approx(0.0, abs=1e-14)
 
     def test_gap_dominates_half_small_norm(self, dw_spec, dw_constants):
         m = GroundMetric.from_constants(dw_spec, dw_constants, "rho")
         ax, ay, bx, by = rand_pairs(10000, 1, seed=4)
-        gap = m.delta((ax, ay), (bx, by))
+        gap = m.delta_zw(ax - bx, ay - by)
         rs = GroundMetric.from_constants(dw_spec, dw_constants, "r_s").dist((ax, ay), (bx, by))
         assert np.all(gap >= 0.5 * rs - 1e-12)
 
@@ -151,41 +151,27 @@ class TestEnsembles:
         m = GroundMetric.from_constants(dw_spec, dw_constants, "rho")
         x = np.random.default_rng(11).normal(size=(8, 1))
         y = np.random.default_rng(12).normal(size=(8, 1))
-        assert ensemble_dist(m, (x, y), (x, y)) == pytest.approx(0.0, abs=1e-14)
-
-    def test_single_member_reduces_to_dist(self, dw_spec, dw_constants):
-        m = GroundMetric.from_constants(dw_spec, dw_constants, "rho")
-        a = (np.array([[0.3]]), np.array([[1.0]]))
-        b = (np.array([[-0.5]]), np.array([[0.2]]))
-        assert ensemble_dist(m, a, b) == pytest.approx(float(m.dist(a, b)[0]))
+        assert np.allclose(m.dist((x, y), (x, y)), 0.0, atol=1e-14)
 
     def test_two_member_hand_case(self):
+        # (N, d) ensembles are compared pair by pair: distances 5 and 0
         m = GroundMetric.euclidean()
         a = (np.array([[0.0], [1.0]]), np.array([[0.0], [0.0]]))
         b = (np.array([[3.0], [1.0]]), np.array([[4.0], [0.0]]))
-        # pair distances 5 and 0 -> mean 2.5; rms sqrt(12.5)
-        assert ensemble_dist(m, a, b, "l1_mean") == pytest.approx(2.5)
-        assert ensemble_dist(m, a, b, "l2_mean") == pytest.approx(math.sqrt(12.5))
-
-    def test_length_mismatch_rejected(self):
-        m = GroundMetric.euclidean()
-        with pytest.raises(MetricError):
-            ensemble_dist(m, (np.zeros((3, 1)), np.zeros((3, 1))),
-                          (np.zeros((2, 1)), np.zeros((2, 1))))
+        assert np.allclose(m.dist(a, b), [5.0, 0.0])
 
     def test_ell1_hand_case(self):
-        a = (np.array([[0.0], [1.0]]), np.array([[0.0], [2.0]]))
-        b = (np.array([[1.0], [1.0]]), np.array([[0.0], [0.0]]))
-        assert ell1_ensemble(a, b) == pytest.approx(0.5 * (1.0 + 2.0))
+        z = np.array([[0.0], [1.0]]) - np.array([[1.0], [1.0]])
+        w = np.array([[0.0], [2.0]]) - np.array([[0.0], [0.0]])
+        assert np.mean(ell1_norm(z, w)) == pytest.approx(0.5 * (1.0 + 2.0))
 
     def test_glued_ensemble_sandwich_vs_ell1(self, dw_spec, dw_constants):
         mc = dw_constants
         m = GroundMetric.from_constants(dw_spec, mc, "rho")
         g = np.random.default_rng(13)
-        a = (g.normal(size=(64, 1)), g.normal(size=(64, 1)))
-        b = (g.normal(size=(64, 1)), g.normal(size=(64, 1)))
-        rho_n = ensemble_dist(m, a, b, "l1_mean")
-        l1 = ell1_ensemble(a, b)
+        ax, ay, bx, by = (g.normal(size=(64, 1)) for _ in range(4))
+        rho_n = float(np.mean(m.dist_zw(ax - bx, ay - by)))
+        l1 = float(np.mean(ell1_norm(ax - bx, ay - by)))
         assert mc.equiv_lower / math.sqrt(2) * l1 <= rho_n + 1e-12
         assert rho_n <= mc.equiv_upper / math.sqrt(2) * l1 + 1e-12
 

@@ -9,8 +9,7 @@ import pytest
 from kinlang.dynamics import BlowUpError, IntegratorConfig, simulate
 from kinlang import model
 from kinlang.model import (ExternalForce, InteractionForce, ModelError, ModelSpec,
-                           double_well_monotonicity_radius,
-                           splitting_from_outside_convexity, validate_assumptions)
+                           double_well_monotonicity_radius, validate_assumptions)
 
 FD = 1e-6
 
@@ -155,13 +154,6 @@ class TestExternalForce:
     def test_rejects_bad_k(self):
         with pytest.raises(ModelError):
             ExternalForce.quadratic(np.array([[0.0]]))
-
-    def test_outside_convexity_splitting(self):
-        got = splitting_from_outside_convexity(k=3.0, lip_h=6.0, outside_radius=2.0, l=0.5)
-        assert got["kappa"] == pytest.approx(1.5)
-        assert got["radius"] == pytest.approx(2 * 2.0 * 6.0 / (0.5 * 3.0))
-        with pytest.raises(ModelError):
-            splitting_from_outside_convexity(k=3.0, lip_h=6.0, outside_radius=2.0, l=0.9)
 
 
 class TestInteractionForce:

@@ -12,8 +12,9 @@ from kinlang.dynamics import Trajectory
 from kinlang.metrics import GroundMetric, ell1_norm
 from kinlang.harness.experiments import _slot_ell1_cost
 from kinlang.transport import (BLOCK_ELEMENTS, SIZE_CAP, TransportError, bootstrap_se,
-                               cost_matrix_zw, distance_curve, wasserstein_1d_sorted,
-                               wasserstein_exact, wasserstein_from_costs)
+                               cost_matrix_zw, distance_curve, wasserstein_exact,
+                               wasserstein_from_costs)
+from oracles import pair_state, wasserstein_1d_sorted
 
 
 euclid = GroundMetric.euclidean().dist_zw
@@ -253,7 +254,7 @@ class TestDistanceCurve:
     def test_deterministic_diracs_decay_exactly(self, quad_spec, quad_constants):
         # two synchronous Dirac trajectories: the Wasserstein curve under the
         # strong metric is exactly the deterministic distance decay
-        from kinlang.coupling import CouplingControl, pair_state, simulate_coupled
+        from kinlang.coupling import CouplingControl, simulate_coupled
         from kinlang.dynamics import IntegratorConfig
         mc = quad_constants
         control = CouplingControl(mode="synchronous", xi=1e-3)
@@ -305,9 +306,9 @@ class TestDistanceCurve:
         run_a = self.mk_traj(x, y, [0.0, 1.0, 2.0])
         run_b = self.mk_traj(x + 0.3, 0.5 * y, [0.0, 1.0, 2.0])
         n_boot, seed = 25, 4
-        curve = distance_curve(run_a, run_b, euclid, times=[1.0, 2.0],
-                               n_boot=n_boot, seed=seed)
-        for j, k in enumerate([1, 2]):
+        curve = distance_curve(run_a, run_b, euclid, n_boot=n_boot, seed=seed)
+        assert np.array_equal(curve.times, [0.0, 1.0, 2.0])
+        for k in range(3):
             costs = cost_matrix_zw(euclid, x[k], y[k], x[k] + 0.3, 0.5 * y[k])
             boots = np.empty(n_boot)
             for r in range(n_boot):
@@ -315,4 +316,4 @@ class TestDistanceCurve:
                 ib = rng.integers(seed, rng.SUB_BOOTSTRAP, 2 * (k * n_boot + r) + 1, 0, 12,
                                   (12,))
                 boots[r] = wasserstein_from_costs(costs[np.ix_(ia, ib)])
-            assert curve.w_se[j] == float(np.std(boots, ddof=1))
+            assert curve.w_se[k] == float(np.std(boots, ddof=1))
