@@ -24,5 +24,5 @@ __all__, __getattr__, __dir__ = namespace(__name__, {
     "model": ("AssumptionReport", "ExternalForce", "InteractionForce", "ModelError",
               "ModelSpec", "validate_assumptions"),
     "profile": ("ConcaveProfile", "build_profile"),
-    "transport": ("TransportError", "distance_curve", "wasserstein_exact"),
+    "transport": ("TransportError",),
 })

@@ -8,13 +8,18 @@ place and different configs never collide.
 small validator of its own.  It knows exactly the keywords the schema
 uses, with JSON Schema Draft 2020-12 semantics: a bool is not a number, an
 integer-valued float is an integer, and ``enum`` and ``uniqueItems``
-compare numbers by value but never a bool with a number.
+compare numbers by value but never a bool with a number.  It departs from
+the draft in one place: NaN and the infinities are not numbers (nor
+integers), since every bound compares False against NaN and
+``exclusiveMinimum: 0`` admits inf.  So a non-finite value is rejected
+whether it comes from a file, a CLI override or a dict.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 import numbers
 import operator
 from dataclasses import dataclass, field
@@ -118,7 +123,6 @@ CONFIG_SCHEMA = {
         "subsample_pairs": {"type": "integer", "minimum": 2,
                             "maximum": transport.SIZE_CAP},
         "step_refinement": {"type": "boolean"},
-        "wasserstein_curve": {"type": "boolean"},
         "out": {"type": "string"},
     },
 }
@@ -141,7 +145,9 @@ _TYPES = {
     "array": lambda v: isinstance(v, list),
     "string": lambda v: isinstance(v, str),
     "boolean": lambda v: isinstance(v, bool),
-    "number": lambda v: isinstance(v, numbers.Number) and not isinstance(v, bool),
+    "number": lambda v: (isinstance(v, numbers.Real) and not isinstance(v, bool)
+                         and math.isfinite(v)),
+    # is_integer() is False for NaN and the infinities
     "integer": lambda v: (isinstance(v, int) and not isinstance(v, bool)
                           or isinstance(v, float) and v.is_integer()),
 }

@@ -36,8 +36,7 @@ from ..dynamics import (BlowUpError, IntegratorConfig, Trajectory, dirac_ensembl
                         gaussian_ensemble, march, simulate, system_step, track_moments)
 from ..metrics import GroundMetric, project_centered
 from ..model import ModelSpec
-from ..transport import (bootstrap_se, cost_matrix_zw, distance_curve,
-                         wasserstein_from_costs)
+from ..transport import bootstrap_se, cost_matrix_zw, wasserstein_from_costs
 from .config import ConfigError, ExperimentConfig
 
 Array = np.ndarray
@@ -200,16 +199,16 @@ def coupled_trajectory(cfg: ExperimentConfig, constants: MetricConstants,
 
 
 def _contraction_curve(cfg: ExperimentConfig, constants: MetricConstants,
-                       step: float) -> tuple[CoupledTrajectory, GroundMetric, Array, Array]:
-    """Coupled trajectory, the experiment's metric, and the mean distance
-    curve with its standard errors."""
+                       step: float) -> tuple[CoupledTrajectory, Array, Array]:
+    """Coupled trajectory and its mean distance curve under the
+    experiment's metric, with standard errors."""
     traj = coupled_trajectory(cfg, constants, step)
     metric = GroundMetric.from_constants(cfg.spec, constants, _METRIC_FOR[cfg.experiment])
     dists = traj.distance_series(metric)
     means = dists.mean(axis=1)
     ses = dists.std(axis=1, ddof=1) / math.sqrt(dists.shape[1]) if dists.shape[1] > 1 \
         else np.zeros(dists.shape[0])
-    return traj, metric, means, ses
+    return traj, means, ses
 
 
 def run_contraction(cfg: ExperimentConfig) -> ExperimentRecord:
@@ -223,11 +222,11 @@ def run_contraction(cfg: ExperimentConfig) -> ExperimentRecord:
     if flagged and not constants.friction_ok:
         diags.append("no guarantee: running outside the admissible regime")
 
-    traj, metric, means, ses = _contraction_curve(cfg, constants, cfg.step)
+    traj, means, ses = _contraction_curve(cfg, constants, cfg.step)
     times = traj.times
     c_h = 0.0
     if cfg.step_refinement:
-        _, _, means_h2, _ = _contraction_curve(cfg, constants, cfg.step / 2.0)
+        _, means_h2, _ = _contraction_curve(cfg, constants, cfg.step / 2.0)
         c_h = step_budget_coefficient(means, means_h2, cfg.step)
 
     rate_name = _RATE_FOR[cfg.experiment]
@@ -246,31 +245,10 @@ def run_contraction(cfg: ExperimentConfig) -> ExperimentRecord:
              "blend_resolved": bool(control.resolved_by(spec, cfg.step))}
     curves = {"distance": (["t", "mean_dist", "se_dist", "rc_mean"],
                            np.column_stack([times, means, ses, traj.rc_mean]))}
-    if cfg.raw.get("wasserstein_curve", False):
-        curves["wasserstein"] = _wasserstein_curve(traj, metric, cfg.seed)
     return ExperimentRecord(experiment=cfg.experiment, config_hash=cfg.hash,
                             seed=cfg.seed, constants=snapshot,
                             stats=stats, curves=curves, flagged=flagged,
                             diagnostics=tuple(diags))
-
-
-def _wasserstein_curve(traj: CoupledTrajectory, metric: GroundMetric, seed: int,
-                       cap: int = 256) -> tuple:
-    """Empirical Wasserstein between the two coupled marginals per dump
-    time, by exact assignment on subsampled supports (``t, w, w_se``).
-
-    The coupled pairing itself is a feasible transport plan, so this curve
-    is bounded above by the mean coupled distance of the same trajectory
-    at every time.  Up to ``cap`` replicas every pair is used; beyond it,
-    the first ``cap`` of a seeded random permutation.
-    """
-    r = traj.ax.shape[1]
-    idx = np.arange(r) if r <= cap else \
-        np.argsort(rng.normals(seed, rng.SUB_BOOTSTRAP, rng.STEP_SUBSAMPLE, (r,)))[:cap]
-    curve = distance_curve(Trajectory(traj.times, traj.ax[:, idx], traj.ay[:, idx]),
-                           Trajectory(traj.times, traj.bx[:, idx], traj.by[:, idx]),
-                           metric.dist_zw, n_boot=100, seed=seed)
-    return (["t", "w", "w_se"], np.column_stack([curve.times, curve.w, curve.w_se]))
 
 
 # ---------------------------------------------------------------------------
@@ -300,7 +278,7 @@ def _law_mean_series(cfg: ExperimentConfig) -> Array:
 
 def _slot_ell1_cost(z: Array, w: Array) -> Array:
     """Mean over slots of |dx| + |dy| for every replica pair of a block:
-    ``ell1_norm(z, w).mean(axis=-1)`` op for op, squaring, reducing and
+    ``(|z| + |w|).mean(axis=-1)`` op for op, squaring, reducing and
     taking roots in the blocks' own memory (it overwrites ``z`` and ``w``)."""
     norms = []
     for v in (z, w):
@@ -342,7 +320,7 @@ def run_chaos(cfg: ExperimentConfig) -> ExperimentRecord:
             ax, ay = project_centered((ax, ay))
             bx, by = project_centered((bx, by))
         costs = cost_matrix_zw(_slot_ell1_cost, ax, ay, bx, by)
-        w1 = wasserstein_from_costs(costs, p=1)
+        w1 = wasserstein_from_costs(costs)
         se = bootstrap_se(costs, cfg.seed, n_boot=100)
         rows.append((n_slots, w1, se))
 

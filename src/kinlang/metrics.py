@@ -77,11 +77,6 @@ def small_norm(z: Array, w: Array, alpha: float, gamma: float) -> Array:
     return alpha * row_norm(z) + row_norm(z + w / gamma)
 
 
-def ell1_norm(z: Array, w: Array) -> Array:
-    """|z| + |w|: the per-pair cost underlying the normalized ensemble 1-distance."""
-    return row_norm(np.asarray(z, dtype=float)) + row_norm(np.asarray(w, dtype=float))
-
-
 # ---------------------------------------------------------------------------
 # ground metrics
 # ---------------------------------------------------------------------------

@@ -272,7 +272,6 @@ class InteractionForce:
     split_lip_k: float = 0.0
     split_g: Optional[Callable[[Array], Array]] = None
     split_lip_g: float = 0.0
-    split_antisymmetric: bool = True
 
     @staticmethod
     def none() -> "InteractionForce":
@@ -325,7 +324,7 @@ class InteractionForce:
             params={"kt_matrix": kt.tolist(), "builtin": "linear_difference"},
             pair_fn=lambda x, z: -(x - z) @ kt.T,
             split_matrix=kt, split_kappa=float(eigs[0]), split_lip_k=float(eigs[-1]),
-            split_g=None, split_lip_g=0.0, split_antisymmetric=True)
+            split_g=None, split_lip_g=0.0)
 
     @staticmethod
     def custom(pair: Callable[[Array, Array], Array], lip: float,

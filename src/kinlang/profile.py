@@ -52,7 +52,6 @@ class ConcaveProfile:
     knots: np.ndarray
     f_knots: np.ndarray
     psi_knots: np.ndarray
-    log_inner_knots: np.ndarray
 
     @property
     def is_identity(self) -> bool:
@@ -170,8 +169,7 @@ def build_profile(cutoff: float, curvature: float, gamma: float, u: float) -> Co
         z = np.zeros(1)
         return ConcaveProfile(cutoff=0.0, curvature=curvature, gamma=gamma, u=u,
                               chat=np.inf, log_inner_total=-np.inf,
-                              knots=z, f_knots=z, psi_knots=np.ones(1),
-                              log_inner_knots=np.full(1, -np.inf))
+                              knots=z, f_knots=z, psi_knots=np.ones(1))
     a = curvature
     knots = np.linspace(0.0, cutoff, N_PANELS + 1)
     x, half = _panel_nodes(knots)
@@ -189,5 +187,4 @@ def build_profile(cutoff: float, curvature: float, gamma: float, u: float) -> Co
     chat = u / gamma * float(np.exp(-log_total))  # underflows to 0.0 for stiff configs
     return ConcaveProfile(cutoff=float(cutoff), curvature=float(a), gamma=gamma, u=u,
                           chat=chat, log_inner_total=log_total,
-                          knots=knots, f_knots=f_knots, psi_knots=psi_knots,
-                          log_inner_knots=log_inner)
+                          knots=knots, f_knots=f_knots, psi_knots=psi_knots)

@@ -28,10 +28,6 @@ SUB_INIT = 7        # initial-condition sampling
 SUB_SECOND_INIT = 9  # second initial law of a coupled run
 SUB_BOOTSTRAP = 11  # resampling inside estimators
 
-# step key of the W-curve's replica subsample on SUB_BOOTSTRAP, far above
-# the keys 2 (first + b) + {0, 1} of the bootstrap resamples
-STEP_SUBSAMPLE = 10_000_019
-
 
 # constructing a Philox pulls OS entropy even when the key is explicit, and
 # a Generator costs a few microseconds, so one (key, Philox, Generator) is

@@ -6,6 +6,8 @@ library against, and a shorthand for building coupled states.
 * the marginal-validity check of a coupling: each coupled component must
   have the law of an uncoupled run;
 * the sorted quantile coupling, the exact W_p of two samples on the line;
+* :func:`ell1_norm`, the pair cost that the chaos sweep's in-place slot
+  cost is tested against op for op;
 * :func:`pair_state`, a coupled batch of replicated phase points.
 """
 
@@ -18,7 +20,7 @@ import numpy as np
 
 from kinlang.constants import ConstantsError
 from kinlang.coupling import CoupledState, CoupledTrajectory
-from kinlang.metrics import small_norm, twisted_norm
+from kinlang.metrics import row_norm, small_norm, twisted_norm
 from kinlang.transport import TransportError
 
 Array = np.ndarray
@@ -153,6 +155,15 @@ def wasserstein_1d_sorted(a: Array, b: Array, p: int = 1) -> float:
         raise TransportError("size mismatch between the two samples")
     gaps = np.abs(np.sort(a) - np.sort(b))
     return float(np.mean(gaps ** p) ** (1.0 / p))
+
+
+# ---------------------------------------------------------------------------
+# pair costs
+# ---------------------------------------------------------------------------
+
+def ell1_norm(z: Array, w: Array) -> Array:
+    """|z| + |w|: the per-pair cost underlying the normalized ensemble 1-distance."""
+    return row_norm(np.asarray(z, dtype=float)) + row_norm(np.asarray(w, dtype=float))
 
 
 # ---------------------------------------------------------------------------

@@ -49,6 +49,14 @@ GOLDEN = {
 # particle run, which no record digest covers
 SIMULATE_TRAJECTORY = "31d200b40af1c1c819572e41084b6948c4fc0b929ce415880bd228127687184f"
 
+# the outputs of ``kinlang couple -c configs/double_well.json`` and the
+# ``--out`` file of ``kinlang constants -c configs/double_well.json``
+COUPLE_OUTPUTS = {
+    "coupled.csv": "44ebb6e49adb94d5d8be50dcb2f0e71181653d196778cc8ddfba20c2e07454da",
+    "coupled.json": "7cf9332ff02940aa3dac6c19b95cc6b00148be6e139d12b9595adfd8fbee8447",
+}
+CONSTANTS_OUT = "bfb689b0887504f2fa05ebcc9f98db081f238e5ecb084730b1b469b3488ab1ea"
+
 # (seed, substream, step, shape): plain, reflection, chaos-slot and
 # bootstrap substreams, small and huge step counters
 NOISE_KEYS = ((0, 0, 0, (8,)), (31, 1, 2999, (4, 2)), (179, 6, 199, (3, 1)),
@@ -88,3 +96,19 @@ def test_simulate_trajectory_digest(tmp_path):
                      "--out", str(tmp_path)]) == 0
     (csv,) = tmp_path.glob("*/trajectory.csv")
     assert hashlib.sha256(csv.read_bytes()).hexdigest() == SIMULATE_TRAJECTORY
+
+
+def test_couple_digests(tmp_path):
+    assert cli_main(["couple", "-c", str(CONFIGS / "double_well.json"),
+                     "--out", str(tmp_path)]) == 0
+    (run_dir,) = tmp_path.iterdir()
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in sorted(run_dir.iterdir())}
+    assert digests == COUPLE_OUTPUTS
+
+
+def test_constants_out_digest(tmp_path):
+    out = tmp_path / "constants.json"
+    assert cli_main(["constants", "-c", str(CONFIGS / "double_well.json"),
+                     "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == CONSTANTS_OUT

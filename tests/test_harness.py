@@ -8,18 +8,19 @@ import pytest
 
 from kinlang import coupling, rng
 from kinlang.constants import derive_constants
-from kinlang.dynamics import Trajectory
 from kinlang.harness import cli as cli_mod
 from kinlang.harness import record as record_mod
 from kinlang.harness.cli import main as cli_main
 from kinlang.harness.config import (CONFIG_SCHEMA, ConfigError, config_hash, load_config,
                                     load_config_file, validate_config)
-from kinlang.harness.experiments import (ExperimentRecord, build_initial_pair,
+from kinlang.harness.experiments import (_METRIC_FOR, ExperimentRecord, build_initial_pair,
                                          coupled_trajectory, fit_decay_rate, run_chaos,
                                          run_contraction, run_moments)
 from kinlang.harness.record import record_json, write_record
 from kinlang.metrics import GroundMetric
-from kinlang.transport import SIZE_CAP, distance_curve, wasserstein_from_costs
+from kinlang.transport import SIZE_CAP, cost_matrix_zw, wasserstein_from_costs
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def quad_doc(**over):
@@ -37,8 +38,7 @@ def quad_doc(**over):
 
 
 def unconfined_doc(**over):
-    doc = json.loads((Path(__file__).resolve().parent.parent / "configs"
-                      / "unconfined.json").read_text())
+    doc = json.loads((CONFIGS / "unconfined.json").read_text())
     doc.update(over)
     return doc
 
@@ -84,9 +84,10 @@ class TestConfig:
         with pytest.raises(ConfigError, match="/ensemble_sizes"):
             load_config(doc)
 
-    # each used to load, and the run went on with the default it misspelt
+    # a misspelt key would run with the default it misspelt; the retired
+    # wasserstein_curve option is unknown like any other key
     @pytest.mark.parametrize("section, key", [(None, "dump_cont"), ("integrator", "stepp"),
-                                              ("coupling", "mod")])
+                                              ("coupling", "mod"), (None, "wasserstein_curve")])
     def test_unknown_key_rejected(self, section, key):
         doc = quad_doc(coupling={"mode": "synchronous"})
         (doc[section] if section else doc)[key] = 4
@@ -119,6 +120,17 @@ class TestConfig:
         assert cli_main(["run", "-c", str(cfgp), "--out", str(tmp_path / "runs")]) == 1
         assert literal in capsys.readouterr().err
         assert not (tmp_path / "runs").exists()
+
+    # inf passes every bound and NaN fails none, so neither is a number
+    @pytest.mark.parametrize("section, key, value", [
+        ("model", "gamma", float("inf")), ("integrator", "horizon", float("nan")),
+        (None, "replicas", float("inf"))])
+    def test_non_finite_numbers_rejected(self, section, key, value):
+        doc = quad_doc()
+        (doc[section] if section else doc)[key] = value
+        pointer = f"/{section}/{key}" if section else f"/{key}"
+        with pytest.raises(ConfigError, match=f"at {pointer}: "):
+            load_config(doc)
 
     def test_default_step_follows_friction(self):
         doc = dw_doc()
@@ -274,38 +286,20 @@ class TestRecords:
                  replicas=64, dump_count=5),
     ], ids=["gaussian_shift", "unconfined_dirac", "strong_linear_interaction"])
     def test_wasserstein_curve_bounded_by_coupled_mean(self, doc):
-        rec = run_contraction(load_config({**doc, "wasserstein_curve": True}))
-        dist_rows = np.asarray(rec.curves["distance"][1])
-        w_rows = np.asarray(rec.curves["wasserstein"][1])
-        assert rec.curves["wasserstein"][0] == ["t", "w", "w_se"]
-        # the coupled pairing is one admissible transport plan
-        assert np.all(w_rows[:, 1] <= dist_rows[:, 1] + 1e-9)
-
-    def test_wasserstein_curve_uses_every_replica_up_to_the_cap(self):
-        cfg = load_config({**quad_doc(initial={"kind": "gaussian", "std": 1.0},
-                                      initial_second={"shift_x": 1.0}, replicas=64,
-                                      dump_count=5), "wasserstein_curve": True})
-        rec = run_contraction(cfg)
-        constants = derive_constants(cfg.spec)
-        metric = GroundMetric.from_constants(cfg.spec, constants, "r_strong")
-        s0 = build_initial_pair(cfg)
-        costs = metric.dist_zw(s0.ax[:, None] - s0.bx[None], s0.ay[:, None] - s0.by[None])
-        assert rec.curves["wasserstein"][1][0, 1] == wasserstein_from_costs(costs)
-
-    def test_wasserstein_curve_is_the_distance_curve_of_the_pairs(self):
-        cfg = load_config({**quad_doc(initial={"kind": "gaussian", "std": 1.0},
-                                      initial_second={"shift_x": 1.0}, replicas=64,
-                                      dump_count=5), "wasserstein_curve": True})
+        # W_1 between the two coupled marginals at each dump, under the
+        # experiment's metric: the coupled pairing is one admissible
+        # transport plan, and its mean cost is the record's distance curve
+        cfg = load_config(doc)
         rec = run_contraction(cfg)
         constants = derive_constants(cfg.spec)
         traj = coupled_trajectory(cfg, constants, cfg.step)
-        metric = GroundMetric.from_constants(cfg.spec, constants, "r_strong")
-        # dump k bootstraps at first = k n_boot, as distance_curve does
-        curve = distance_curve(Trajectory(traj.times, traj.ax, traj.ay),
-                               Trajectory(traj.times, traj.bx, traj.by),
-                               metric.dist_zw, n_boot=100, seed=cfg.seed)
-        assert np.array_equal(np.asarray(rec.curves["wasserstein"][1]),
-                              np.column_stack([curve.times, curve.w, curve.w_se]))
+        metric = GroundMetric.from_constants(cfg.spec, constants, _METRIC_FOR[cfg.experiment])
+        mean_dist = np.asarray(rec.curves["distance"][1])[:, 1]
+        for k, mean in enumerate(mean_dist):
+            costs = cost_matrix_zw(metric.dist_zw, traj.ax[k], traj.ay[k],
+                                   traj.bx[k], traj.by[k])
+            assert np.diag(costs).mean() == pytest.approx(mean, rel=1e-12)
+            assert wasserstein_from_costs(costs) <= mean + 1e-9
 
     def test_chaos_smoke(self):
         doc = quad_doc(experiment="chaos",
@@ -446,6 +440,15 @@ class TestCli:
         code = cli_main(["run", "-c", str(cfgp)])
         assert code == 1
         assert "/integrator/step" in capsys.readouterr().err
+
+    # an override never passes the JSON parser's check of NaN and Infinity
+    @pytest.mark.parametrize("step", ["inf", "nan"])
+    def test_non_finite_step_override_rejected(self, tmp_path, capsys, step):
+        code = cli_main(["run", "-c", str(CONFIGS / "quadratic_contract.json"),
+                         "--step", step, "--out", str(tmp_path / "runs")])
+        assert code == 1
+        assert f"/integrator/step: {step} is not of type" in capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()
 
     def test_diagnostics_exit_code_2(self, tmp_path):
         model = {"dimension": 1, "gamma": 2.0, "u": 1.0,

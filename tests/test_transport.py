@@ -8,13 +8,11 @@ import pytest
 from scipy.optimize import linear_sum_assignment
 
 from kinlang import rng
-from kinlang.dynamics import Trajectory
-from kinlang.metrics import GroundMetric, ell1_norm
+from kinlang.metrics import GroundMetric
 from kinlang.harness.experiments import _slot_ell1_cost
 from kinlang.transport import (BLOCK_ELEMENTS, SIZE_CAP, TransportError, bootstrap_se,
-                               cost_matrix_zw, distance_curve, wasserstein_exact,
-                               wasserstein_from_costs)
-from oracles import pair_state, wasserstein_1d_sorted
+                               cost_matrix_zw, wasserstein_from_costs)
+from oracles import ell1_norm, pair_state, wasserstein_1d_sorted
 
 
 euclid = GroundMetric.euclidean().dist_zw
@@ -23,6 +21,12 @@ euclid = GroundMetric.euclidean().dist_zw
 def normal_support(gen, n, d):
     """An (x, y) support of n points in d dimensions."""
     return gen.normal(size=(n, d)), gen.normal(size=(n, d))
+
+
+def w1(cost_zw, a, b):
+    """Exact W_1 between the supports ``a = (ax, ay)`` and ``b = (bx, by)``
+    under the difference-form cost ``cost_zw``."""
+    return wasserstein_from_costs(cost_matrix_zw(cost_zw, *a, *b))
 
 
 def per_point_costs(dist_fn, a, b):
@@ -38,12 +42,12 @@ def per_point_costs(dist_fn, a, b):
 class TestExactSolver:
     def test_same_points_zero(self):
         pts = (np.array([[0.0], [1.0], [2.0]]), np.zeros((3, 1)))
-        assert wasserstein_exact(euclid, pts, pts) == pytest.approx(0.0)
+        assert w1(euclid, pts, pts) == pytest.approx(0.0)
 
     def test_two_singletons(self):
         a = (np.array([[0.0, 0.0]]), np.zeros((1, 2)))
         b = (np.array([[3.0, 4.0]]), np.zeros((1, 2)))
-        assert wasserstein_exact(euclid, a, b) == pytest.approx(5.0)
+        assert w1(euclid, a, b) == pytest.approx(5.0)
 
     @pytest.mark.parametrize("p", [1, 2])
     def test_matches_brute_force_permutations(self, dw_spec, dw_constants, p):
@@ -53,19 +57,21 @@ class TestExactSolver:
         costs = per_point_costs(lambda pa, pb: float(m.dist(pa, pb)), a, b)
         brute = min(np.mean([costs[i, pi[i]] ** p for i in range(4)])
                     for pi in itertools.permutations(range(4)))
-        assert wasserstein_exact(m.dist_zw, a, b, p) == pytest.approx(brute ** (1 / p))
+        # W_p is W_1 on the p-th powers of the costs, to the power 1/p
+        w = wasserstein_from_costs(cost_matrix_zw(m.dist_zw, *a, *b) ** p) ** (1 / p)
+        assert w == pytest.approx(brute ** (1 / p))
 
     def test_permutation_invariance(self):
         gen = np.random.default_rng(1)
         a, b = normal_support(gen, 16, 1), normal_support(gen, 16, 1)
-        w = wasserstein_exact(euclid, a, b)
+        w = w1(euclid, a, b)
         perm = gen.permutation(16)
-        assert wasserstein_exact(euclid, (a[0][perm], a[1][perm]), b) == pytest.approx(w)
+        assert w1(euclid, (a[0][perm], a[1][perm]), b) == pytest.approx(w)
 
     def test_size_mismatch_rejected(self):
         with pytest.raises(TransportError):
-            wasserstein_exact(euclid, (np.zeros((1, 1)), np.zeros((1, 1))),
-                              (np.zeros((2, 1)), np.zeros((2, 1))))
+            w1(euclid, (np.zeros((1, 1)), np.zeros((1, 1))),
+               (np.zeros((2, 1)), np.zeros((2, 1))))
 
     def test_cap_rejected_with_hint(self):
         costs = np.broadcast_to(0.0, (SIZE_CAP + 1, SIZE_CAP + 1))
@@ -77,28 +83,29 @@ class TestExactSolver:
         a, b = normal_support(gen, 32, 2), normal_support(gen, 32, 2)
         # the index-aligned pairing is one transport plan
         identity = euclid(a[0] - b[0], a[1] - b[1]).mean()
-        assert wasserstein_exact(euclid, a, b) <= identity + 1e-12
+        assert w1(euclid, a, b) <= identity + 1e-12
 
     def test_triangle_inequality_small_measures(self):
         gen = np.random.default_rng(3)
         for _ in range(20):
             a, b, c = (normal_support(gen, 8, 1) for _ in range(3))
-            wab = wasserstein_exact(euclid, a, b)
-            wbc = wasserstein_exact(euclid, b, c)
-            wac = wasserstein_exact(euclid, a, c)
+            wab = w1(euclid, a, b)
+            wbc = w1(euclid, b, c)
+            wac = w1(euclid, a, c)
             assert wac <= wab + wbc + 1e-12
 
     def test_ground_metric_cost(self, dw_spec, dw_constants):
         m = GroundMetric.from_constants(dw_spec, dw_constants, "rho")
         gen = np.random.default_rng(4)
         a, b = normal_support(gen, 8, 1), normal_support(gen, 8, 1)
-        w = wasserstein_exact(m.dist_zw, a, b)
+        w = w1(m.dist_zw, a, b)
         assert w >= 0
-        assert wasserstein_exact(m.dist_zw, a, a) == pytest.approx(0.0, abs=1e-14)
+        assert w1(m.dist_zw, a, a) == pytest.approx(0.0, abs=1e-14)
 
     @staticmethod
     def power_expression(costs, p):
-        """Reference: the solver's body before p = 1 skipped the copy."""
+        """Reference: W_p assigned on the p-th powers of the costs, which
+        copies the costs even for p = 1."""
         rows, cols = linear_sum_assignment(costs ** p)
         return float(np.mean(costs[rows, cols] ** p) ** (1.0 / p))
 
@@ -113,7 +120,10 @@ class TestExactSolver:
         cases += [tied, tied.T, boot[np.ix_(ia, ib)]]
         for costs in cases:
             before = costs.copy()
-            assert wasserstein_from_costs(costs, p) == self.power_expression(costs, p)
+            # x ** 1.0 is exact, so W_1 assigns on the costs themselves
+            powered = costs if p == 1 else costs ** p
+            assert wasserstein_from_costs(powered) ** (1.0 / p) == \
+                self.power_expression(costs, p)
             assert np.array_equal(costs, before)
 
 
@@ -220,8 +230,9 @@ class TestSorted1d:
         a = gen.normal(size=64)
         b = gen.normal(size=64) + 0.5
         zeros = np.zeros((64, 1))
-        exact = wasserstein_exact(lambda z, w: np.abs(z[..., 0]),
-                                  (a[:, None], zeros), (b[:, None], zeros), p)
+        costs = cost_matrix_zw(lambda z, w: np.abs(z[..., 0]),
+                               a[:, None], zeros, b[:, None], zeros)
+        exact = wasserstein_from_costs(costs ** p) ** (1 / p)
         assert wasserstein_1d_sorted(a, b, p) == pytest.approx(exact, abs=1e-10)
 
     def test_rejects_vector_input(self):
@@ -230,26 +241,24 @@ class TestSorted1d:
 
 
 class TestDistanceCurve:
-    def mk_traj(self, xs, ys, times):
-        return Trajectory(times=np.asarray(times, dtype=float),
-                          x=np.asarray(xs, dtype=float), y=np.asarray(ys, dtype=float))
+    """W_1 and its bootstrap error at each dump of two trajectories."""
+
+    @staticmethod
+    def curve(x_a, y_a, x_b, y_b, cost_zw, n_boot, seed=0):
+        """Per-dump ``(w, se)`` of (K, n, d) position and velocity dumps."""
+        w, se = [], []
+        for k in range(len(x_a)):
+            costs = cost_matrix_zw(cost_zw, x_a[k], y_a[k], x_b[k], y_b[k])
+            w.append(wasserstein_from_costs(costs))
+            se.append(bootstrap_se(costs, seed, n_boot))
+        return np.array(w), np.array(se)
 
     def test_same_run_identically_zero(self):
         gen = np.random.default_rng(6)
         x = gen.normal(size=(3, 16, 1))
         y = gen.normal(size=(3, 16, 1))
-        run = self.mk_traj(x, y, [0.0, 1.0, 2.0])
-        curve = distance_curve(run, run, euclid)
-        assert np.allclose(curve.w, 0.0)
-
-    def test_misaligned_times_rejected(self):
-        gen = np.random.default_rng(7)
-        x = gen.normal(size=(2, 4, 1))
-        y = gen.normal(size=(2, 4, 1))
-        a = self.mk_traj(x, y, [0.0, 1.0])
-        b = self.mk_traj(x, y, [0.0, 1.5])
-        with pytest.raises(TransportError):
-            distance_curve(a, b, euclid)
+        w, se = self.curve(x, y, x, y, euclid, n_boot=20)
+        assert np.allclose(w, 0.0)
 
     def test_deterministic_diracs_decay_exactly(self, quad_spec, quad_constants):
         # two synchronous Dirac trajectories: the Wasserstein curve under the
@@ -264,56 +273,31 @@ class TestDistanceCurve:
             (np.array([0.0]), np.array([0.0]))), control, cfg, mc,
             dump_times=np.linspace(0, 2, 5), law="none")
         m = GroundMetric.from_constants(quad_spec, mc, "r_strong")
-        run_a = self.mk_traj(traj.ax, traj.ay, traj.times)
-        run_b = self.mk_traj(traj.bx, traj.by, traj.times)
-        curve = distance_curve(run_a, run_b, m.dist_zw, n_boot=10)
+        w, se = self.curve(traj.ax, traj.ay, traj.bx, traj.by, m.dist_zw, n_boot=10)
         direct = traj.distance_series(m)[:, 0]
-        assert np.allclose(curve.w, direct, atol=1e-12)
+        assert np.allclose(w, direct, atol=1e-12)
         # single-atom supports: the bootstrap spread collapses
-        assert np.allclose(curve.w_se, 0.0)
+        assert np.allclose(se, 0.0)
 
     def test_curve_bounded_by_mean_pair_cost(self, dw_spec, dw_constants):
         gen = np.random.default_rng(8)
         x = gen.normal(size=(2, 24, 1))
         y = gen.normal(size=(2, 24, 1))
-        run_a = self.mk_traj(x, y, [0.0, 1.0])
-        run_b = self.mk_traj(x + 0.5, y - 0.2, [0.0, 1.0])
         m = GroundMetric.from_constants(dw_spec, dw_constants, "rho")
-        curve = distance_curve(run_a, run_b, m.dist_zw, n_boot=25)
+        w, se = self.curve(x, y, x + 0.5, y - 0.2, m.dist_zw, n_boot=25)
         for k in range(2):
             a, b = (x[k], y[k]), (x[k] + 0.5, y[k] - 0.2)
-            assert curve.w[k] <= m.dist_zw(a[0] - b[0], a[1] - b[1]).mean() + 1e-12
-        assert np.all(curve.w_se >= 0)
+            # the index-aligned pairing is one transport plan
+            assert w[k] <= m.dist_zw(a[0] - b[0], a[1] - b[1]).mean() + 1e-12
+        assert np.all(se >= 0)
 
-    @pytest.mark.parametrize("p", [1, 2])
-    def test_bootstrap_se_matches_the_ix_gather(self, p):
+    def test_bootstrap_se_matches_the_ix_gather(self):
         gen = np.random.default_rng(13)
-        n, n_boot, seed, first = 37, 30, 8, 5
+        n, n_boot, seed = 37, 30, 8
         for costs in (gen.random((n, n)), np.round(gen.random((n, n)), 1)):
             vals = np.empty(n_boot)
             for b in range(n_boot):
-                key = 2 * (first + b)
-                ia = rng.integers(seed, rng.SUB_BOOTSTRAP, key, 0, n, (n,))
-                ib = rng.integers(seed, rng.SUB_BOOTSTRAP, key + 1, 0, n, (n,))
-                vals[b] = wasserstein_from_costs(costs[np.ix_(ia, ib)], p)
-            assert bootstrap_se(costs, seed, n_boot, first=first, p=p) == \
-                float(np.std(vals, ddof=1))
-
-    def test_bootstrap_keys_follow_the_dump_index(self):
-        gen = np.random.default_rng(9)
-        x = gen.normal(size=(3, 12, 1))
-        y = gen.normal(size=(3, 12, 1))
-        run_a = self.mk_traj(x, y, [0.0, 1.0, 2.0])
-        run_b = self.mk_traj(x + 0.3, 0.5 * y, [0.0, 1.0, 2.0])
-        n_boot, seed = 25, 4
-        curve = distance_curve(run_a, run_b, euclid, n_boot=n_boot, seed=seed)
-        assert np.array_equal(curve.times, [0.0, 1.0, 2.0])
-        for k in range(3):
-            costs = cost_matrix_zw(euclid, x[k], y[k], x[k] + 0.3, 0.5 * y[k])
-            boots = np.empty(n_boot)
-            for r in range(n_boot):
-                ia = rng.integers(seed, rng.SUB_BOOTSTRAP, 2 * (k * n_boot + r), 0, 12, (12,))
-                ib = rng.integers(seed, rng.SUB_BOOTSTRAP, 2 * (k * n_boot + r) + 1, 0, 12,
-                                  (12,))
-                boots[r] = wasserstein_from_costs(costs[np.ix_(ia, ib)])
-            assert curve.w_se[k] == float(np.std(boots, ddof=1))
+                ia = rng.integers(seed, rng.SUB_BOOTSTRAP, 2 * b, 0, n, (n,))
+                ib = rng.integers(seed, rng.SUB_BOOTSTRAP, 2 * b + 1, 0, n, (n,))
+                vals[b] = wasserstein_from_costs(costs[np.ix_(ia, ib)])
+            assert bootstrap_se(costs, seed, n_boot) == float(np.std(vals, ddof=1))
