@@ -197,8 +197,7 @@ def _max_norm_ratios(spec, tau: float, alpha: float, seed: int = 421) -> tuple[f
 # the two suprema
 # ---------------------------------------------------------------------------
 
-def compute_glue_offset(spec: ModelSpec, tau: float, alpha: float, eps: float,
-                        ratio_floor: float, radius_sq: float,
+def compute_glue_offset(eps: float, ratio_floor: float, radius_sq: float,
                         ratios: Optional[tuple]) -> tuple[float, float]:
     """Supremum of the gluing gap over the synchronous region.
 
@@ -215,9 +214,8 @@ def compute_glue_offset(spec: ModelSpec, tau: float, alpha: float, eps: float,
     return val, max(upper - val, 0.0)
 
 
-def compute_small_cutoff(spec: ModelSpec, tau: float, alpha: float, eps: float,
-                         ratio_floor: float, radius_sq: float, glue_offset: float,
-                         ratios: Optional[tuple]) -> tuple[float, float]:
+def compute_small_cutoff(eps: float, ratio_floor: float, radius_sq: float,
+                         glue_offset: float, ratios: Optional[tuple]) -> tuple[float, float]:
     """Supremum of r_small over the sublevel set of the gluing gap.
 
     ``ratios`` are as in :func:`compute_glue_offset`; a zero ``radius_sq``
@@ -281,10 +279,9 @@ def derive_constants(spec: ModelSpec) -> MetricConstants:
     if friction_ok:
         radius_sq = (8.0 * u * (1.0 if big_r > 0 else 0.0) + lg * u * big_r ** 2) / (tau * g ** 2)
         ratios = _max_norm_ratios(spec, tau, alpha) if radius_sq > 0 else None
-        glue_offset, glue_err = compute_glue_offset(
-            spec, tau, alpha, eps, ratio_floor, radius_sq, ratios)
-        small_cutoff, cutoff_err = compute_small_cutoff(
-            spec, tau, alpha, eps, ratio_floor, radius_sq, glue_offset, ratios)
+        glue_offset, glue_err = compute_glue_offset(eps, ratio_floor, radius_sq, ratios)
+        small_cutoff, cutoff_err = compute_small_cutoff(eps, ratio_floor, radius_sq,
+                                                        glue_offset, ratios)
         curvature = (lk + lg) / 4.0
         prof = build_profile(small_cutoff, curvature, g, u)
         big_lambda = curvature * small_cutoff ** 2

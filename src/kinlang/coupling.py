@@ -22,12 +22,14 @@ The pair is one array with a leading copy axis of length 2: positions
 and velocities of shape (2, R, d), copy ``a`` first.  Each step makes one
 call of the force dispatcher and one of the integrator update of
 :mod:`kinlang.dynamics` for both copies, and the shared noise block of
-shape (R, d) broadcasts over the copy axis.  Law terms inside nonlinear
-coupled runs are approximated by the empirical marginals of the coupled
-batch itself, per copy.  The componentwise adaptation is the same step
-with one more axis: given an external law-mean path (e.g. the mean path
-of a large proxy run), it couples N independent nonlinear copies against
-one N-particle system, slot by slot, on (2, R, N, d) arrays.
+shape (R, d) broadcasts over the copy axis.  The model spec decides the
+forces both copies feel (:func:`kinlang.dynamics.drift`).  A law term
+sees each copy's empirical marginal over the coupled batch, or one fixed
+law mean that both copies share (the exact zero of the centered
+unconfined theory).  The componentwise adaptation is the same step with
+one more axis: given an external law-mean path (e.g. the mean path of a
+large proxy run), it couples N independent nonlinear copies against one
+N-particle system, slot by slot, on (2, R, N, d) arrays.
 """
 
 from __future__ import annotations
@@ -41,8 +43,7 @@ import numpy as np
 
 from . import rng
 from .constants import MetricConstants
-from .dynamics import (DynamicsError, IntegratorConfig, _require_split, drift,
-                       integrator, march)
+from .dynamics import DynamicsError, IntegratorConfig, drift, integrator, march
 from .metrics import GroundMetric, row_norm, small_norm, twisted_norm
 from .model import ModelSpec
 
@@ -178,20 +179,6 @@ def _reflected_noise(q: Array, qn: Array, rc: Array, xi_sc: Array,
     return noise
 
 
-def _law_system(spec: ModelSpec, law: str) -> tuple[str, Optional[Array]]:
-    """System both copies follow under ``law`` and its default law mean
-    (None: each copy's own empirical marginal)."""
-    if law == "none":
-        return "classical", None
-    if law == "replica_proxy":
-        return "particles", None
-    if law == "analytic_zero":
-        # centered theory: the law mean stays at the origin exactly
-        _require_split(spec)
-        return "unconfined", np.zeros(spec.dim)
-    raise DynamicsError(f"unknown law {law!r}")
-
-
 # ---------------------------------------------------------------------------
 # coupled trajectory driver
 # ---------------------------------------------------------------------------
@@ -212,16 +199,15 @@ class CoupledTrajectory:
 
 def simulate_coupled(spec: ModelSpec, state0: CoupledState, control: CouplingControl,
                      cfg: IntegratorConfig, constants: MetricConstants,
-                     dump_times=None, law: str = "replica_proxy",
+                     dump_times=None, law_mean: Optional[Array] = None,
                      law_means: Optional[Array] = None) -> CoupledTrajectory:
     """March a batch of coupled pairs to the horizon, recording dumps.
 
-    ``law`` selects how nonlinear terms are fed: ``"replica_proxy"`` uses
-    each copy's own empirical marginal over the batch, ``"analytic_zero"``
-    substitutes the exactly-centered law mean of the unconfined theory,
-    ``"none"`` drops the interaction (classical dynamics).  A law-mean path
-    ``law_means`` makes the coupling componentwise: the first component
-    evolves as N independent nonlinear copies whose law mean at step k is
+    Law terms see each copy's own empirical marginal over the batch, or
+    ``law_mean``, one fixed law mean both copies use (e.g. the exact zero
+    of the centered unconfined theory).  A law-mean path ``law_means``
+    makes the coupling componentwise: the first component evolves as N
+    independent nonlinear copies whose law mean at step k is
     ``law_means[k]`` (e.g. a large-proxy mean path), and the second as the
     N-particle system on its own empirical marginal (axis -2, so (R, N, d)
     arrays hold R replicas).  Each slot carries its own blend and
@@ -230,17 +216,16 @@ def simulate_coupled(spec: ModelSpec, state0: CoupledState, control: CouplingCon
     ``by`` are views of its stacked dumps.  Dumps and blow-ups follow
     :func:`kinlang.dynamics.march`.
     """
-    system, default_mean = _law_system(spec, law)
     advance = integrator(cfg.step, spec.gamma, spec.u, cfg.scheme)
     # a purely synchronous run shares one increment bitwise at every step;
     # otherwise that holds only on steps whose blend is zero on every pair
     synchronous = purely_synchronous(control, constants)
 
-    def law_mean(k: int, x: Array) -> Optional[Array]:
+    def mean_at(k: int, x: Array) -> Optional[Array]:
         """Law mean of both copies; in componentwise runs the second copy's
         is its own empirical marginal, stacked after the first copy's."""
         if law_means is None:
-            return default_mean
+            return law_mean
         own = x[1].mean(axis=-2, keepdims=True)
         return np.stack((np.broadcast_to(law_means[k], own.shape), own))
 
@@ -251,7 +236,7 @@ def simulate_coupled(spec: ModelSpec, state0: CoupledState, control: CouplingCon
             rc, q, qn = _blend(control, spec, constants, x[0] - x[1], y[0] - y[1])
             if rc.any():
                 noise = _reflected_noise(q, qn, rc, noise, cfg, k)
-        return advance(x, y, drift(spec, x, system, law_mean(k, x)), noise)
+        return advance(x, y, drift(spec, x, mean_at(k, x)), noise)
 
     kept = []
 

@@ -1,14 +1,16 @@
 """Time integration of kinetic Langevin systems.
 
-Three drifts share one stepping core:
+One kinetic SDE, ``dX = Y dt``, ``dY = (-gamma Y + u F(X)) dt + sqrt(2 gamma
+u) dB``, whose force ``F`` the model spec decides (:func:`drift`):
 
-* classical dynamics: ``dX = Y dt``, ``dY = (-gamma Y + u b(X)) dt + sqrt(2 gamma u) dB``,
-* the mean-field particle system, whose drift adds the empirical mean of
-  the pairwise interaction over the ensemble.  The nonlinear
-  (McKean-Vlasov) dynamics is this system with its law mean supplied from
-  outside, e.g. the mean path of a large proxy ensemble,
-* the unconfined dynamics: no external force, interaction with a linear
-  part plus an anti-symmetric perturbation, run on centered ensembles.
+* the external force ``b`` alone when the interaction is ``none``: the
+  classical dynamics,
+* ``b`` plus the law term, the mean of the pairwise interaction against
+  the law: the mean-field particle system on its empirical measure, or the
+  nonlinear (McKean-Vlasov) dynamics when the law mean comes from outside,
+  e.g. the mean path of a large proxy ensemble,
+* the law term alone when the external force is ``zero``: with a split
+  interaction, the unconfined dynamics, run on centered ensembles.
 
 The core is shared with the couplings in :mod:`kinlang.coupling`:
 :func:`march` is the only stepping loop, :func:`integrator` builds the only
@@ -135,25 +137,22 @@ def integrator(h: float, gamma: float, u: float, scheme: str) -> Callable:
     return advance
 
 
-def law_term(spec: ModelSpec, x: Array, law_mean: Optional[Array] = None,
-             fast: bool = True) -> Array:
+def law_term(spec: ModelSpec, x: Array, law_mean: Optional[Array] = None) -> Array:
     """Law term ``N^-1 sum_j b_int(x_i, x_j)`` over the members on axis -2.
 
-    ``x`` is an (N, d) ensemble or a stack of them, e.g. (R, N, d).  The
-    reference path materializes all pairs (O(N^2)); interactions that are
-    affine in the second argument take an O(N) path through the mean.
-    Those interactions see the law only through its mean, so an external
+    ``x`` is an (N, d) ensemble or a stack of them, e.g. (R, N, d).
+    Interactions that are affine in the second argument take an O(N) path
+    through the mean; every other kind materializes all pairs (O(N^2)).
+    The affine ones see the law only through its mean, so an external
     ``law_mean`` (broadcastable against ``x``) may replace the empirical one.
     The result broadcasts against ``x``: the linear kind's ``k * law_mean``
     comes back once per ensemble, every other kind's term has the shape of
     ``x``.
     """
     inter = spec.interaction
-    if inter.kind == "none":
-        return np.zeros_like(x)
     affine = inter.kind == "linear" or (inter.has_split and inter.split_g is None)
     if law_mean is None:
-        if not (fast and affine):
+        if not affine:
             pair = inter.pair_force(x[..., :, None, :], x[..., None, :, :])
             return pair.mean(axis=-2)
         law_mean = x.mean(axis=-2, keepdims=True)
@@ -165,25 +164,19 @@ def law_term(spec: ModelSpec, x: Array, law_mean: Optional[Array] = None,
     return -(x - law_mean) @ inter.split_matrix.T
 
 
-def drift(spec: ModelSpec, x: Array, system: str,
-          law_mean: Optional[Array] = None) -> Array:
-    """Total force of a system: ``classical`` (external only), ``particles``
-    (external plus law term) or ``unconfined`` (law term only).
+def drift(spec: ModelSpec, x: Array, law_mean: Optional[Array] = None) -> Array:
+    """Total force the spec puts on ``x``: the external force alone under
+    interaction kind ``none``, the law term alone under external kind
+    ``zero``, else their sum.
 
     Non-finite positions are not tested here: they run on into inf/nan,
     and :func:`march` finds them at its next checkpoint.
     """
-    if system == "unconfined":
+    if spec.interaction.kind == "none":
+        return spec.external.force(x)
+    if spec.external.kind == "zero":
         return law_term(spec, x, law_mean)
-    base = spec.external.force(x)
-    if system == "classical":
-        return base
-    return base + law_term(spec, x, law_mean)
-
-
-def _require_split(spec: ModelSpec) -> None:
-    if not spec.interaction.has_split:
-        raise DynamicsError("unconfined dynamics needs an interaction splitting")
+    return spec.external.force(x) + law_term(spec, x, law_mean)
 
 
 def _finite(arrays: tuple) -> bool:
@@ -241,14 +234,14 @@ def _first_nonfinite(k: int, arrays: tuple, step: Callable, last: int) -> int:
     return k
 
 
-def system_step(spec: ModelSpec, cfg: IntegratorConfig, system: str) -> Callable:
-    """Step function of one system on ``(x, y)`` for :func:`march`."""
+def system_step(spec: ModelSpec, cfg: IntegratorConfig) -> Callable:
+    """Step function of the spec's dynamics on ``(x, y)`` for :func:`march`."""
     advance = integrator(cfg.step, spec.gamma, spec.u, cfg.scheme)
 
     def step(k: int, state: tuple) -> tuple:
         x, y = state
         noise = rng.normals(cfg.seed, cfg.substream, k, x.shape)
-        return advance(x, y, drift(spec, x, system), noise)
+        return advance(x, y, drift(spec, x), noise)
 
     return step
 
@@ -265,19 +258,16 @@ class Trajectory:
 
 
 def simulate(spec: ModelSpec, x: Array, y: Array, cfg: IntegratorConfig,
-             system: str = "classical", dump_times: Optional[Array] = None) -> Trajectory:
-    """March an ensemble of (N, d) positions and velocities to the horizon,
-    recording snapshots at dump times (see :func:`march`)."""
-    if system not in ("classical", "particles", "unconfined"):
-        raise DynamicsError(f"unknown system {system!r}")
+             dump_times: Optional[Array] = None) -> Trajectory:
+    """March an ensemble of (N, d) positions and velocities under the spec's
+    forces to the horizon, recording snapshots at dump times (see
+    :func:`march`).  An unconfined spec needs a centered start."""
     if x.shape != y.shape:
         raise DynamicsError("position/velocity shape mismatch")
-    if system == "unconfined":
-        _require_split(spec)
-        if not _centered(x, y):
-            raise DynamicsError("unconfined dynamics requires a centered initial ensemble")
+    if spec.unconfined and not _centered(x, y):
+        raise DynamicsError("unconfined dynamics requires a centered initial ensemble")
     kept = []
-    march((x, y), cfg, system_step(spec, cfg, system),
+    march((x, y), cfg, system_step(spec, cfg),
           lambda k, state: kept.append((k, state)), dump_times)
     # stamps are running sums of the step (simulate_coupled stamps t0 + k h);
     # the golden digests of moments.json and of `kinlang simulate` pin them
@@ -310,16 +300,16 @@ class MomentSeries:
 def track_moments(traj: Trajectory, spec: ModelSpec, twist: float,
                   k_matrix: Optional[Array] = None) -> MomentSeries:
     """Second moments plus the quadratic Lyapunov form
-    ``u g^-2 X.KX + |(1-2 twist) X + g^-1 Y|^2 / 2 + g^-2 |Y|^2 / 2``."""
-    g, u = spec.gamma, spec.u
+    ``u g^-2 X.KX + |(1-2 twist) X + g^-1 Y|^2 / 2 + g^-2 |Y|^2 / 2``, the
+    squared twisted norm of the phase point."""
+    # imported here: loading a config imports this module, and needs neither
+    # the metrics nor the profile module behind them
+    from .metrics import twisted_norm_terms
     k = spec.external.matrix_k if k_matrix is None else np.asarray(k_matrix, dtype=float)
     x, y = traj.x, traj.y
     ex2 = np.mean(np.sum(x ** 2, axis=-1), axis=1)
     ey2 = np.mean(np.sum(y ** 2, axis=-1), axis=1)
-    quad = np.einsum("tni,ij,tnj->tn", x, k, x)
-    mix = (1.0 - 2.0 * twist) * x + y / g
-    lyap = (u / g ** 2) * quad + 0.5 * np.sum(mix ** 2, axis=-1) \
-        + 0.5 * np.sum(y ** 2, axis=-1) / g ** 2
+    lyap = twisted_norm_terms(x, y, k, twist, spec.gamma, spec.u)[0]
     return MomentSeries(times=traj.times, ex2=ex2, ey2=ey2,
                         lyapunov=lyap.mean(axis=1))
 

@@ -75,8 +75,11 @@ def _experiment_config(args) -> ExperimentConfig:
 
 def cmd_simulate(args) -> int:
     cfg = _experiment_config(args)
-    system, traj = simulate_particles(cfg)
+    traj = simulate_particles(cfg)
     run_dir = _out_root(cfg) / cfg.hash
+    inter = cfg.spec.interaction.kind
+    system = ("unconfined" if cfg.spec.unconfined
+              else "classical" if inter == "none" else "particles")
     meta = {"config_hash": cfg.hash, "seed": cfg.seed, "system": system,
             "step": cfg.step, "horizon": cfg.horizon}
     with filled_run_dir(run_dir) as tmp:

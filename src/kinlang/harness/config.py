@@ -42,6 +42,7 @@ class ConfigError(ValueError):
 
 _number = {"type": "number"}
 _positive = {"type": "number", "exclusiveMinimum": 0}
+_matrix = {"type": "array", "items": {"type": "array", "items": _number}}
 
 MODEL_SCHEMA = {
     "type": "object",
@@ -53,13 +54,16 @@ MODEL_SCHEMA = {
         "external": {
             "type": "object",
             "required": ["kind"],
-            "properties": {"kind": {"enum": ["quadratic", "double_well", "zero"]}},
+            "properties": {"kind": {"enum": ["quadratic", "double_well", "zero"]},
+                           "k_matrix": _matrix, "beta": _number},
         },
         "interaction": {
             "type": "object",
             "required": ["kind"],
             "properties": {"kind": {"enum": ["none", "linear", "mollified_coulomb",
-                                             "mollified_log", "custom"]}},
+                                             "mollified_log", "custom"]},
+                           "k": _number, "k_tilde": _number, "p": _number, "q": _number,
+                           "kt_matrix": _matrix},
         },
     },
 }
@@ -84,7 +88,8 @@ INITIAL_SCHEMA = {
 }
 
 # a misspelt key is an error, not a silent default; only the model's force
-# documents stay open, as their parameters depend on the kind
+# documents stay open, as their parameters depend on the kind (each known
+# parameter must still be a finite number, or a matrix of them)
 CONFIG_SCHEMA = {
     "type": "object",
     "required": ["experiment", "model"],

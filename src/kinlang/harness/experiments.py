@@ -24,7 +24,7 @@ are bitwise reproducible from (config, seed).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -35,7 +35,7 @@ from ..coupling import CoupledState, CoupledTrajectory, CouplingControl, simulat
 from ..dynamics import (BlowUpError, IntegratorConfig, Trajectory, dirac_ensemble,
                         gaussian_ensemble, march, simulate, system_step, track_moments)
 from ..metrics import GroundMetric, project_centered
-from ..model import ModelSpec
+from ..model import InteractionForce, ModelSpec
 from ..transport import bootstrap_se, cost_matrix_zw, wasserstein_from_costs
 from .config import ConfigError, ExperimentConfig
 
@@ -176,26 +176,35 @@ def _coupling_control(cfg: ExperimentConfig, constants: MetricConstants) -> Coup
     return CouplingControl.for_constants(constants, mode=mode)
 
 
-def _coupled_law(cfg: ExperimentConfig) -> str:
-    """How the coupled run feeds law terms (the ``law`` of ``simulate_coupled``)."""
-    inter = cfg.spec.interaction
+def _coupled_model(cfg: ExperimentConfig) -> tuple[ModelSpec, Optional[Array]]:
+    """The model a coupled run integrates and the fixed law mean both copies
+    use (None: each copy's own empirical marginal).
+
+    The strong and classical contractions drop the interaction.  Between
+    two Dirac laws under a pure linear splitting, the centered unconfined
+    theory keeps the law mean at the origin exactly.
+    """
+    spec = cfg.spec
     if cfg.experiment in ("contract_strong", "contract_classical"):
-        return "none"
+        return replace(spec, interaction=InteractionForce.none()), None
     if cfg.experiment == "unconfined_contract":
+        if not spec.interaction.has_split:
+            raise ConfigError("unconfined_contract needs an interaction splitting")
         both_dirac = (cfg.initial.get("kind") == "dirac"
                       and (cfg.initial_second or {}).get("kind") == "dirac")
-        if both_dirac and inter.split_g is None:
-            return "analytic_zero"
-    return "replica_proxy" if inter.kind != "none" else "none"
+        if both_dirac and spec.interaction.split_g is None:
+            return spec, np.zeros(spec.dim)
+    return spec, None
 
 
 def coupled_trajectory(cfg: ExperimentConfig, constants: MetricConstants,
                        step: float) -> CoupledTrajectory:
     """The coupled pairs a config describes, integrated at ``step``."""
-    return simulate_coupled(cfg.spec, build_initial_pair(cfg),
+    spec, law_mean = _coupled_model(cfg)
+    return simulate_coupled(spec, build_initial_pair(cfg),
                             _coupling_control(cfg, constants),
                             _integrator(cfg, step=step), constants,
-                            dump_times=cfg.dump_times, law=_coupled_law(cfg))
+                            dump_times=cfg.dump_times, law_mean=law_mean)
 
 
 def _contraction_curve(cfg: ExperimentConfig, constants: MetricConstants,
@@ -217,8 +226,6 @@ def run_contraction(cfg: ExperimentConfig) -> ExperimentRecord:
     constants = derive_constants(spec)
     diags = list(constants.diagnostics)
     flagged = bool(diags)
-    if cfg.experiment == "unconfined_contract" and not spec.interaction.has_split:
-        raise ConfigError("unconfined_contract needs an interaction splitting")
     if flagged and not constants.friction_ok:
         diags.append("no guarantee: running outside the admissible regime")
 
@@ -256,13 +263,12 @@ def run_contraction(cfg: ExperimentConfig) -> ExperimentRecord:
 # ---------------------------------------------------------------------------
 
 def _law_mean_series(cfg: ExperimentConfig) -> Array:
-    """Evolve the proxy ensemble to the evaluation time, keeping only its
+    """Evolve the proxy ensemble, whose empirical measure stands in for the
+    nonlinear dynamics' law, to the evaluation time, keeping only its
     empirical mean after each step."""
     spec = cfg.spec
-    # the nonlinear dynamics, its law proxied by this ensemble's empirical measure
-    system = "unconfined" if cfg.experiment == "unconfined_chaos" else "particles"
     init = dict(cfg.initial)
-    if system == "unconfined":
+    if cfg.experiment == "unconfined_chaos":
         init.setdefault("center", True)
     x, y = _draw_initial(init, spec, cfg.proxy_size, cfg.seed, rng.SUB_INIT)
     icfg = _integrator(cfg, horizon=cfg.eval_time, substream=rng.SUB_PROXY)
@@ -271,7 +277,7 @@ def _law_mean_series(cfg: ExperimentConfig) -> Array:
     def keep(k, state):
         means[k] = state[0].mean(axis=0)
 
-    march((x, y), icfg, system_step(spec, icfg, system), keep,
+    march((x, y), icfg, system_step(spec, icfg), keep,
           dump_times=icfg.step * np.arange(icfg.n_steps + 1))
     return means
 
@@ -301,7 +307,6 @@ def run_chaos(cfg: ExperimentConfig) -> ExperimentRecord:
                           f"need at least 8 x max ensemble size = {8 * max_n}")
     law_means = _law_mean_series(cfg)
     control = _coupling_control(cfg, constants)
-    law = "analytic_zero" if unconfined else "replica_proxy"
 
     r = cfg.subsample_pairs
     d = spec.dim
@@ -314,7 +319,7 @@ def run_chaos(cfg: ExperimentConfig) -> ExperimentRecord:
         state = CoupledState(ax=x, ay=y, bx=x, by=y)
         traj = simulate_coupled(spec, state, control,
                                 _integrator(cfg, horizon=cfg.eval_time, seed=seed_n),
-                                constants, law=law, law_means=law_means)
+                                constants, law_means=law_means)
         ax, ay, bx, by = traj.ax[-1], traj.ay[-1], traj.bx[-1], traj.by[-1]
         if unconfined:
             ax, ay = project_centered((ax, ay))
@@ -357,20 +362,15 @@ def _loglog_fit(ns: Array, ws: Array) -> dict:
 # moment control
 # ---------------------------------------------------------------------------
 
-def simulate_particles(cfg: ExperimentConfig) -> tuple[str, Trajectory]:
-    """The particle run a config describes: the model's own system, started
-    from the initial law (centered for the unconfined system, whatever the
+def simulate_particles(cfg: ExperimentConfig) -> Trajectory:
+    """The particle run a config describes: the model's own forces, started
+    from the initial law (centered for an unconfined model, whatever the
     initial kind)."""
     spec = cfg.spec
-    if spec.external.kind == "zero" and spec.interaction.has_split:
-        system = "unconfined"
-    else:
-        system = "particles" if spec.interaction.kind != "none" else "classical"
     x, y = _draw_initial(cfg.initial, spec, cfg.replicas, cfg.seed, rng.SUB_INIT)
-    if system == "unconfined":
+    if spec.unconfined:
         x, y = project_centered((x, y))
-    return system, simulate(spec, x, y, _integrator(cfg), system=system,
-                            dump_times=cfg.dump_times)
+    return simulate(spec, x, y, _integrator(cfg), dump_times=cfg.dump_times)
 
 
 def run_moments(cfg: ExperimentConfig) -> ExperimentRecord:
@@ -378,12 +378,12 @@ def run_moments(cfg: ExperimentConfig) -> ExperimentRecord:
     spec = cfg.spec
     constants = derive_constants(spec)
     try:
-        system, traj = simulate_particles(cfg)
+        traj = simulate_particles(cfg)
     except BlowUpError as err:
         stats = {"plateau": False, "blow_up_at": err.t}
         curves = {}
     else:
-        if system == "unconfined":
+        if spec.unconfined:
             mom = track_moments(traj, spec, twist=constants.sigma,
                                 k_matrix=spec.interaction.split_matrix)
         else:

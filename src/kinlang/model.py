@@ -173,7 +173,8 @@ class ExternalForce:
 
     @staticmethod
     def zero(dim: int) -> "ExternalForce":
-        """Placeholder used by the unconfined dynamics (b is ignored there)."""
+        """No external force: with an interaction splitting, the unconfined
+        dynamics (``K`` is a placeholder)."""
         return ExternalForce(kind="zero", dim=dim, matrix_k=np.eye(dim),
                              kappa=1.0, lip_k=1.0, lip_g=0.0, radius=0.0)
 
@@ -445,6 +446,12 @@ class ModelSpec:
     @property
     def radius(self) -> float:
         return self.external.radius
+
+    @property
+    def unconfined(self) -> bool:
+        """Zero external force and a split interaction: the unconfined
+        dynamics, run on centered ensembles."""
+        return self.external.kind == "zero" and self.interaction.has_split
 
     def to_dict(self) -> dict:
         ext = {"kind": self.external.kind, **self.external.params}

@@ -8,6 +8,8 @@ library against, and a shorthand for building coupled states.
 * the sorted quantile coupling, the exact W_p of two samples on the line;
 * :func:`ell1_norm`, the pair cost that the chaos sweep's in-place slot
   cost is tested against op for op;
+* :func:`pair_law_term`, the O(N^2) law term over all pairs, which the
+  O(N) mean path of affine interactions is tested against;
 * :func:`pair_state`, a coupled batch of replicated phase points.
 """
 
@@ -164,6 +166,12 @@ def wasserstein_1d_sorted(a: Array, b: Array, p: int = 1) -> float:
 def ell1_norm(z: Array, w: Array) -> Array:
     """|z| + |w|: the per-pair cost underlying the normalized ensemble 1-distance."""
     return row_norm(np.asarray(z, dtype=float)) + row_norm(np.asarray(w, dtype=float))
+
+
+def pair_law_term(spec, x: Array) -> Array:
+    """``N^-1 sum_j b_int(x_i, x_j)`` over the members on axis -2, with
+    every pair force materialized."""
+    return spec.interaction.pair_force(x[..., :, None, :], x[..., None, :, :]).mean(axis=-2)
 
 
 # ---------------------------------------------------------------------------

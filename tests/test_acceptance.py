@@ -56,8 +56,7 @@ def test_c01_strongly_convex_exact_check():
         w0 = np.zeros(dim)
         state = pair_state((z0, w0), (np.zeros(dim), np.zeros(dim)))
         dumps = np.linspace(0.0, 20.0, 100)
-        traj = simulate_coupled(spec, state, control, cfg, mc,
-                                dump_times=dumps, law="none")
+        traj = simulate_coupled(spec, state, control, cfg, mc, dump_times=dumps)
         metric = GroundMetric.from_constants(spec, mc, "r_strong")
         r = traj.distance_series(metric)[:, 0]
         bound = r[0] * np.exp(-mc.c_strong * traj.times) * (1.0 + 10.0 * h)
@@ -82,8 +81,7 @@ def test_c02_spectral_gap_order():
         state = pair_state((np.array([1.0]), np.array([0.0])),
                            (np.zeros(1), np.zeros(1)))
         dumps = np.linspace(0.0, horizon, 60)
-        traj = simulate_coupled(spec, state, control, cfg, mc,
-                                dump_times=dumps, law="none")
+        traj = simulate_coupled(spec, state, control, cfg, mc, dump_times=dumps)
         metric = GroundMetric.from_constants(spec, mc, "r_strong")
         r = traj.distance_series(metric)[:, 0]
         slope = np.polyfit(traj.times, np.log(r), 1)[0]
@@ -193,8 +191,7 @@ def test_c05_coupling_validity():
     fx, fy = gaussian_ensemble(0.0, 0.0, 1.0, n=n, dim=1, seed=21)
     state = CoupledState(ax=fx, ay=fy, bx=fx + 2.0, by=fy)
     dumps = np.linspace(1.0, 5.0, 5)
-    traj = simulate_coupled(spec, state, control, cfg, mc, dump_times=dumps,
-                            law="none")
+    traj = simulate_coupled(spec, state, control, cfg, mc, dump_times=dumps)
     indep_first = simulate(spec, *gaussian_ensemble(0.0, 0.0, 1.0, n=n, dim=1, seed=22),
                            IntegratorConfig(step=h, horizon=5.0, seed=1011),
                            dump_times=dumps)
@@ -298,7 +295,7 @@ def test_c09_unconfined_exact_check():
     dumps = np.linspace(0.0, 20.0, 100)
     traj, other = (simulate_coupled(spec, state, control,
                                     IntegratorConfig(step=h, horizon=20.0, seed=seed),
-                                    mc, dump_times=dumps, law="analytic_zero")
+                                    mc, dump_times=dumps, law_mean=np.zeros(1))
                    for seed in (61, 62))
     metric = GroundMetric.from_constants(spec, mc, "r_tilde")
     r = traj.distance_series(metric)[:, 0]

@@ -267,6 +267,5 @@ class TestHardFailure:
         mc = dw_constants
         ratios = _max_norm_ratios(dw_spec, mc.tau, mc.alpha)
         with pytest.raises(ConstantsError):
-            compute_small_cutoff(dw_spec, mc.tau, mc.alpha, mc.eps, mc.ratio_floor,
-                                 radius_sq=1e-6, glue_offset=mc.glue_offset,
-                                 ratios=ratios)
+            compute_small_cutoff(mc.eps, mc.ratio_floor, radius_sq=1e-6,
+                                 glue_offset=mc.glue_offset, ratios=ratios)

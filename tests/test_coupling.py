@@ -149,7 +149,7 @@ class TestCoupledPair:
         state = pair_state((np.array([0.7]), np.array([-0.2])),
                            (np.array([0.7]), np.array([-0.2])), n=16)
         traj = simulate_coupled(dw_spec, state, control, cfg, dw_constants,
-                                dump_times=np.linspace(0, 1, 6), law="none")
+                                dump_times=np.linspace(0, 1, 6))
         assert np.array_equal(traj.ax, traj.bx)
         assert np.array_equal(traj.ay, traj.by)
 
@@ -170,7 +170,7 @@ class TestCoupledPair:
 
         monkeypatch.setattr(cp, "rc_value", counted)
         runs = {mode: simulate_coupled(quad_spec, state, CouplingControl(mode=mode),
-                                       cfg, quad_constants, dump_times=dumps, law="none")
+                                       cfg, quad_constants, dump_times=dumps)
                 for mode in ("synchronous", "reflection_mix")}
         assert len(calls) == 2 * len(dumps)
         sync, mix = runs["synchronous"], runs["reflection_mix"]
@@ -189,7 +189,7 @@ class TestCoupledPair:
         metric = GroundMetric.from_constants(quad_spec, mc, "r_strong")
         dumps = np.linspace(0, 5, 26)
         traj = simulate_coupled(quad_spec, state, control, cfg, mc,
-                                dump_times=dumps, law="none")
+                                dump_times=dumps)
         r = traj.distance_series(metric)[:, 0]
         bound = r[0] * np.exp(-mc.c_strong * traj.times) * (1 + 10 * h)
         assert np.all(r <= bound + 1e-14)
@@ -216,19 +216,17 @@ class TestCoupledPair:
         force = dw_spec.external.force
         drift = (h / g) * u * (force(state.ax) - force(state.bx))
         out = simulate_coupled(dw_spec, state, control, cfg, dw_constants,
-                               dump_times=[h], law="none")
+                               dump_times=[h])
         q1 = (out.ax[-1] - out.bx[-1]) + (out.ay[-1] - out.by[-1]) / g
         xi_rc = rng.normals(cfg.seed, rng.SUB_REFLECT, 0, (1, 1))
         expected = q0 + drift + math.sqrt(8 / g * u) * (e * xi_rc) * math.sqrt(h) * e
         assert np.allclose(q1, expected, atol=1e-12)
 
-    @pytest.mark.parametrize("system, law", [("classical", "none"),
-                                             ("particles", "replica_proxy")])
-    def test_synchronous_first_copy_matches_uncoupled_bitwise(self, system, law):
+    @pytest.mark.parametrize("inter", [InteractionForce.none(), InteractionForce.linear(0.3)],
+                             ids=["classical-none", "particles-replica_proxy"])
+    def test_synchronous_first_copy_matches_uncoupled_bitwise(self, inter):
         spec = ModelSpec(external=ExternalForce.double_well(1.0, dim=1),
-                         interaction=(InteractionForce.none() if law == "none"
-                                      else InteractionForce.linear(0.3)),
-                         gamma=10.0, u=1.0, dim=1)
+                         interaction=inter, gamma=10.0, u=1.0, dim=1)
         constants = derive_constants(spec)
         control = CouplingControl(mode="synchronous", xi=1e-3)
         cfg = IntegratorConfig(step=0.01, horizon=0.5, seed=6)
@@ -238,8 +236,8 @@ class TestCoupledPair:
         sx, sy = fx + 1.0, fy.copy()
         state = CoupledState(ax=fx, ay=fy, bx=sx, by=sy)
         traj = simulate_coupled(spec, state, control, cfg, constants,
-                                dump_times=[0.25, 0.5], law=law)
-        solo = simulate(spec, fx, fy, cfg, system=system, dump_times=[0.25, 0.5])
+                                dump_times=[0.25, 0.5])
+        solo = simulate(spec, fx, fy, cfg, dump_times=[0.25, 0.5])
         assert np.array_equal(traj.ax, solo.x)
         assert np.array_equal(traj.ay, solo.y)
 
@@ -252,14 +250,15 @@ class TestCoupledPair:
         state = pair_state((np.array([1.0]), np.array([0.0])),
                            (np.array([0.0]), np.array([0.0])))
         with pytest.raises(BlowUpError):
-            simulate_coupled(stiff, state, control, cfg, dw_constants, law="none")
+            simulate_coupled(stiff, state, control, cfg, dw_constants)
 
     @pytest.mark.parametrize("kappa, h", [(1e8, 10.0), (1e9, 5.0)])
     @pytest.mark.parametrize("law", ["none", "analytic_zero"])
     def test_blow_up_time_is_the_solo_runs(self, kappa, h, law, dw_constants):
         # the first copy of a synchronous coupling is bitwise the solo run,
         # so both drivers must stamp the same first non-finite state; under
-        # analytic_zero the first copy feels -(x - 0) Kt, the solo force -K x
+        # the fixed law mean 0 the first copy feels -(x - 0) Kt, the solo
+        # force -K x
         solo_spec = ModelSpec(external=ExternalForce.quadratic(np.eye(1) * kappa),
                               interaction=InteractionForce.none(),
                               gamma=0.1, u=1.0, dim=1)
@@ -279,13 +278,14 @@ class TestCoupledPair:
         assert np.all(np.isfinite(before.x)) and np.all(np.isfinite(before.y))
         state = pair_state((x[0], y[0]), (x[0] + 1.0, y[0]))
         control = CouplingControl(mode="synchronous", xi=1e-3)
+        law_mean = None if law == "none" else np.zeros(1)
         # mid-run, and at the last state or just before it (the end check)
         for horizon in (cfg.horizon, t, t + h):
             with pytest.raises(BlowUpError) as coupled:
                 simulate_coupled(spec, state, control,
                                  IntegratorConfig(step=h, horizon=horizon,
                                                   scheme="euler_maruyama"),
-                                 dw_constants, law=law)
+                                 dw_constants, law_mean=law_mean)
             assert coupled.value.t == t
 
     def test_blow_up_under_reflection_matches_the_per_state_loop(self, dw_constants,
@@ -299,7 +299,7 @@ class TestCoupledPair:
         cfg = IntegratorConfig(step=0.1, horizon=100.0, scheme="euler_maruyama", seed=3)
         ax = np.random.default_rng(1).normal(size=(8, 1)) * 1e-3
         state = CoupledState(ax=ax, ay=np.zeros((8, 1)), bx=ax + 1e-3, by=np.zeros((8, 1)))
-        step, _ = per_copy_step(stiff, control, cfg, dw_constants, "none")
+        step, _ = per_copy_step(stiff, control, cfg, dw_constants)
         k_ref, _ = first_nonfinite(step, (state.ax, state.ay, state.bx, state.by),
                                    cfg.n_steps)
         assert 0 < k_ref < cfg.n_steps
@@ -307,15 +307,13 @@ class TestCoupledPair:
         before = simulate_coupled(stiff, state, control,
                                   IntegratorConfig(step=cfg.step, horizon=(k_ref - 1) * cfg.step,
                                                    scheme="euler_maruyama", seed=3),
-                                  dw_constants, dump_times=cfg.step * np.arange(k_ref),
-                                  law="none")
+                                  dw_constants, dump_times=cfg.step * np.arange(k_ref))
         assert np.count_nonzero(before.rc_mean) > 1
         for every in (1, 10, cfg.n_steps):
             assert every == 1 or k_ref % every != 0
             with pytest.raises(BlowUpError) as err:
                 simulate_coupled(stiff, state, control, cfg, dw_constants,
-                                 dump_times=cfg.step * np.arange(0, cfg.n_steps + 1, every),
-                                 law="none")
+                                 dump_times=cfg.step * np.arange(0, cfg.n_steps + 1, every))
             assert err.value.t == k_ref * cfg.step
 
 
@@ -331,7 +329,7 @@ class TestComponentwise:
         a = simulate_coupled(dw_spec, state, control, cfg, dw_constants, dump_times=[0.3],
                              law_means=gen.normal(size=(cfg.n_steps + 1, 1)))
         b = simulate_coupled(dw_spec, state, control, cfg, dw_constants,
-                             dump_times=[0.3], law="replica_proxy")
+                             dump_times=[0.3])
         assert np.array_equal(a.ax, b.ax) and np.array_equal(a.bx, b.bx)
 
     def test_identical_initializations_synchronous_all_zero(self):
@@ -348,15 +346,12 @@ class TestComponentwise:
         assert np.array_equal(traj.ax, traj.bx) and np.array_equal(traj.ay, traj.by)
 
 
-def per_copy_step(spec, control, cfg, constants, law, law_means=None):
+def per_copy_step(spec, control, cfg, constants, law_mean=None, law_means=None):
     """The coupled step on four arrays: each copy draws its force and takes
     its integrator update on its own, with the blend, the reflection and
     the law means written out in full; a law-mean path makes it
     componentwise.  Returns the step and the blend."""
-    system, default_mean = {"none": ("classical", None),
-                            "replica_proxy": ("particles", None),
-                            "analytic_zero": ("unconfined", np.zeros(spec.dim))}[law]
-    mean_b = default_mean if law_means is None else None
+    mean_b = law_mean if law_means is None else None
     advance = integrator(cfg.step, spec.gamma, spec.u, cfg.scheme)
     g, xi = spec.gamma, control.xi
 
@@ -383,18 +378,17 @@ def per_copy_step(spec, control, cfg, constants, law, law_means=None):
             e = np.where(norm > cp.Q_TINY, q / np.maximum(norm, cp.Q_TINY), 0.0)
             reflected = xi_rc - 2.0 * np.sum(e * xi_rc, axis=-1, keepdims=True) * e
             noise_a, noise_b = sc * noise_a + rc * xi_rc, sc * noise_a + rc * reflected
-        mean_a = default_mean if law_means is None else law_means[k]
-        ax, ay = advance(ax, ay, drift(spec, ax, system, mean_a), noise_a)
-        bx, by = advance(bx, by, drift(spec, bx, system, mean_b), noise_b)
+        mean_a = law_mean if law_means is None else law_means[k]
+        ax, ay = advance(ax, ay, drift(spec, ax, mean_a), noise_a)
+        bx, by = advance(bx, by, drift(spec, bx, mean_b), noise_b)
         return ax, ay, bx, by
 
     return step, blend
 
 
-def per_copy_reference(spec, state0, control, cfg, constants, dump_times, law,
-                       law_means=None):
+def per_copy_reference(spec, state0, control, cfg, constants, dump_times, **kw):
     """The coupled run stepped by :func:`per_copy_step`."""
-    step, blend = per_copy_step(spec, control, cfg, constants, law, law_means)
+    step, blend = per_copy_step(spec, control, cfg, constants, **kw)
     kept = []
 
     def keep(k, arrays):
@@ -416,12 +410,11 @@ class TestPerCopyReference:
     """simulate_coupled equals the per-copy step bitwise in d = 2, where the
     golden digests (all d = 1) do not reach."""
 
-    def assert_matches(self, spec, state, control, cfg, dump_times, law, **kw):
+    def assert_matches(self, spec, state, control, cfg, dump_times, **kw):
         constants = derive_constants(spec)
         traj = simulate_coupled(spec, state, control, cfg, constants,
-                                dump_times=dump_times, law=law, **kw)
-        ref = per_copy_reference(spec, state, control, cfg, constants, dump_times,
-                                 law, **kw)
+                                dump_times=dump_times, **kw)
+        ref = per_copy_reference(spec, state, control, cfg, constants, dump_times, **kw)
         for name, value in ref.items():
             assert np.array_equal(getattr(traj, name), value), name
         return traj
@@ -437,7 +430,7 @@ class TestPerCopyReference:
         traj = self.assert_matches(spec, state,
                                    CouplingControl(mode="reflection_mix", xi=0.05),
                                    IntegratorConfig(step=0.01, horizon=0.5, seed=4),
-                                   np.linspace(0, 0.5, 6), "none")
+                                   np.linspace(0, 0.5, 6))
         # the blend is active, and partial on some dumps
         assert np.all(traj.rc_mean > 0) and np.any(traj.rc_mean < 1)
 
@@ -452,8 +445,7 @@ class TestPerCopyReference:
         law_means = 0.1 * gen.normal(size=(cfg.n_steps + 1, 2))
         traj = self.assert_matches(spec, state,
                                    CouplingControl(mode="reflection_mix", xi=0.05),
-                                   cfg, [0.0, 0.1, 0.3], "replica_proxy",
-                                   law_means=law_means)
+                                   cfg, [0.0, 0.1, 0.3], law_means=law_means)
         assert np.any(traj.rc_mean > 0)
 
     def test_componentwise_analytic_zero_unconfined(self):
@@ -465,8 +457,22 @@ class TestPerCopyReference:
         cfg = IntegratorConfig(step=0.01, horizon=0.3, seed=8)
         # the centered theory's law mean, as an all-zero path
         self.assert_matches(spec, state, CouplingControl(mode="reflection_mix", xi=0.05),
-                            cfg, [0.1, 0.3], "analytic_zero",
-                            law_means=np.zeros((cfg.n_steps + 1, 2)))
+                            cfg, [0.1, 0.3], law_means=np.zeros((cfg.n_steps + 1, 2)))
+
+    def test_fixed_law_mean_unconfined(self):
+        # the centered theory's law mean, fixed at 0 for both copies: the
+        # drift is -x Kt, not the empirical -(x - mean) Kt
+        spec = ModelSpec(external=ExternalForce.zero(2),
+                         interaction=InteractionForce.linear_difference(ANISOTROPIC_K),
+                         gamma=2.0, u=1.0, dim=2)
+        ax, ay, bx, by = np.random.default_rng(11).normal(size=(4, 6, 2))
+        state = CoupledState(ax=ax, ay=ay, bx=bx, by=by)
+        cfg = IntegratorConfig(step=0.01, horizon=0.3, seed=12)
+        control = CouplingControl(mode="reflection_mix", xi=0.05)
+        fixed = self.assert_matches(spec, state, control, cfg, [0.1, 0.3],
+                                    law_mean=np.zeros(2))
+        own = self.assert_matches(spec, state, control, cfg, [0.1, 0.3])
+        assert not np.array_equal(fixed.ax, own.ax)
 
     def test_replica_proxy_pairs_linear_interaction(self):
         spec = ModelSpec(external=ExternalForce.double_well(1.0, dim=2),
@@ -477,7 +483,7 @@ class TestPerCopyReference:
         traj = self.assert_matches(spec, state,
                                    CouplingControl(mode="reflection_mix", xi=0.05),
                                    IntegratorConfig(step=0.01, horizon=0.3, seed=10),
-                                   [0.0, 0.15, 0.3], "replica_proxy")
+                                   [0.0, 0.15, 0.3])
         assert np.any(traj.rc_mean > 0)
 
 
@@ -499,7 +505,7 @@ class TestViews:
                            (np.array([-0.3]), np.array([0.0])), n=4)
         traj = simulate_coupled(dw_spec, state, CouplingControl(mode="synchronous"),
                                 IntegratorConfig(step=0.01, horizon=0.1, seed=1),
-                                dw_constants, dump_times=[0.0, 0.1], law="none")
+                                dw_constants, dump_times=[0.0, 0.1])
         assert traj.ax.base is traj.bx.base and traj.ay.base is traj.by.base
         assert traj.ax.shape == traj.by.shape == (2, 4, 1)
 
@@ -513,7 +519,7 @@ class TestGluedDecay:
         x, y = gaussian_ensemble(0.0, 0.0, 0.5, n=2000, dim=1, seed=18)
         state = CoupledState(ax=x, ay=y, bx=x + 1.5, by=y)
         traj = simulate_coupled(dw_spec, state, control, cfg, dw_constants,
-                                dump_times=np.linspace(0, 5, 11), law="none")
+                                dump_times=np.linspace(0, 5, 11))
         rho = GroundMetric.from_constants(dw_spec, dw_constants, "rho")
         d = traj.distance_series(rho)
         means = d.mean(axis=1)
@@ -530,7 +536,7 @@ class TestMonitor:
         x, y = gaussian_ensemble(0.0, 0.0, 0.5, n=1000, dim=1, seed=21)
         state = CoupledState(ax=x, ay=y, bx=x + 1.5, by=y)
         traj = simulate_coupled(dw_spec, state, control, cfg, dw_constants,
-                                dump_times=np.linspace(0, 4, 9), law="none")
+                                dump_times=np.linspace(0, 4, 9))
         mon = contraction_monitor(traj, dw_spec, dw_constants)
         assert np.all(np.isfinite(mon["mean_rho"]))
         # for this configuration every pair starts and stays in the
@@ -549,8 +555,8 @@ class TestMarginalCheck:
         state = CoupledState(ax=x, ay=y, bx=x + 2.0, by=y)
         dumps = np.linspace(0, 0.5, 6)
         traj = simulate_coupled(dw_spec, state, control, cfg, dw_constants,
-                                dump_times=dumps, law="none")
-        solo = simulate(dw_spec, x, y, cfg, system="classical", dump_times=dumps)
+                                dump_times=dumps)
+        solo = simulate(dw_spec, x, y, cfg, dump_times=dumps)
         # the first coupled component IS the uncoupled run, so its moment
         # z-scores vanish identically
         report = marginal_check(traj, solo, solo, threshold=4.0)
@@ -570,7 +576,7 @@ class TestMarginalCheck:
         state = CoupledState(ax=x, ay=y, bx=x, by=y)
         dumps = [0.0, 0.2, 0.4]
         traj = simulate_coupled(dw_spec, state, control, cfg, dw_constants,
-                                dump_times=dumps, law="none")
-        solo = simulate(dw_spec, x, y, cfg, system="classical", dump_times=dumps)
+                                dump_times=dumps)
+        solo = simulate(dw_spec, x, y, cfg, dump_times=dumps)
         report = marginal_check(traj, solo, solo)
         assert report.ok and report.max_abs_z == 0.0

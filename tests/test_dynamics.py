@@ -10,6 +10,7 @@ from kinlang.dynamics import (BlowUpError, DynamicsError, IntegratorConfig, defa
                               dirac_ensemble, drift, gaussian_ensemble, law_term,
                               simulate, track_moments, trajectory_to_rows)
 from kinlang.model import ExternalForce, InteractionForce, ModelSpec
+from oracles import pair_law_term
 
 
 def quad_spec(dim=1, gamma=2.0, u=1.0, kappa=1.0, inter=None):
@@ -46,7 +47,7 @@ class TestScheme:
         spec = quad_spec(u=1.0)
         cfg = IntegratorConfig(step=0.01, horizon=30.0, seed=77)
         x, y = gaussian_ensemble(0.0, 0.0, 1.0, n=20000, dim=1, seed=1)
-        traj = simulate(spec, x, y, cfg, system="classical")
+        traj = simulate(spec, x, y, cfg)
         assert float(np.var(traj.x[-1])) == pytest.approx(1.0, abs=0.05)
         assert float(np.var(traj.y[-1])) == pytest.approx(1.0, abs=0.05)
 
@@ -83,8 +84,8 @@ class TestScheme:
         spec = quad_spec(dim=2, inter=InteractionForce.linear(0.2))
         cfg = IntegratorConfig(step=0.02, horizon=1.0, seed=123)
         x, y = gaussian_ensemble(0.0, 0.0, 1.0, n=32, dim=2, seed=5)
-        t1 = simulate(spec, x, y, cfg, system="particles")
-        t2 = simulate(spec, x, y, cfg, system="particles")
+        t1 = simulate(spec, x, y, cfg)
+        t2 = simulate(spec, x, y, cfg)
         assert np.array_equal(t1.x, t2.x) and np.array_equal(t1.y, t2.y)
 
     def test_seed_changes_trajectory(self):
@@ -125,14 +126,14 @@ class TestCheckpointBlowUp:
 
     def test_blow_up_between_dumps(self, first_nonfinite):
         spec, cfg, state = self.stiff_run()
-        k_ref, _ = first_nonfinite(dyn.system_step(spec, cfg, "classical"), state,
+        k_ref, _ = first_nonfinite(dyn.system_step(spec, cfg), state,
                                    cfg.n_steps)
         every = 7
         assert 0 < k_ref < cfg.n_steps and k_ref % every != 0
         dump_times = cfg.step * np.arange(0, cfg.n_steps + 1, every)
         kept = []
         with pytest.raises(BlowUpError) as err:
-            dyn.march(state, cfg, dyn.system_step(spec, cfg, "classical"),
+            dyn.march(state, cfg, dyn.system_step(spec, cfg),
                       lambda k, _: kept.append(k), dump_times)
         assert err.value.t == k_ref * cfg.step
         # every dump before the blow-up was kept, none after it
@@ -151,7 +152,7 @@ class TestCheckpointBlowUp:
             interaction=InteractionForce.none(), gamma=1e-3, u=1.0, dim=1)
         cfg = IntegratorConfig(step=0.01, horizon=2.0, scheme="euler_maruyama", seed=3)
         x, y = dirac_ensemble([0.0], [1.0], n=3)
-        k_ref, bad = first_nonfinite(dyn.system_step(spec, cfg, "classical"), (x, y),
+        k_ref, bad = first_nonfinite(dyn.system_step(spec, cfg), (x, y),
                                      cfg.n_steps)
         assert 1 < k_ref < cfg.n_steps
         assert np.isfinite(bad[0]).all() and not np.isfinite(bad[1]).all()
@@ -163,7 +164,7 @@ class TestCheckpointBlowUp:
     def test_replay_starts_at_the_last_kept_state(self):
         # the replay steps on from the last checkpoint, not from the start
         spec, cfg, state = self.stiff_run()
-        step = dyn.system_step(spec, cfg, "classical")
+        step = dyn.system_step(spec, cfg)
         replayed = []
 
         def counting(k, arrays):
@@ -191,20 +192,19 @@ class TestParticles:
         spec = quad_spec(inter=InteractionForce.none())
         cfg = IntegratorConfig(step=0.02, horizon=0.5, seed=9)
         x, y = gaussian_ensemble(0.0, 0.0, 1.0, n=4, dim=1, seed=2)
-        joint = simulate(spec, x, y, cfg, system="particles")
+        joint = simulate(spec, x, y, cfg)
         for m in range(1, 4):
-            prefix = simulate(spec, x[:m], y[:m], cfg, system="classical")
+            prefix = simulate(spec, x[:m], y[:m], cfg)
             assert np.array_equal(prefix.x[-1], joint.x[-1, :m])
             assert np.array_equal(prefix.y[-1], joint.y[-1, :m])
 
     def test_fast_path_matches_reference(self):
+        # the affine kinds reduce through the mean, not over all pairs
         for inter in (InteractionForce.linear(0.4),
                       InteractionForce.linear_difference(0.7, dim=1)):
             spec = quad_spec(inter=inter)
             x = np.random.default_rng(3).normal(size=(128, 1))
-            fast = law_term(spec, x, fast=True)
-            slow = law_term(spec, x, fast=False)
-            assert np.allclose(fast, slow, atol=1e-12)
+            assert np.allclose(law_term(spec, x), pair_law_term(spec, x), atol=1e-12)
 
     def test_stacked_ensembles_reduce_per_replica(self):
         # axis -2 is the member axis, so (R, N, d) stacks reduce one
@@ -215,11 +215,10 @@ class TestParticles:
                       InteractionForce.linear_difference(0.7, dim=2),
                       InteractionForce.mollified_log()):
             spec = quad_spec(dim=2, inter=inter)
-            for fast in (True, False):
-                got = law_term(spec, stack, fast=fast)
+            for term in (law_term, pair_law_term):
+                got = term(spec, stack)
                 for r in range(3):
-                    assert np.allclose(got[r], law_term(spec, stack[r], fast=fast),
-                                       atol=1e-12)
+                    assert np.allclose(got[r], term(spec, stack[r]), atol=1e-12)
 
     def test_external_law_mean_replaces_empirical(self):
         x = np.random.default_rng(5).normal(size=(32, 1))
@@ -247,7 +246,7 @@ class TestParticles:
         unconfined = ModelSpec(external=ExternalForce.zero(2),
                                interaction=InteractionForce.linear_difference(0.7, dim=2),
                                gamma=2.0, u=1.0, dim=2)
-        assert drift(unconfined, stack, "unconfined").shape == stack.shape
+        assert drift(unconfined, stack).shape == stack.shape
 
     def test_single_particle_self_interaction(self):
         inter = InteractionForce.linear(0.4)
@@ -264,27 +263,47 @@ class TestParticles:
         for inter in (InteractionForce.linear(0.3),
                       InteractionForce.linear_difference(0.7, dim=2),
                       InteractionForce.mollified_log()):
-            spec = quad_spec(dim=2, inter=inter)
-            systems = ("particles", "unconfined") if inter.has_split else ("particles",)
-            for system in systems:
-                assert np.allclose(drift(spec, x[perm], system),
-                                   drift(spec, x, system)[perm], rtol=1e-13, atol=1e-13)
+            specs = [quad_spec(dim=2, inter=inter)]
+            if inter.has_split:
+                specs.append(ModelSpec(external=ExternalForce.zero(2), interaction=inter,
+                                       gamma=2.0, u=1.0, dim=2))
+            for spec in specs:
+                assert np.allclose(drift(spec, x[perm]), drift(spec, x)[perm],
+                                   rtol=1e-13, atol=1e-13)
+
+    def test_drift_follows_the_spec(self):
+        # interaction none: the external force alone; external zero: the
+        # law term alone; otherwise their sum
+        x = np.random.default_rng(9).normal(size=(8, 2))
+        inter = InteractionForce.linear_difference(0.7, dim=2)
+        ext = ExternalForce.quadratic(np.diag([1.0, 2.0]))
+        both = ModelSpec(external=ext, interaction=inter, gamma=2.0, u=1.0, dim=2)
+        assert np.array_equal(drift(both, x), ext.force(x) + law_term(both, x))
+        classical = ModelSpec(external=ext, interaction=InteractionForce.none(),
+                              gamma=2.0, u=1.0, dim=2)
+        assert np.array_equal(drift(classical, x), ext.force(x))
+        unconfined = ModelSpec(external=ExternalForce.zero(2), interaction=inter,
+                               gamma=2.0, u=1.0, dim=2)
+        assert np.array_equal(drift(unconfined, x), law_term(unconfined, x))
+        # a law mean from outside replaces the empirical one
+        assert np.array_equal(drift(unconfined, x, np.zeros(2)), -x @ inter.split_matrix.T)
 
 
 class TestMcKeanVlasov:
     def test_no_interaction_coincides_with_classical(self):
-        spec = quad_spec()
+        # a zero-strength interaction adds a zero law term to the force
+        spec = quad_spec(inter=InteractionForce.linear(0.0))
         cfg = IntegratorConfig(step=0.02, horizon=0.5, seed=11)
         x, y = gaussian_ensemble(0.0, 0.0, 1.0, n=16, dim=1, seed=3)
-        a = simulate(spec, x, y, cfg, system="particles")
-        b = simulate(spec, x, y, cfg, system="classical")
+        a = simulate(spec, x, y, cfg)
+        b = simulate(quad_spec(), x, y, cfg)
         assert np.array_equal(a.x, b.x) and np.array_equal(a.y, b.y)
 
     def test_centered_attractive_mean_stays_zero(self):
         spec = quad_spec(inter=InteractionForce.linear(0.5))
         cfg = IntegratorConfig(step=0.01, horizon=2.0, seed=13)
         x, y = gaussian_ensemble(0.0, 0.0, 1.0, n=4000, dim=1, seed=8, center=True)
-        traj = simulate(spec, x, y, cfg, system="particles")
+        traj = simulate(spec, x, y, cfg)
         assert abs(float(traj.x[-1].mean())) < 5.0 / math.sqrt(4000)
 
     def test_proxy_noise_scales_like_inverse_root_m(self):
@@ -300,7 +319,7 @@ class TestMcKeanVlasov:
                 cfg = IntegratorConfig(step=h, horizon=cfg_t, seed=1000 + rep)
                 x, y = gaussian_ensemble(0.0, 0.0, 1.0, n=m_size, dim=1,
                                          seed=500 + rep, center=True)
-                traj = simulate(spec, x, y, cfg, system="particles")
+                traj = simulate(spec, x, y, cfg)
                 finals.append(float(traj.x[-1].mean()))
             fluct[m_size] = float(np.std(finals))
         ratio = fluct[64] / fluct[256]
@@ -320,7 +339,7 @@ class TestUnconfined:
         spec = self.unconf_spec()
         cfg = IntegratorConfig(step=0.01, horizon=0.1)
         with pytest.raises(DynamicsError):
-            simulate(spec, *dirac_ensemble([1.0], [0.0], n=4), cfg, system="unconfined")
+            simulate(spec, *dirac_ensemble([1.0], [0.0], n=4), cfg)
 
     def test_antisymmetric_interaction_cancels_in_the_mean(self, zero_noise):
         # with the noise switched off the ensemble-mean velocity must decay
@@ -330,7 +349,7 @@ class TestUnconfined:
         cfg = IntegratorConfig(step=h, horizon=h)
         x = np.array([[0.4], [-1.0], [2.2]])
         y = np.array([[1.0], [0.5], [-0.2]])
-        out = dyn.system_step(spec, cfg, "unconfined")(0, (x, y))
+        out = dyn.system_step(spec, cfg)(0, (x, y))
         assert float(out[1].mean()) == pytest.approx(
             math.exp(-spec.gamma * h) * float(y.mean()), abs=1e-13)
 
@@ -339,7 +358,7 @@ class TestUnconfined:
         spec = self.unconf_spec()
         cfg = IntegratorConfig(step=0.01, horizon=1.0, seed=21)
         x, y = gaussian_ensemble(0.0, 0.0, 1.0, n=400, dim=1, seed=9, center=True)
-        traj = simulate(spec, x, y, cfg, system="unconfined",
+        traj = simulate(spec, x, y, cfg,
                         dump_times=np.linspace(0, 1, 6))
         se = 1.0 / math.sqrt(400)
         assert np.all(np.abs(traj.x.mean(axis=1)) < 5 * se)

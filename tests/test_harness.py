@@ -132,6 +132,22 @@ class TestConfig:
         with pytest.raises(ConfigError, match=f"at {pointer}: "):
             load_config(doc)
 
+    # the force documents stay open to their kind's parameters, but each
+    # known one is a number: inf loaded as kappa = inf, NaN failed as an
+    # asymmetric K
+    @pytest.mark.parametrize("doc, section, key, value, pointer", [
+        (quad_doc, "external", "k_matrix", [[float("inf")]], "/model/external/k_matrix/0/0"),
+        (dw_doc, "external", "beta", float("nan"), "/model/external/beta"),
+        (quad_doc, "interaction", "k", float("inf"), "/model/interaction/k")],
+        ids=["k_matrix-inf", "beta-nan", "k-inf"])
+    def test_non_finite_force_parameters_rejected(self, doc, section, key, value, pointer):
+        doc = doc()
+        if key == "k":
+            doc["model"]["interaction"] = {"kind": "linear"}
+        doc["model"][section][key] = value
+        with pytest.raises(ConfigError, match=f"at {pointer}: .* is not of type 'number'"):
+            load_config(doc)
+
     def test_default_step_follows_friction(self):
         doc = dw_doc()
         del doc["integrator"]["step"]

@@ -271,7 +271,7 @@ class TestDistanceCurve:
         traj = simulate_coupled(quad_spec, pair_state(
             (np.array([1.0]), np.array([0.0])),
             (np.array([0.0]), np.array([0.0]))), control, cfg, mc,
-            dump_times=np.linspace(0, 2, 5), law="none")
+            dump_times=np.linspace(0, 2, 5))
         m = GroundMetric.from_constants(quad_spec, mc, "r_strong")
         w, se = self.curve(traj.ax, traj.ay, traj.bx, traj.by, m.dist_zw, n_boot=10)
         direct = traj.distance_series(m)[:, 0]
