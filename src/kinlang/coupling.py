@@ -22,7 +22,13 @@ The pair is one array with a leading copy axis of length 2: positions
 and velocities of shape (2, R, d), copy ``a`` first.  Each step makes one
 call of the force dispatcher and one of the integrator update of
 :mod:`kinlang.dynamics` for both copies, and the shared noise block of
-shape (R, d) broadcasts over the copy axis.  The model spec decides the
+shape (R, d) broadcasts over the copy axis.  Like every run, a coupled
+run steps in place on buffers it allocates once: the stacked state, the
+force buffer (which also holds Z and W while the blend is computed), the
+shared noise block, the stacked noise of reflecting steps (whose first
+slot receives the reflection family's draw) and, in componentwise runs,
+the (2, R, 1, d) law mean.  Dumps are copied into (T, 2, ...) arrays
+allocated up front.  The model spec decides the
 forces both copies feel (:func:`kinlang.dynamics.drift`).  A law term
 sees each copy's empirical marginal over the coupled batch, or one fixed
 law mean that both copies share (the exact zero of the centered
@@ -43,7 +49,8 @@ import numpy as np
 
 from . import rng
 from .constants import MetricConstants
-from .dynamics import DynamicsError, IntegratorConfig, drift, integrator, march
+from .dynamics import (DynamicsError, IntegratorConfig, drift, dump_steps, integrator,
+                       march)
 from .metrics import GroundMetric, row_norm, small_norm, twisted_norm
 from .model import ModelSpec
 
@@ -127,17 +134,40 @@ def rc_value(control: CouplingControl, spec: ModelSpec, constants: MetricConstan
     return _blend(control, spec, constants, z, w)[0]
 
 
-def _blend(control: CouplingControl, spec: ModelSpec, constants: MetricConstants,
-           z: Array, w: Array) -> tuple[Array, Array, Array]:
-    """The blend of :func:`rc_value` for a coupling that is not purely
-    synchronous, with the Q = Z + W / gamma and |Q| it computed."""
-    xi = control.xi
+def _gap(spec: ModelSpec, constants: MetricConstants, z: Array,
+         w: Array) -> tuple[Array, Array, Array]:
+    """Q = Z + W / gamma, |Q| and the gluing gap ``alpha |Z| + |Q| - eps
+    r_l`` of each row: the small norm, sharing |Q| with the first clamp,
+    less the scaled twisted norm.  Every term is degree-1 homogeneous."""
     g = spec.gamma
     q = z + w / g
     qn = row_norm(q)
     rl = twisted_norm(z, w, spec.external.matrix_k, constants.tau, g, spec.u)
-    # the small norm alpha |Z| + |Q|, sharing |Q| with the first clamp
-    gap = constants.alpha * row_norm(z) + qn - constants.eps * rl
+    return q, qn, constants.alpha * row_norm(z) + qn - constants.eps * rl
+
+
+def _blend(control: CouplingControl, spec: ModelSpec, constants: MetricConstants,
+           z: Array, w: Array) -> tuple[Array, Array, Array]:
+    """The blend of :func:`rc_value` for a coupling that is not purely
+    synchronous, with the Q = Z + W / gamma and |Q| it computed.
+
+    The norms are taken through squares, which overflow once a row passes
+    about 1e154 and leave its gap inf or nan.  Rows of finite Z and W whose
+    gap is not finite are taken again with Z and W divided by their
+    largest entry, and the norms multiplied back, so the blend stays finite
+    until the state itself overflows; no other row changes.
+    """
+    xi = control.xi
+    q, qn, gap = _gap(spec, constants, z, w)
+    over = ~np.isfinite(gap)
+    if over.any():
+        over &= np.isfinite(z).all(axis=-1) & np.isfinite(w).all(axis=-1)
+        scale = np.maximum(np.abs(z[over]).max(axis=-1, initial=0.0),
+                           np.abs(w[over]).max(axis=-1, initial=0.0))
+        _, qn_scaled, gap_scaled = _gap(spec, constants, z[over] / scale[:, None],
+                                        w[over] / scale[:, None])
+        qn[over] = scale * qn_scaled
+        gap[over] = scale * gap_scaled
     # |Q| / xi is never negative, so its clamp needs no lower bound
     rc = np.minimum(qn / xi, 1.0)
     ramp_gap = np.subtract(constants.glue_offset + xi, gap, out=gap)
@@ -164,19 +194,19 @@ def _unit_q(q: Array, qn: Array) -> Array:
 
 
 def _reflected_noise(q: Array, qn: Array, rc: Array, xi_sc: Array,
-                     cfg: IntegratorConfig, step_index: int) -> Array:
-    """Noise of both copies, stacked on a leading copy axis, for a blend
-    ``rc`` that is not zero on every pair; ``q`` and ``qn`` are the Q and
-    |Q| the blend was computed from."""
-    xi_rc = rng.normals(cfg.seed, rng.SUB_REFLECT, step_index, q.shape)
+                     cfg: IntegratorConfig, step_index: int, out: Array) -> Array:
+    """Noise of both copies, stacked on a leading copy axis in ``out``
+    (returned), for a blend ``rc`` that is not zero on every pair; ``q`` and
+    ``qn`` are the Q and |Q| the blend was computed from.  The reflection
+    family is drawn into the first copy's slot."""
+    xi_rc = rng.normals(cfg.seed, rng.SUB_REFLECT, step_index, q.shape, out=out[0])
     e = _unit_q(q, qn)
-    noise = np.empty((2,) + q.shape)
-    np.subtract(xi_rc, 2.0 * np.sum(e * xi_rc, axis=-1, keepdims=True) * e, out=noise[1])
+    np.subtract(xi_rc, 2.0 * np.sum(e * xi_rc, axis=-1, keepdims=True) * e, out=out[1])
     rc = rc[..., None]
-    np.multiply(rc, xi_rc, out=noise[0])
-    noise[1] *= rc
-    noise += sc_value(rc) * xi_sc
-    return noise
+    np.multiply(rc, xi_rc, out=out[0])
+    out[1] *= rc
+    out += sc_value(rc) * xi_sc
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -220,38 +250,49 @@ def simulate_coupled(spec: ModelSpec, state0: CoupledState, control: CouplingCon
     # a purely synchronous run shares one increment bitwise at every step;
     # otherwise that holds only on steps whose blend is zero on every pair
     synchronous = purely_synchronous(control, constants)
+    shape = (2,) + state0.ax.shape
+    force, noise = np.empty(shape), np.empty(shape[1:])
+    pair_noise = None if synchronous else np.empty(shape)
+    law = None if law_means is None else np.empty((2,) + shape[1:-2] + (1, shape[-1]))
 
     def mean_at(k: int, x: Array) -> Optional[Array]:
         """Law mean of both copies; in componentwise runs the second copy's
         is its own empirical marginal, stacked after the first copy's."""
         if law_means is None:
             return law_mean
-        own = x[1].mean(axis=-2, keepdims=True)
-        return np.stack((np.broadcast_to(law_means[k], own.shape), own))
+        np.copyto(law[0], law_means[k])
+        np.mean(x[1], axis=-2, keepdims=True, out=law[1])
+        return law
 
-    def step(k: int, state: tuple) -> tuple:
+    def step(k: int, state: tuple) -> None:
         x, y = state
-        noise = rng.normals(cfg.seed, rng.SUB_MAIN, k, x.shape[1:])
+        increments = rng.normals(cfg.seed, rng.SUB_MAIN, k, noise.shape, out=noise)
         if not synchronous:
-            rc, q, qn = _blend(control, spec, constants, x[0] - x[1], y[0] - y[1])
+            # Z and W go into the force buffer, which drift fills afterwards
+            rc, q, qn = _blend(control, spec, constants,
+                               np.subtract(x[0], x[1], out=force[0]),
+                               np.subtract(y[0], y[1], out=force[1]))
             if rc.any():
-                noise = _reflected_noise(q, qn, rc, noise, cfg, k)
-        return advance(x, y, drift(spec, x, mean_at(k, x)), noise)
+                increments = _reflected_noise(q, qn, rc, increments, cfg, k, pair_noise)
+        advance(x, y, drift(spec, x, mean_at(k, x), out=force), increments)
 
-    kept = []
+    steps = dump_steps(cfg, dump_times)
+    xs = np.empty((len(steps),) + shape)
+    ys = np.empty_like(xs)
+    rc_mean = np.zeros(len(steps))
+    slot = {k: i for i, k in enumerate(steps.tolist())}
 
     def keep(k: int, state: tuple) -> None:
         x, y = state
-        rc = rc_value(control, spec, constants, x[0] - x[1], y[0] - y[1])
-        kept.append((k, state, float(np.mean(rc))))
+        xs[slot[k]], ys[slot[k]] = x, y
+        if not synchronous:
+            rc_mean[slot[k]] = np.mean(rc_value(control, spec, constants,
+                                                x[0] - x[1], y[0] - y[1]))
 
-    march((np.stack((state0.ax, state0.bx)), np.stack((state0.ay, state0.by))), cfg,
-          step, keep, dump_times, t0=state0.t)
-    ks = np.array([k for k, _, _ in kept])
-    x, y = (np.stack([state[i] for _, state, _ in kept]) for i in (0, 1))
-    return CoupledTrajectory(times=state0.t + ks * cfg.step, ax=x[:, 0], ay=y[:, 0],
-                             bx=x[:, 1], by=y[:, 1],
-                             rc_mean=np.array([rc for _, _, rc in kept]))
+    march(lambda: (np.stack((state0.ax, state0.bx)), np.stack((state0.ay, state0.by))),
+          cfg, step, keep, dump_times, t0=state0.t)
+    return CoupledTrajectory(times=state0.t + steps * cfg.step, ax=xs[:, 0], ay=ys[:, 0],
+                             bx=xs[:, 1], by=ys[:, 1], rc_mean=rc_mean)
 
 
 # ---------------------------------------------------------------------------

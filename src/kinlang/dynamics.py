@@ -34,11 +34,22 @@ Noise draws are counter-based: step ``k`` of a run keyed ``(seed,
 substream)`` on (N, d) positions consumes the block
 ``normals(seed, substream, k, (N, d))``, whose row ``i`` drives particle ``i``.
 
+Stepping is in place.  A run owns its state arrays, one force buffer and
+one noise block, allocated once: each step draws the noise into its
+block, :func:`drift` writes the force into its buffer, and the integrator
+update overwrites the state, using the force buffer as its work space.
+Nothing of the state's size is allocated per step, and every value is
+the one the expression form gives, operation for operation.  Because
+the next step overwrites the state, whatever :func:`march` hands to
+``keep`` must be copied to be kept; :func:`simulate` copies its dumps
+into (T, N, d) arrays allocated up front.
+
 Blow-ups are found at checkpoints, not per step: :func:`march` tests the
 whole state at each dump and after the last step, and on a non-finite
 state replays from the last finite checkpoint to the first non-finite
-state.  A blown-up run therefore costs at most one dump interval of
-extra steps on inf/nan values plus that replay.
+state: a copy of the last kept state, or the caller's start, which the
+run never writes to.  A blown-up run therefore costs at most one dump
+interval of extra steps on inf/nan values plus that replay.
 """
 
 from __future__ import annotations
@@ -113,15 +124,31 @@ def integrator(h: float, gamma: float, u: float, scheme: str) -> Callable:
 
     This is the only integrator update: single ensembles, coupled pairs
     (both copies in one call, stacked on a copy axis) and chaos slots all
-    step through it.  The step-size coefficients are computed here, once,
-    in the order a per-step evaluation would use, so every step is
-    bitwise the same.
+    step through it.  It works in place: ``x`` and ``y`` become the next
+    state, and ``force``, an array of their shape, is its work buffer (the
+    kick, the flight, the noise term); ``noise`` may broadcast against them, e.g. one
+    block shared over a copy axis, and is left as it is.  Euler-Maruyama
+    also needs a scratch array for ``h y``, which the update allocates on
+    first use and keeps.  Each value is the one the expression form
+    (``x + flight * (y + kick * force)`` and so on) gives, operation for
+    operation, and the step-size coefficients are computed here, once, in
+    the order a per-step evaluation would use, so every step is bitwise
+    the same.
     """
     if scheme == "euler_maruyama":
         em_scale = np.sqrt(2.0 * gamma * u * h)
+        scratch = np.empty(0)
 
-        def advance(x: Array, y: Array, force: Array, noise: Array) -> tuple[Array, Array]:
-            return x + h * y, y + h * (-gamma * y + u * force) + em_scale * noise
+        def advance(x: Array, y: Array, force: Array, noise: Array) -> None:
+            nonlocal scratch
+            if scratch.shape != y.shape:
+                scratch = np.empty_like(y)
+            np.multiply(u, force, out=force)
+            np.add(np.multiply(-gamma, y, out=scratch), force, out=force)
+            np.multiply(h, force, out=force)
+            np.add(x, np.multiply(h, y, out=scratch), out=x)
+            np.add(y, force, out=y)
+            np.add(y, np.multiply(em_scale, noise, out=force), out=y)
 
         return advance
     # ou_splitting: Euler force kick, then exact damped free flight
@@ -130,9 +157,11 @@ def integrator(h: float, gamma: float, u: float, scheme: str) -> Callable:
     flight = (1.0 - decay) / gamma
     ou_scale = np.sqrt(u * (1.0 - decay * decay))
 
-    def advance(x: Array, y: Array, force: Array, noise: Array) -> tuple[Array, Array]:
-        y_kicked = y + kick * force
-        return x + flight * y_kicked, decay * y_kicked + ou_scale * noise
+    def advance(x: Array, y: Array, force: Array, noise: Array) -> None:
+        y_kicked = np.add(y, np.multiply(kick, force, out=force), out=force)
+        np.multiply(decay, y_kicked, out=y)
+        np.add(x, np.multiply(flight, y_kicked, out=force), out=x)
+        np.add(y, np.multiply(ou_scale, noise, out=force), out=y)
 
     return advance
 
@@ -164,84 +193,107 @@ def law_term(spec: ModelSpec, x: Array, law_mean: Optional[Array] = None) -> Arr
     return -(x - law_mean) @ inter.split_matrix.T
 
 
-def drift(spec: ModelSpec, x: Array, law_mean: Optional[Array] = None) -> Array:
+def drift(spec: ModelSpec, x: Array, law_mean: Optional[Array] = None,
+          out: Optional[Array] = None) -> Array:
     """Total force the spec puts on ``x``: the external force alone under
     interaction kind ``none``, the law term alone under external kind
-    ``zero``, else their sum.
+    ``zero``, else their sum.  ``out``, an array of the shape of ``x``,
+    receives the force and is returned.
 
     Non-finite positions are not tested here: they run on into inf/nan,
     and :func:`march` finds them at its next checkpoint.
     """
     if spec.interaction.kind == "none":
-        return spec.external.force(x)
-    if spec.external.kind == "zero":
-        return law_term(spec, x, law_mean)
-    return spec.external.force(x) + law_term(spec, x, law_mean)
+        return spec.external.force(x, out=out)
+    if spec.external.kind != "zero":
+        return np.add(spec.external.force(x, out=out), law_term(spec, x, law_mean), out=out)
+    term = law_term(spec, x, law_mean)
+    if out is None:
+        return term
+    np.copyto(out, term)
+    return out
 
 
 def _finite(arrays: tuple) -> bool:
     return all(np.all(np.isfinite(a)) for a in arrays)
 
 
-def march(arrays: tuple, cfg: IntegratorConfig, step: Callable, keep: Callable,
+def dump_steps(cfg: IntegratorConfig, dump_times=None) -> Array:
+    """The distinct steps whose states a run keeps, in order: the dump
+    times (default: the horizon alone) snapped to the step grid."""
+    if dump_times is None:
+        dump_times = [cfg.horizon]
+    snapped = np.clip(np.round(np.asarray(dump_times) / cfg.step), 0, cfg.n_steps)
+    # a set, not np.unique, which would import numpy.ma into every run
+    return np.array(sorted(set(snapped.astype(int).tolist())), dtype=int)
+
+
+def march(start: Callable, cfg: IntegratorConfig, step: Callable, keep: Callable,
           dump_times=None, t0: float = 0.0) -> None:
     """The stepping loop every run goes through.
 
-    ``arrays`` is the state, a tuple of arrays; ``step(k, arrays)`` returns
-    the state after step ``k`` for ``k < cfg.n_steps`` and must be a pure
-    function of its arguments that leaves them unchanged (a blow-up replays
-    it).  ``keep(k, arrays)`` receives state ``k`` at each dump time,
-    snapped to the step grid (default: the horizon alone).
+    ``start()`` returns the initial state as a tuple of fresh arrays that
+    the run then owns: ``step(k, state)`` overwrites it with state
+    ``k + 1`` for ``k < cfg.n_steps``, and must depend on nothing else that
+    changes (a blow-up replays it).  ``keep(k, state)`` receives state
+    ``k`` at each step of :func:`dump_steps` and must copy what it keeps,
+    since the next step overwrites it.
 
     Overflow runs quietly into inf/nan, and a non-finite state raises
     :class:`BlowUpError` at the time of the first state holding one.  The
     steps themselves test nothing: the whole state is tested at the start,
     before each ``keep`` and after the last step.  A failed test replays
-    the steps one by one from the last finite checkpoint (the last kept
-    state, else the start), so a blown-up run costs at most one dump
-    interval of extra steps plus that replay, and only that checkpoint is
-    held for it.
+    the steps one by one from the last finite checkpoint, so a blown-up run
+    costs at most one dump interval of extra steps plus that replay.  The
+    checkpoint is a copy of the last kept state, taken only at dumps
+    before the last step, or else the start, which ``start()`` gives
+    again: no copy of the start is held for the run.
     """
     n, h = cfg.n_steps, cfg.step
-    if dump_times is None:
-        dump_times = [cfg.horizon]
-    snapped = np.clip(np.round(np.asarray(dump_times) / h), 0, n).astype(int)
-    dumps = set(snapped.tolist())
-    if not _finite(arrays):
+    dumps = set(dump_steps(cfg, dump_times).tolist())
+    state = start()
+    if not _finite(state):
         raise BlowUpError(t0)
-    checkpoint = (0, arrays)
+    checkpoint = None
     # overflow is left to produce inf: blow-up detection keys off
     # non-finite states, so the loop runs with these warnings off
     with np.errstate(over="ignore", invalid="ignore"):
         if 0 in dumps:
-            keep(0, arrays)
+            keep(0, state)
         for k in range(1, n + 1):
-            arrays = step(k - 1, arrays)
+            step(k - 1, state)
             if k in dumps or k == n:
-                if not _finite(arrays):
-                    raise BlowUpError(t0 + _first_nonfinite(*checkpoint, step, k) * h)
-                checkpoint = (k, arrays)
+                if not _finite(state):
+                    k_ok, replay = checkpoint or (0, start())
+                    raise BlowUpError(t0 + _first_nonfinite(k_ok, replay, step, k) * h)
                 if k in dumps:
-                    keep(k, arrays)
+                    keep(k, state)
+                    if k < n:  # the checkpoint a later blow-up replays from
+                        saved = checkpoint[1] if checkpoint else tuple(map(np.empty_like, state))
+                        for copy, a in zip(saved, state):
+                            np.copyto(copy, a)
+                        checkpoint = (k, saved)
 
 
-def _first_nonfinite(k: int, arrays: tuple, step: Callable, last: int) -> int:
-    """Index of the first non-finite state, replayed from the finite state
-    ``k`` towards state ``last``, which is not finite."""
-    while k < last and _finite(arrays):
-        arrays = step(k, arrays)
+def _first_nonfinite(k: int, state: tuple, step: Callable, last: int) -> int:
+    """Index of the first non-finite state, stepping the finite state ``k``
+    (in place) towards state ``last``, which is not finite."""
+    while k < last and _finite(state):
+        step(k, state)
         k += 1
     return k
 
 
-def system_step(spec: ModelSpec, cfg: IntegratorConfig) -> Callable:
-    """Step function of the spec's dynamics on ``(x, y)`` for :func:`march`."""
+def system_step(spec: ModelSpec, cfg: IntegratorConfig, shape: tuple) -> Callable:
+    """In-place step of the spec's dynamics on ``(x, y)`` arrays of
+    ``shape``, for :func:`march`, with its own force and noise buffers."""
     advance = integrator(cfg.step, spec.gamma, spec.u, cfg.scheme)
+    force, noise = np.empty(shape), np.empty(shape)
 
-    def step(k: int, state: tuple) -> tuple:
+    def step(k: int, state: tuple) -> None:
         x, y = state
-        noise = rng.normals(cfg.seed, cfg.substream, k, x.shape)
-        return advance(x, y, drift(spec, x), noise)
+        advance(x, y, drift(spec, x, out=force),
+                rng.normals(cfg.seed, cfg.substream, k, shape, out=noise))
 
     return step
 
@@ -266,15 +318,20 @@ def simulate(spec: ModelSpec, x: Array, y: Array, cfg: IntegratorConfig,
         raise DynamicsError("position/velocity shape mismatch")
     if spec.unconfined and not _centered(x, y):
         raise DynamicsError("unconfined dynamics requires a centered initial ensemble")
-    kept = []
-    march((x, y), cfg, system_step(spec, cfg),
-          lambda k, state: kept.append((k, state)), dump_times)
+    steps = dump_steps(cfg, dump_times)
+    xs = np.empty((len(steps),) + x.shape)
+    ys = np.empty_like(xs)
+    slot = {k: i for i, k in enumerate(steps.tolist())}
+
+    def keep(k: int, state: tuple) -> None:
+        xs[slot[k]], ys[slot[k]] = state
+
+    march(lambda: (np.array(x, dtype=float), np.array(y, dtype=float)), cfg,
+          system_step(spec, cfg, x.shape), keep, dump_times)
     # stamps are running sums of the step (simulate_coupled stamps t0 + k h);
     # the golden digests of moments.json and of `kinlang simulate` pin them
     clock = np.concatenate(([0.0], np.cumsum(np.full(cfg.n_steps, cfg.step))))
-    return Trajectory(times=clock[[k for k, _ in kept]],
-                      x=np.stack([state[0] for _, state in kept]),
-                      y=np.stack([state[1] for _, state in kept]))
+    return Trajectory(times=clock[steps], x=xs, y=ys)
 
 
 # ---------------------------------------------------------------------------

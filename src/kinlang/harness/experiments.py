@@ -277,7 +277,7 @@ def _law_mean_series(cfg: ExperimentConfig) -> Array:
     def keep(k, state):
         means[k] = state[0].mean(axis=0)
 
-    march((x, y), icfg, system_step(spec, icfg), keep,
+    march(lambda: (x.copy(), y.copy()), icfg, system_step(spec, icfg, x.shape), keep,
           dump_times=icfg.step * np.arange(icfg.n_steps + 1))
     return means
 
@@ -295,6 +295,31 @@ def _slot_ell1_cost(z: Array, w: Array) -> Array:
     return np.add(*norms, out=norms[0]).mean(axis=-1)
 
 
+def _chaos_point(cfg: ExperimentConfig, constants: MetricConstants,
+                 control: CouplingControl, law_means: Array,
+                 n_slots: int) -> tuple[float, float]:
+    """W1 between N = ``n_slots`` nonlinear copies and the N-particle
+    system, coupled slot by slot, with its bootstrap standard error.  The
+    initial draws, trajectory and cost matrix go out of scope on return,
+    before the next N runs."""
+    spec = cfg.spec
+    r, d = cfg.subsample_pairs, spec.dim
+    # key initials and slot noise by N so the sweep points decorrelate
+    seed_n = cfg.seed + n_slots
+    x, y = _draw_initial(cfg.initial, spec, r * n_slots, seed_n, rng.SUB_SLOTS)
+    x, y = x.reshape(r, n_slots, d), y.reshape(r, n_slots, d)
+    state = CoupledState(ax=x, ay=y, bx=x, by=y)
+    traj = simulate_coupled(spec, state, control,
+                            _integrator(cfg, horizon=cfg.eval_time, seed=seed_n),
+                            constants, law_means=law_means)
+    ax, ay, bx, by = traj.ax[-1], traj.ay[-1], traj.bx[-1], traj.by[-1]
+    if cfg.experiment == "unconfined_chaos":
+        ax, ay = project_centered((ax, ay))
+        bx, by = project_centered((bx, by))
+    costs = cost_matrix_zw(_slot_ell1_cost, ax, ay, bx, by)
+    return wasserstein_from_costs(costs), bootstrap_se(costs, cfg.seed, n_boot=100)
+
+
 def run_chaos(cfg: ExperimentConfig) -> ExperimentRecord:
     """N-sweep of the gap between the particle system and independent
     nonlinear copies, coupled slot by slot."""
@@ -309,25 +334,8 @@ def run_chaos(cfg: ExperimentConfig) -> ExperimentRecord:
     control = _coupling_control(cfg, constants)
 
     r = cfg.subsample_pairs
-    d = spec.dim
-    rows = []
-    for n_slots in cfg.ensemble_sizes:
-        # key initials and slot noise by N so the sweep points decorrelate
-        seed_n = cfg.seed + n_slots
-        x, y = _draw_initial(cfg.initial, spec, r * n_slots, seed_n, rng.SUB_SLOTS)
-        x, y = x.reshape(r, n_slots, d), y.reshape(r, n_slots, d)
-        state = CoupledState(ax=x, ay=y, bx=x, by=y)
-        traj = simulate_coupled(spec, state, control,
-                                _integrator(cfg, horizon=cfg.eval_time, seed=seed_n),
-                                constants, law_means=law_means)
-        ax, ay, bx, by = traj.ax[-1], traj.ay[-1], traj.bx[-1], traj.by[-1]
-        if unconfined:
-            ax, ay = project_centered((ax, ay))
-            bx, by = project_centered((bx, by))
-        costs = cost_matrix_zw(_slot_ell1_cost, ax, ay, bx, by)
-        w1 = wasserstein_from_costs(costs)
-        se = bootstrap_se(costs, cfg.seed, n_boot=100)
-        rows.append((n_slots, w1, se))
+    rows = [(n_slots, *_chaos_point(cfg, constants, control, law_means, n_slots))
+            for n_slots in cfg.ensemble_sizes]
 
     ns = np.array([row[0] for row in rows], dtype=float)
     ws = np.array([row[1] for row in rows])

@@ -43,12 +43,13 @@ def double_well_potential(x: Array, beta: float) -> Array:
     return np.where(r2 <= 4.0, inner, outer)
 
 
-def double_well_force(x: Array, beta: float) -> Array:
-    """Negative gradient of :func:`double_well_potential`."""
+def double_well_force(x: Array, beta: float, out: Optional[Array] = None) -> Array:
+    """Negative gradient of :func:`double_well_potential`, written into
+    ``out`` if given."""
     x = np.asarray(x, dtype=float)
     r2 = np.sum(x ** 2, axis=-1, keepdims=True)
     # one product with x: -beta (r2 - 1) inside, -3 beta outside
-    return np.where(r2 <= 4.0, -beta * (r2 - 1.0), -3.0 * beta) * x
+    return np.multiply(np.where(r2 <= 4.0, -beta * (r2 - 1.0), -3.0 * beta), x, out=out)
 
 
 def _double_well_g(x: Array, beta: float) -> Array:
@@ -194,15 +195,19 @@ class ExternalForce:
 
     # -- evaluation ----------------------------------------------------------
 
-    def force(self, x: Array) -> Array:
+    def force(self, x: Array, out: Optional[Array] = None) -> Array:
+        """``b(x)``; ``out``, an array of the shape of ``x``, receives it and
+        is returned."""
         x = np.asarray(x, dtype=float)
         if self.kind == "quadratic":
-            return x @ self.neg_kt
+            return np.matmul(x, self.neg_kt, out=out)
         if self.kind == "double_well":
-            return double_well_force(x, self.params["beta"])
-        if self.kind == "zero":
-            return np.zeros_like(x)
-        return self.force_fn(x)
+            return double_well_force(x, self.params["beta"], out)
+        value = np.zeros_like(x) if self.kind == "zero" else self.force_fn(x)
+        if out is None:
+            return value
+        np.copyto(out, value)
+        return out
 
     def g(self, x: Array) -> Array:
         """Perturbation part: g(x) = b(x) + K x."""

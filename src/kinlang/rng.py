@@ -16,6 +16,8 @@ experiment drivers rely on:
 
 from __future__ import annotations
 
+from typing import Optional
+
 import numpy as np
 from numpy.random import Generator, Philox
 
@@ -61,12 +63,15 @@ def _generator(seed: int, substream: int, step: int) -> Generator:
     return gen
 
 
-def normals(seed: int, substream: int, step: int, shape: tuple[int, ...]) -> np.ndarray:
+def normals(seed: int, substream: int, step: int, shape: tuple[int, ...],
+            out: Optional[np.ndarray] = None) -> np.ndarray:
     """Standard normal block for one time step.
 
-    Row ``i`` of the block is the increment of particle ``i``.
+    Row ``i`` of the block is the increment of particle ``i``.  ``out``, a
+    float64 array of ``shape``, receives the block (the values a fresh
+    block would hold) and is returned, so a run can reuse one buffer.
     """
-    return _generator(seed, substream, step).standard_normal(shape)
+    return _generator(seed, substream, step).standard_normal(shape, out=out)
 
 
 def integers(seed: int, substream: int, step: int, low: int, high: int,

@@ -10,6 +10,9 @@ library against, and a shorthand for building coupled states.
   cost is tested against op for op;
 * :func:`pair_law_term`, the O(N^2) law term over all pairs, which the
   O(N) mean path of affine interactions is tested against;
+* :func:`expression_integrator`, the integrator update written as
+  expressions that return new arrays, which the in-place update of
+  :func:`kinlang.dynamics.integrator` is tested against bitwise;
 * :func:`pair_state`, a coupled batch of replicated phase points.
 """
 
@@ -172,6 +175,33 @@ def pair_law_term(spec, x: Array) -> Array:
     """``N^-1 sum_j b_int(x_i, x_j)`` over the members on axis -2, with
     every pair force materialized."""
     return spec.interaction.pair_force(x[..., :, None, :], x[..., None, :, :]).mean(axis=-2)
+
+
+# ---------------------------------------------------------------------------
+# integrator update
+# ---------------------------------------------------------------------------
+
+def expression_integrator(h: float, gamma: float, u: float, scheme: str):
+    """``advance(x, y, force, noise) -> (x', y')`` of either scheme in
+    expression form: nothing is overwritten, and ``force`` and ``noise``
+    may broadcast against the state."""
+    if scheme == "euler_maruyama":
+        em_scale = np.sqrt(2.0 * gamma * u * h)
+
+        def advance(x, y, force, noise):
+            return x + h * y, y + h * (-gamma * y + u * force) + em_scale * noise
+
+        return advance
+    decay = np.exp(-gamma * h)
+    kick = h * u
+    flight = (1.0 - decay) / gamma
+    ou_scale = np.sqrt(u * (1.0 - decay * decay))
+
+    def advance(x, y, force, noise):
+        y_kicked = y + kick * force
+        return x + flight * y_kicked, decay * y_kicked + ou_scale * noise
+
+    return advance
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,11 +12,12 @@ from kinlang import rng
 from kinlang.coupling import (CoupledState, CouplingControl, rc_value, sc_value,
                               simulate_coupled)
 from kinlang.dynamics import (BlowUpError, DynamicsError, IntegratorConfig, drift,
-                              gaussian_ensemble, integrator, march, simulate)
+                              gaussian_ensemble, march, simulate)
 from kinlang.metrics import GroundMetric, row_norm, small_norm, twisted_norm
 from kinlang.model import ExternalForce, InteractionForce, ModelSpec
 from kinlang.constants import derive_constants
-from oracles import marginal_check, pair_state
+from kinlang.harness.config import load_config_file
+from oracles import expression_integrator, marginal_check, pair_state
 
 
 def quad(gamma=2.0, inter=None):
@@ -98,6 +101,18 @@ class TestBlend:
         c2 = CouplingControl.for_constants(quad_constants)
         assert c2.xi == pytest.approx(1e-8)
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowed_rows_are_rescaled_alone(self, dw_spec, dw_constants):
+        control = CouplingControl(mode="reflection_mix", xi=0.05)
+        gen = np.random.default_rng(2)
+        z, w = gen.normal(size=(6, 1)) * 0.01, gen.normal(size=(6, 1)) * 0.01
+        alone = rc_value(control, dw_spec, dw_constants, z, w)
+        z[2], w[4] = 1e300, -1e250
+        mixed = rc_value(control, dw_spec, dw_constants, z, w)
+        assert np.all(np.isfinite(mixed))
+        keep = [0, 1, 3, 5]
+        assert mixed[keep].tobytes() == alone[keep].tobytes()
+
 
 class TestReflection:
     def test_reflection_matrix_orthogonal(self):
@@ -156,7 +171,7 @@ class TestCoupledPair:
     def test_zero_offset_reflection_is_synchronous(self, quad_spec, quad_constants,
                                                    monkeypatch):
         # a zero gluing offset makes the blend zero everywhere; the run
-        # decides that once, so the blend is evaluated at the dumps only
+        # decides that once, so the blend is never evaluated
         assert quad_constants.glue_offset == 0.0
         cfg = IntegratorConfig(step=0.01, horizon=1.0, seed=8)
         gen = np.random.default_rng(9)
@@ -172,7 +187,7 @@ class TestCoupledPair:
         runs = {mode: simulate_coupled(quad_spec, state, CouplingControl(mode=mode),
                                        cfg, quad_constants, dump_times=dumps)
                 for mode in ("synchronous", "reflection_mix")}
-        assert len(calls) == 2 * len(dumps)
+        assert calls == []
         sync, mix = runs["synchronous"], runs["reflection_mix"]
         for name in ("times", "ax", "ay", "bx", "by", "rc_mean"):
             assert np.array_equal(getattr(sync, name), getattr(mix, name)), name
@@ -290,9 +305,9 @@ class TestCoupledPair:
 
     def test_blow_up_under_reflection_matches_the_per_state_loop(self, dw_constants,
                                                                  first_nonfinite):
-        # the twisted norm overflows first, so the blend itself turns the
-        # noise non-finite; the per-copy step tested at every state must
-        # give the same time as the checkpoints
+        # the blend's squared norms overflow long before the state does
+        # and are then taken at unit scale; the per-copy step tested at
+        # every state must give the same time as the checkpoints
         stiff = ModelSpec(external=ExternalForce.quadratic(np.eye(1) * 1e8),
                           interaction=InteractionForce.none(), gamma=0.1, u=1.0, dim=1)
         control = CouplingControl(mode="reflection_mix", xi=0.05)
@@ -309,6 +324,10 @@ class TestCoupledPair:
                                                    scheme="euler_maruyama", seed=3),
                                   dw_constants, dump_times=cfg.step * np.arange(k_ref))
         assert np.count_nonzero(before.rc_mean) > 1
+        # the blend's squares overflowed well before the last finite state,
+        # and the blend stayed finite all the same
+        assert np.abs(before.ay[-1] - before.by[-1]).max() > 1e200
+        assert np.all(np.isfinite(before.rc_mean))
         for every in (1, 10, cfg.n_steps):
             assert every == 1 or k_ref % every != 0
             with pytest.raises(BlowUpError) as err:
@@ -348,19 +367,30 @@ class TestComponentwise:
 
 def per_copy_step(spec, control, cfg, constants, law_mean=None, law_means=None):
     """The coupled step on four arrays: each copy draws its force and takes
-    its integrator update on its own, with the blend, the reflection and
-    the law means written out in full; a law-mean path makes it
-    componentwise.  Returns the step and the blend."""
+    the expression form of the integrator update on its own, with the
+    blend, the reflection and the law means written out in full; a
+    law-mean path makes it componentwise.  The step writes the new state
+    into the four arrays, as :func:`march` expects.  Returns the step and
+    the blend."""
     mean_b = law_mean if law_means is None else None
-    advance = integrator(cfg.step, spec.gamma, spec.u, cfg.scheme)
+    advance = expression_integrator(cfg.step, spec.gamma, spec.u, cfg.scheme)
     g, xi = spec.gamma, control.xi
+
+    def norms(z, w):
+        rl = twisted_norm(z, w, spec.external.matrix_k, constants.tau, g, spec.u)
+        return (np.linalg.norm(z + w / g, axis=-1),
+                small_norm(z, w, constants.alpha, g) - constants.eps * rl)
 
     def blend(z, w):
         if control.mode == "synchronous" or not constants.glue_offset > 0:
             return np.zeros(z.shape[:-1])
-        qn = np.linalg.norm(z + w / g, axis=-1)
-        rl = twisted_norm(z, w, spec.external.matrix_k, constants.tau, g, spec.u)
-        gap = small_norm(z, w, constants.alpha, g) - constants.eps * rl
+        qn, gap = norms(z, w)
+        # rows of a finite state whose squares overflowed: at unit scale
+        over = ~np.isfinite(gap) & np.isfinite(z).all(axis=-1) & np.isfinite(w).all(axis=-1)
+        scale = np.where(over, np.maximum(np.abs(z).max(axis=-1), np.abs(w).max(axis=-1)), 1.0)
+        qn_unit, gap_unit = norms(z / scale[..., None], w / scale[..., None])
+        qn = np.where(over, scale * qn_unit, qn)
+        gap = np.where(over, scale * gap_unit, gap)
         return (np.clip(qn / xi, 0.0, 1.0)
                 * np.clip((constants.glue_offset + xi - gap) / xi, 0.0, 1.0))
 
@@ -379,9 +409,10 @@ def per_copy_step(spec, control, cfg, constants, law_mean=None, law_means=None):
             reflected = xi_rc - 2.0 * np.sum(e * xi_rc, axis=-1, keepdims=True) * e
             noise_a, noise_b = sc * noise_a + rc * xi_rc, sc * noise_a + rc * reflected
         mean_a = law_mean if law_means is None else law_means[k]
-        ax, ay = advance(ax, ay, drift(spec, ax, mean_a), noise_a)
-        bx, by = advance(bx, by, drift(spec, bx, mean_b), noise_b)
-        return ax, ay, bx, by
+        new = (*advance(ax, ay, drift(spec, ax, mean_a), noise_a),
+               *advance(bx, by, drift(spec, bx, mean_b), noise_b))
+        for a, value in zip(arrays, new):
+            a[...] = value
 
     return step, blend
 
@@ -393,10 +424,11 @@ def per_copy_reference(spec, state0, control, cfg, constants, dump_times, **kw):
 
     def keep(k, arrays):
         ax, ay, bx, by = arrays
-        kept.append((k, arrays, float(np.mean(blend(ax - bx, ay - by)))))
+        kept.append((k, tuple(a.copy() for a in arrays),
+                     float(np.mean(blend(ax - bx, ay - by)))))
 
-    march((state0.ax, state0.ay, state0.bx, state0.by), cfg, step, keep, dump_times,
-          t0=state0.t)
+    march(lambda: tuple(np.array(a) for a in (state0.ax, state0.ay, state0.bx, state0.by)),
+          cfg, step, keep, dump_times, t0=state0.t)
     return {"times": state0.t + np.array([k for k, _, _ in kept]) * cfg.step,
             **{name: np.stack([arrays[i] for _, arrays, _ in kept])
                for i, name in enumerate(("ax", "ay", "bx", "by"))},
@@ -566,10 +598,10 @@ class TestMarginalCheck:
     def test_zero_noise_exact_equality(self, dw_spec, dw_constants, monkeypatch):
         real = cp.rng.normals
         monkeypatch.setattr(cp.rng, "normals",
-                            lambda seed, sub, step, shape: np.zeros(shape))
+                            lambda seed, sub, step, shape, out=None: np.zeros(shape))
         import kinlang.dynamics as dyn
         monkeypatch.setattr(dyn.rng, "normals",
-                            lambda seed, sub, step, shape: np.zeros(shape))
+                            lambda seed, sub, step, shape, out=None: np.zeros(shape))
         control = CouplingControl(mode="reflection_mix", xi=0.05)
         cfg = IntegratorConfig(step=0.01, horizon=0.4, seed=14)
         x, y = gaussian_ensemble(0.5, 0.0, 1.0, n=16, dim=1, seed=15)
@@ -580,3 +612,94 @@ class TestMarginalCheck:
         solo = simulate(dw_spec, x, y, cfg, dump_times=dumps)
         report = marginal_check(traj, solo, solo)
         assert report.ok and report.max_abs_z == 0.0
+
+
+def stiff_quadratic(inter=None):
+    """Quadratic well with K = 1e8: Euler-Maruyama at h = 10 grows the
+    state by about 1e6 per step until it overflows."""
+    return ModelSpec(external=ExternalForce.quadratic(np.eye(1) * 1e8),
+                     interaction=inter or InteractionForce.none(), gamma=0.1, u=1.0, dim=1)
+
+
+class TestInPlaceReplay:
+    """The run steps its own copy of the start in place; a blow-up replays
+    from the last kept copy, or from the caller's start, which the run
+    never writes to."""
+
+    def test_componentwise_blow_up_between_dumps(self, first_nonfinite):
+        spec = stiff_quadratic(InteractionForce.linear(0.3))
+        constants = derive_constants(spec)
+        control = CouplingControl(mode="synchronous", xi=1e-3)
+        cfg = IntegratorConfig(step=10.0, horizon=10000.0, scheme="euler_maruyama", seed=4)
+        gen = np.random.default_rng(5)
+        x, y = gen.normal(size=(3, 4, 1)), gen.normal(size=(3, 4, 1))
+        state = CoupledState(ax=x, ay=y, bx=x + 0.5, by=y)
+        law_means = gen.normal(size=(cfg.n_steps + 1, 1))
+        step, _ = per_copy_step(spec, control, cfg, constants, law_means=law_means)
+        k_ref, _ = first_nonfinite(step, (state.ax, state.ay, state.bx, state.by),
+                                   cfg.n_steps)
+        every = 7
+        assert 0 < k_ref < cfg.n_steps and k_ref % every != 0
+        start = [a.copy() for a in (state.ax, state.ay, state.bx, state.by)]
+        with pytest.raises(BlowUpError) as err:
+            simulate_coupled(spec, state, control, cfg, constants, law_means=law_means,
+                             dump_times=cfg.step * np.arange(0, cfg.n_steps + 1, every))
+        assert err.value.t == k_ref * cfg.step
+        for before, after in zip(start, (state.ax, state.ay, state.bx, state.by)):
+            assert np.array_equal(before, after)
+
+    def test_blow_up_before_the_first_dump_replays_from_the_start(self, dw_constants,
+                                                                  first_nonfinite):
+        spec = stiff_quadratic()
+        control = CouplingControl(mode="synchronous", xi=1e-3)
+        cfg = IntegratorConfig(step=10.0, horizon=1000.0, scheme="euler_maruyama", seed=2)
+        state = pair_state((np.array([1.0]), np.array([0.0])),
+                           (np.array([0.0]), np.array([0.5])), n=3)
+        step, _ = per_copy_step(spec, control, cfg, dw_constants)
+        k_ref, _ = first_nonfinite(step, (state.ax, state.ay, state.bx, state.by),
+                                   cfg.n_steps)
+        assert 0 < k_ref < cfg.n_steps
+        # the only dump is the horizon: the blow-up is found there and
+        # replayed from step 0 of a fresh copy of the start
+        with pytest.raises(BlowUpError) as err:
+            simulate_coupled(spec, state, control, cfg, dw_constants)
+        assert err.value.t == k_ref * cfg.step
+        assert np.array_equal(state.ax, np.ones((3, 1)))
+        assert np.array_equal(state.by, np.full((3, 1), 0.5))
+        replayed = []
+
+        def counting(k, arrays):
+            replayed.append(k)
+            step(k, arrays)
+
+        start = (state.ax, state.ay, state.bx, state.by)
+        with pytest.raises(BlowUpError) as err:
+            march(lambda: tuple(a.copy() for a in start), cfg, counting, lambda k, _: None)
+        assert err.value.t == k_ref * cfg.step
+        assert replayed == list(range(cfg.n_steps)) + list(range(k_ref))
+
+
+class TestMemory:
+    def test_chaos_slots_step_in_three_states_of_memory(self):
+        # configs/chaos.json at its largest N: the run holds its state, one
+        # force buffer, the shared noise block and the kept dump, nothing
+        # per step; a stacked start copy or per-step temporaries exceed this
+        cfg = load_config_file(Path(__file__).resolve().parent.parent / "configs" / "chaos.json")
+        spec = cfg.spec
+        constants = derive_constants(spec)
+        icfg = IntegratorConfig(step=cfg.step, horizon=cfg.eval_time, seed=cfg.seed)
+        r, n, d = cfg.subsample_pairs, max(cfg.ensemble_sizes), spec.dim
+        x, y = gaussian_ensemble(0.0, 0.0, 1.0, r * n, d, seed=cfg.seed)
+        x, y = x.reshape(r, n, d), y.reshape(r, n, d)
+        state = CoupledState(ax=x, ay=y, bx=x, by=y)
+        law_means = np.zeros((icfg.n_steps + 1, d))
+        stacked_state = 2 * 2 * x.nbytes
+        tracemalloc.start()
+        try:
+            traj = simulate_coupled(spec, state, CouplingControl.for_constants(constants),
+                                    icfg, constants, law_means=law_means)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert traj.ax.shape == (1, r, n, d)
+        assert peak <= 3 * stacked_state

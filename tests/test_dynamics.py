@@ -10,7 +10,7 @@ from kinlang.dynamics import (BlowUpError, DynamicsError, IntegratorConfig, defa
                               dirac_ensemble, drift, gaussian_ensemble, law_term,
                               simulate, track_moments, trajectory_to_rows)
 from kinlang.model import ExternalForce, InteractionForce, ModelSpec
-from oracles import pair_law_term
+from oracles import expression_integrator, pair_law_term
 
 
 def quad_spec(dim=1, gamma=2.0, u=1.0, kappa=1.0, inter=None):
@@ -19,11 +19,16 @@ def quad_spec(dim=1, gamma=2.0, u=1.0, kappa=1.0, inter=None):
                      gamma=gamma, u=u, dim=dim)
 
 
+def copies(state):
+    """``start`` for :func:`kinlang.dynamics.march`: fresh copies of a state."""
+    return lambda: tuple(a.copy() for a in state)
+
+
 @pytest.fixture
 def zero_noise(monkeypatch):
     real = dyn.rng.normals
     monkeypatch.setattr(dyn.rng, "normals",
-                        lambda seed, sub, step, shape: np.zeros(shape))
+                        lambda seed, sub, step, shape, out=None: np.zeros(shape))
     return real
 
 
@@ -60,14 +65,16 @@ class TestScheme:
 
         def moment_after(h, scheme):
             advance = dyn.integrator(h, spec.gamma, spec.u, scheme)
+
+            def one_step(x0, y0, force, noise):
+                x, y = np.array([[x0]]), np.array([[y0]])
+                advance(x, y, np.array([[force]]), np.array([[noise]]))
+                return [x[0, 0], y[0, 0]]
+
             a = np.zeros((2, 2))
             for j, (x0, y0) in enumerate(((1.0, 0.0), (0.0, 1.0))):
-                x1, y1 = advance(np.array([[x0]]), np.array([[y0]]),
-                                 np.array([[-x0]]), np.zeros((1, 1)))
-                a[:, j] = [x1[0, 0], y1[0, 0]]
-            xn, yn = advance(np.zeros((1, 1)), np.zeros((1, 1)),
-                             np.zeros((1, 1)), np.ones((1, 1)))
-            gain = np.array([xn[0, 0], yn[0, 0]])
+                a[:, j] = one_step(x0, y0, -x0, 0.0)
+            gain = np.array(one_step(0.0, 0.0, 0.0, 1.0))
             m = np.array([[4.0, 0.0], [0.0, 0.0]])  # Dirac at x=2, y=0
             for _ in range(int(round(t_end / h))):
                 m = a @ m @ a.T + np.outer(gain, gain)
@@ -112,6 +119,37 @@ class TestScheme:
         assert err.value.t > 0
 
 
+class TestInPlaceUpdate:
+    """The integrator update overwrites the state and its force buffer; it
+    must give the expression form's values to the bit."""
+
+    SHAPES = [((64, 2), (64, 2)),              # an (N, d) ensemble
+              ((2, 16, 3), (16, 3)),           # coupled pairs, shared noise
+              ((2, 16, 3), (2, 16, 3)),        # coupled pairs, reflected noise
+              ((2, 8, 16, 1), (8, 16, 1)),     # chaos slots, shared noise
+              ((2, 8, 16, 1), (2, 8, 16, 1))]  # chaos slots, reflected noise
+
+    @pytest.mark.parametrize("scheme", ["ou_splitting", "euler_maruyama"])
+    def test_matches_the_expression_form_bitwise(self, scheme):
+        h, gamma, u = 0.013, 1.7, 0.9
+        advance = dyn.integrator(h, gamma, u, scheme)
+        reference = expression_integrator(h, gamma, u, scheme)
+        gen = np.random.default_rng(17)
+        # one update across every shape: its buffers follow the shape
+        for shape, noise_shape in self.SHAPES:
+            x, y = gen.normal(size=shape), gen.normal(size=shape)
+            ref_x, ref_y = x.copy(), y.copy()
+            for _ in range(3):
+                force = -2.5 * x + gen.normal(size=shape)
+                noise = gen.normal(size=noise_shape)
+                drawn = noise.copy()
+                ref_x, ref_y = reference(ref_x, ref_y, force.copy(), noise)
+                advance(x, y, force, noise)
+                assert x.tobytes() == ref_x.tobytes(), shape
+                assert y.tobytes() == ref_y.tobytes(), shape
+                assert noise.tobytes() == drawn.tobytes()
+
+
 class TestCheckpointBlowUp:
     """march tests the state only at dumps and after the last step, and
     replays from the last finite checkpoint: the reported time must be the
@@ -126,14 +164,14 @@ class TestCheckpointBlowUp:
 
     def test_blow_up_between_dumps(self, first_nonfinite):
         spec, cfg, state = self.stiff_run()
-        k_ref, _ = first_nonfinite(dyn.system_step(spec, cfg), state,
+        k_ref, _ = first_nonfinite(dyn.system_step(spec, cfg, state[0].shape), state,
                                    cfg.n_steps)
         every = 7
         assert 0 < k_ref < cfg.n_steps and k_ref % every != 0
         dump_times = cfg.step * np.arange(0, cfg.n_steps + 1, every)
         kept = []
         with pytest.raises(BlowUpError) as err:
-            dyn.march(state, cfg, dyn.system_step(spec, cfg),
+            dyn.march(copies(state), cfg, dyn.system_step(spec, cfg, state[0].shape),
                       lambda k, _: kept.append(k), dump_times)
         assert err.value.t == k_ref * cfg.step
         # every dump before the blow-up was kept, none after it
@@ -152,7 +190,7 @@ class TestCheckpointBlowUp:
             interaction=InteractionForce.none(), gamma=1e-3, u=1.0, dim=1)
         cfg = IntegratorConfig(step=0.01, horizon=2.0, scheme="euler_maruyama", seed=3)
         x, y = dirac_ensemble([0.0], [1.0], n=3)
-        k_ref, bad = first_nonfinite(dyn.system_step(spec, cfg), (x, y),
+        k_ref, bad = first_nonfinite(dyn.system_step(spec, cfg, x.shape), (x, y),
                                      cfg.n_steps)
         assert 1 < k_ref < cfg.n_steps
         assert np.isfinite(bad[0]).all() and not np.isfinite(bad[1]).all()
@@ -164,7 +202,7 @@ class TestCheckpointBlowUp:
     def test_replay_starts_at_the_last_kept_state(self):
         # the replay steps on from the last checkpoint, not from the start
         spec, cfg, state = self.stiff_run()
-        step = dyn.system_step(spec, cfg)
+        step = dyn.system_step(spec, cfg, state[0].shape)
         replayed = []
 
         def counting(k, arrays):
@@ -173,7 +211,7 @@ class TestCheckpointBlowUp:
 
         every = 7
         with pytest.raises(BlowUpError) as err:
-            dyn.march(state, cfg, counting, lambda k, _: None,
+            dyn.march(copies(state), cfg, counting, lambda k, _: None,
                       cfg.step * np.arange(0, cfg.n_steps + 1, every))
         k_bad = round(err.value.t / cfg.step)
         last_kept = (k_bad // every) * every
@@ -349,7 +387,8 @@ class TestUnconfined:
         cfg = IntegratorConfig(step=h, horizon=h)
         x = np.array([[0.4], [-1.0], [2.2]])
         y = np.array([[1.0], [0.5], [-0.2]])
-        out = dyn.system_step(spec, cfg)(0, (x, y))
+        out = (x.copy(), y.copy())
+        dyn.system_step(spec, cfg, x.shape)(0, out)
         assert float(out[1].mean()) == pytest.approx(
             math.exp(-spec.gamma * h) * float(y.mean()), abs=1e-13)
 

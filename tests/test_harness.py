@@ -349,9 +349,9 @@ class TestRecords:
         substreams = []
         normals = rng.normals
 
-        def counted(seed, substream, step, shape):
+        def counted(seed, substream, step, shape, out=None):
             substreams.append(substream)
-            return normals(seed, substream, step, shape)
+            return normals(seed, substream, step, shape, out)
 
         monkeypatch.setattr(rng, "normals", counted)
         run_chaos(load_config(doc))
