@@ -27,9 +27,13 @@ run steps in place on buffers it allocates once: the stacked state, the
 force buffer (which also holds Z and W while the blend is computed), the
 shared noise block, the stacked noise of reflecting steps (whose first
 slot receives the reflection family's draw) and, in componentwise runs,
-the (2, R, 1, d) law mean.  Dumps are copied into (T, 2, ...) arrays
-allocated up front.  The model spec decides the
-forces both copies feel (:func:`kinlang.dynamics.drift`).  A law term
+the (2, R, 1, d) law mean.  One step builder, :func:`coupled_step`,
+serves every coupled run, and :func:`march_coupled` marches it, handing
+each dump to a caller's reduction.  :func:`simulate_coupled` copies the
+dumps into (T, 2, ...) arrays allocated up front; contraction runs and
+``kinlang couple`` keep no phase-space dumps, only per-pair distances or
+per-dump means.  The model spec decides the forces both copies feel
+(:func:`kinlang.dynamics.drift`).  A law term
 sees each copy's empirical marginal over the coupled batch, or one fixed
 law mean that both copies share (the exact zero of the centered
 unconfined theory).  The componentwise adaptation is the same step with
@@ -43,7 +47,7 @@ from __future__ import annotations
 import math
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -227,30 +231,22 @@ class CoupledTrajectory:
         return metric.dist_zw(self.ax - self.bx, self.ay - self.by)
 
 
-def simulate_coupled(spec: ModelSpec, state0: CoupledState, control: CouplingControl,
-                     cfg: IntegratorConfig, constants: MetricConstants,
-                     dump_times=None, law_mean: Optional[Array] = None,
-                     law_means: Optional[Array] = None) -> CoupledTrajectory:
-    """March a batch of coupled pairs to the horizon, recording dumps.
+def coupled_step(spec: ModelSpec, control: CouplingControl, cfg: IntegratorConfig,
+                 constants: MetricConstants, shape: tuple, law_mean: Optional[Array] = None,
+                 law_means: Optional[Array] = None) -> Callable:
+    """In-place step of coupled pairs stacked on a copy axis, ``(2,) +
+    shape`` positions and velocities, for :func:`kinlang.dynamics.march`,
+    with its own buffers; the law terms follow ``law_mean`` and
+    ``law_means`` as in :func:`simulate_coupled`.
 
-    Law terms see each copy's own empirical marginal over the batch, or
-    ``law_mean``, one fixed law mean both copies use (e.g. the exact zero
-    of the centered unconfined theory).  A law-mean path ``law_means``
-    makes the coupling componentwise: the first component evolves as N
-    independent nonlinear copies whose law mean at step k is
-    ``law_means[k]`` (e.g. a large-proxy mean path), and the second as the
-    N-particle system on its own empirical marginal (axis -2, so (R, N, d)
-    arrays hold R replicas).  Each slot carries its own blend and
-    reflection direction.  Both copies march as one (2, ...) array
-    (see the module docstring); the trajectory's ``ax``, ``ay``, ``bx`` and
-    ``by`` are views of its stacked dumps.  Dumps and blow-ups follow
-    :func:`kinlang.dynamics.march`.
+    This is the only coupled step: :func:`march_coupled` marches it for
+    every coupled run.
     """
     advance = integrator(cfg.step, spec.gamma, spec.u, cfg.scheme)
     # a purely synchronous run shares one increment bitwise at every step;
     # otherwise that holds only on steps whose blend is zero on every pair
     synchronous = purely_synchronous(control, constants)
-    shape = (2,) + state0.ax.shape
+    shape = (2,) + shape
     force, noise = np.empty(shape), np.empty(shape[1:])
     pair_noise = None if synchronous else np.empty(shape)
     law = None if law_means is None else np.empty((2,) + shape[1:-2] + (1, shape[-1]))
@@ -276,22 +272,69 @@ def simulate_coupled(spec: ModelSpec, state0: CoupledState, control: CouplingCon
                 increments = _reflected_noise(q, qn, rc, increments, cfg, k, pair_noise)
         advance(x, y, drift(spec, x, mean_at(k, x), out=force), increments)
 
+    return step
+
+
+def march_coupled(spec: ModelSpec, state0: CoupledState, control: CouplingControl,
+                  cfg: IntegratorConfig, constants: MetricConstants, reduce: Callable,
+                  dump_times=None, law_mean: Optional[Array] = None,
+                  law_means: Optional[Array] = None) -> tuple[Array, Array]:
+    """March a batch of coupled pairs to the horizon through
+    :func:`coupled_step`, handing each dump's stacked state to
+    ``reduce(i, x, y)``, ``i`` the dump's index, which keeps what it needs
+    of it (the next step overwrites the state).  Returns the dump times and
+    the mean blend of the pairs at each dump (0 throughout a purely
+    synchronous run).  Dumps and blow-ups follow
+    :func:`kinlang.dynamics.march`.
+    """
+    synchronous = purely_synchronous(control, constants)
     steps = dump_steps(cfg, dump_times)
-    xs = np.empty((len(steps),) + shape)
-    ys = np.empty_like(xs)
     rc_mean = np.zeros(len(steps))
     slot = {k: i for i, k in enumerate(steps.tolist())}
 
     def keep(k: int, state: tuple) -> None:
         x, y = state
-        xs[slot[k]], ys[slot[k]] = x, y
+        reduce(slot[k], x, y)
         if not synchronous:
             rc_mean[slot[k]] = np.mean(rc_value(control, spec, constants,
                                                 x[0] - x[1], y[0] - y[1]))
 
     march(lambda: (np.stack((state0.ax, state0.bx)), np.stack((state0.ay, state0.by))),
-          cfg, step, keep, dump_times, t0=state0.t)
-    return CoupledTrajectory(times=state0.t + steps * cfg.step, ax=xs[:, 0], ay=ys[:, 0],
+          cfg, coupled_step(spec, control, cfg, constants, state0.ax.shape,
+                            law_mean=law_mean, law_means=law_means),
+          keep, dump_times, t0=state0.t)
+    return state0.t + steps * cfg.step, rc_mean
+
+
+def simulate_coupled(spec: ModelSpec, state0: CoupledState, control: CouplingControl,
+                     cfg: IntegratorConfig, constants: MetricConstants,
+                     dump_times=None, law_mean: Optional[Array] = None,
+                     law_means: Optional[Array] = None) -> CoupledTrajectory:
+    """March a batch of coupled pairs to the horizon, recording dumps.
+
+    Law terms see each copy's own empirical marginal over the batch, or
+    ``law_mean``, one fixed law mean both copies use (e.g. the exact zero
+    of the centered unconfined theory).  A law-mean path ``law_means``
+    makes the coupling componentwise: the first component evolves as N
+    independent nonlinear copies whose law mean at step k is
+    ``law_means[k]`` (e.g. a large-proxy mean path), and the second as the
+    N-particle system on its own empirical marginal (axis -2, so (R, N, d)
+    arrays hold R replicas).  Each slot carries its own blend and
+    reflection direction.  Both copies march as one (2, ...) array
+    (see the module docstring); the trajectory's ``ax``, ``ay``, ``bx`` and
+    ``by`` are views of its stacked dumps.  Dumps and blow-ups follow
+    :func:`kinlang.dynamics.march`.
+    """
+    count = len(dump_steps(cfg, dump_times))
+    xs = np.empty((count, 2) + state0.ax.shape)
+    ys = np.empty_like(xs)
+
+    def reduce(i: int, x: Array, y: Array) -> None:
+        xs[i], ys[i] = x, y
+
+    times, rc_mean = march_coupled(spec, state0, control, cfg, constants, reduce,
+                                   dump_times, law_mean=law_mean, law_means=law_means)
+    return CoupledTrajectory(times=times, ax=xs[:, 0], ay=ys[:, 0],
                              bx=xs[:, 1], by=ys[:, 1], rc_mean=rc_mean)
 
 

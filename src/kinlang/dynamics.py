@@ -348,10 +348,22 @@ class MomentSeries:
     def plateau(self) -> bool:
         """Plateau verdict: max over the last half <= 1.05 x its median."""
         half = self.lyapunov[len(self.lyapunov) // 2:]
-        med = float(np.median(half))
+        med = _median(half)
         if med <= 0:
             return bool(np.max(half) <= 1e-12)
         return bool(np.max(half) <= 1.05 * med)
+
+
+def _median(a: Array) -> float:
+    """``np.median`` of a non-empty 1-D float array, to the bit, NaN when
+    it holds a NaN; by partition, since ``np.median`` imports numpy.ma."""
+    n = len(a)
+    part = np.partition(a, [(n - 1) // 2, n // 2, n - 1])
+    if np.isnan(part[-1]):  # NaNs sort last
+        return float("nan")
+    if n % 2:
+        return float(part[n // 2])
+    return float((part[n // 2 - 1] + part[n // 2]) / 2.0)
 
 
 def track_moments(traj: Trajectory, spec: ModelSpec, twist: float,

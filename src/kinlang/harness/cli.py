@@ -27,8 +27,7 @@ from ..dynamics import trajectory_to_rows
 from ..metrics import GroundMetric
 from ..model import ModelSpec
 from .config import ConfigError, ExperimentConfig, config_hash, load_config, load_document
-from .experiments import (_coupling_control, coupled_trajectory, run_experiment,
-                          simulate_particles)
+from .experiments import _coupling_control, coupled_rows, run_experiment, simulate_particles
 from .record import filled_run_dir, write_csv, write_file, write_record
 
 
@@ -97,23 +96,19 @@ def cmd_couple(args) -> int:
     spec = cfg.spec
     constants = derive_constants(spec)
     control = _coupling_control(cfg, constants)
-    traj = coupled_trajectory(cfg, constants, cfg.step)
     cols = ["t", "rs", "rl", "delta", "rho", "abs_z", "abs_q", "rc"]
     rho = GroundMetric.from_constants(spec, constants, "rho")
     rs = GroundMetric.from_constants(spec, constants, "r_s")
     rl = GroundMetric.from_constants(spec, constants, "r_l")
-    z = traj.ax - traj.bx
-    w = traj.ay - traj.by
-    rows = np.column_stack([
-        traj.times,
-        rs.dist_zw(z, w).mean(axis=1),
-        rl.dist_zw(z, w).mean(axis=1),
-        rho.delta_zw(z, w).mean(axis=1),
-        rho.dist_zw(z, w).mean(axis=1),
-        np.linalg.norm(z, axis=-1).mean(axis=1),
-        np.linalg.norm(z + w / spec.gamma, axis=-1).mean(axis=1),
-        traj.rc_mean,
-    ])
+
+    def means(z: np.ndarray, w: np.ndarray) -> tuple:
+        return (rs.dist_zw(z, w).mean(), rl.dist_zw(z, w).mean(),
+                rho.delta_zw(z, w).mean(), rho.dist_zw(z, w).mean(),
+                np.linalg.norm(z, axis=-1).mean(),
+                np.linalg.norm(z + w / spec.gamma, axis=-1).mean())
+
+    times, dump_means, rc_mean = coupled_rows(cfg, constants, cfg.step, means)
+    rows = np.column_stack([times, dump_means, rc_mean])
     run_dir = _out_root(cfg) / cfg.hash
     meta = {"config_hash": cfg.hash, "seed": cfg.seed, "xi": control.xi,
             "mode": control.mode, "constants": constants.to_dict()}

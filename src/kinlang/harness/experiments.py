@@ -8,7 +8,12 @@ Three families of desk-scale experiments, each emitting a reproducible
   fit a decay rate, and check the one-sided guarantee
   ``E[d(t)] <= exp(-c t) E[d(0)] + budget`` with an explicit tolerance
   budget (2 bootstrap-free standard errors plus a step-size term whose
-  coefficient can be calibrated by an h-refinement rerun).
+  coefficient can be calibrated by an h-refinement rerun).  A contraction
+  run keeps no phase-space dumps: :func:`coupled_rows` reduces each dump,
+  as the stepping loop hands it over, to its pairs' distances and those to
+  their mean and standard error, and the h/2 rerun holds nothing of the h
+  run but its curve.  ``kinlang couple`` reduces its dumps the same way, to
+  per-dump means.
 * ``run_chaos``: couple N independent nonlinear copies (law fed by a
   large proxy ensemble) componentwise to the N-particle system, with the
   config's coupling mode and width, estimate
@@ -25,13 +30,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
 from .. import rng
 from ..constants import MetricConstants, derive_constants
-from ..coupling import CoupledState, CoupledTrajectory, CouplingControl, simulate_coupled
+from ..coupling import CoupledState, CouplingControl, march_coupled, simulate_coupled
 from ..dynamics import (BlowUpError, IntegratorConfig, Trajectory, dirac_ensemble,
                         gaussian_ensemble, march, simulate, system_step, track_moments)
 from ..metrics import GroundMetric, project_centered
@@ -197,27 +202,41 @@ def _coupled_model(cfg: ExperimentConfig) -> tuple[ModelSpec, Optional[Array]]:
     return spec, None
 
 
-def coupled_trajectory(cfg: ExperimentConfig, constants: MetricConstants,
-                       step: float) -> CoupledTrajectory:
-    """The coupled pairs a config describes, integrated at ``step``."""
+def coupled_rows(cfg: ExperimentConfig, constants: MetricConstants, step: float,
+                 reduce: Callable) -> tuple[Array, Array, Array]:
+    """March the coupled pairs a config describes at ``step``, keeping one
+    row per dump: ``reduce(z, w)`` of its pair differences Z and W.
+    Returns the dump times, the rows stacked in a (T, ...) array and the
+    mean blend at each dump; no phase-space dump is kept."""
     spec, law_mean = _coupled_model(cfg)
-    return simulate_coupled(spec, build_initial_pair(cfg),
-                            _coupling_control(cfg, constants),
-                            _integrator(cfg, step=step), constants,
-                            dump_times=cfg.dump_times, law_mean=law_mean)
+    rows = []
+
+    def keep(i: int, x: Array, y: Array) -> None:
+        rows.append(reduce(x[0] - x[1], y[0] - y[1]))
+
+    times, rc_mean = march_coupled(spec, build_initial_pair(cfg),
+                                   _coupling_control(cfg, constants),
+                                   _integrator(cfg, step=step), constants, keep,
+                                   dump_times=cfg.dump_times, law_mean=law_mean)
+    return times, np.array(rows), rc_mean
 
 
 def _contraction_curve(cfg: ExperimentConfig, constants: MetricConstants,
-                       step: float) -> tuple[CoupledTrajectory, Array, Array]:
-    """Coupled trajectory and its mean distance curve under the
-    experiment's metric, with standard errors."""
-    traj = coupled_trajectory(cfg, constants, step)
+                       step: float) -> tuple[Array, Array, Array, Array]:
+    """Dump times, the mean distance curve under the experiment's metric
+    with its standard errors, and the mean blend at each dump.  Each dump
+    is reduced to its pairs' distances under the metric and then to their
+    mean and standard error, the same bits as the row means and standard
+    deviations of the (T, R) distances."""
     metric = GroundMetric.from_constants(cfg.spec, constants, _METRIC_FOR[cfg.experiment])
-    dists = traj.distance_series(metric)
-    means = dists.mean(axis=1)
-    ses = dists.std(axis=1, ddof=1) / math.sqrt(dists.shape[1]) if dists.shape[1] > 1 \
-        else np.zeros(dists.shape[0])
-    return traj, means, ses
+
+    def mean_and_se(z: Array, w: Array) -> tuple[float, float]:
+        dists = metric.dist_zw(z, w)
+        se = dists.std(ddof=1) / math.sqrt(len(dists)) if len(dists) > 1 else 0.0
+        return dists.mean(), se
+
+    times, curve, rc_mean = coupled_rows(cfg, constants, step, mean_and_se)
+    return times, curve[:, 0], curve[:, 1], rc_mean
 
 
 def run_contraction(cfg: ExperimentConfig) -> ExperimentRecord:
@@ -229,11 +248,10 @@ def run_contraction(cfg: ExperimentConfig) -> ExperimentRecord:
     if flagged and not constants.friction_ok:
         diags.append("no guarantee: running outside the admissible regime")
 
-    traj, means, ses = _contraction_curve(cfg, constants, cfg.step)
-    times = traj.times
+    times, means, ses, rc_mean = _contraction_curve(cfg, constants, cfg.step)
     c_h = 0.0
     if cfg.step_refinement:
-        _, means_h2, _ = _contraction_curve(cfg, constants, cfg.step / 2.0)
+        means_h2 = _contraction_curve(cfg, constants, cfg.step / 2.0)[1]
         c_h = step_budget_coefficient(means, means_h2, cfg.step)
 
     rate_name = _RATE_FOR[cfg.experiment]
@@ -251,7 +269,7 @@ def run_contraction(cfg: ExperimentConfig) -> ExperimentRecord:
              "blend_width": control.xi,
              "blend_resolved": bool(control.resolved_by(spec, cfg.step))}
     curves = {"distance": (["t", "mean_dist", "se_dist", "rc_mean"],
-                           np.column_stack([times, means, ses, traj.rc_mean]))}
+                           np.column_stack([times, means, ses, rc_mean]))}
     return ExperimentRecord(experiment=cfg.experiment, config_hash=cfg.hash,
                             seed=cfg.seed, constants=snapshot,
                             stats=stats, curves=curves, flagged=flagged,

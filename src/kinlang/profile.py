@@ -24,18 +24,23 @@ ratio ``I(s)/I(cutoff)`` is ever exponentiated.  ``f`` itself is stored as
 a piecewise-linear table on 4096 panels: linear interpolation of concave
 increasing data is again concave and increasing, so the interpolated ``f``
 keeps the exact subadditivity that the triangle inequality of the glued
-metric relies on.
+metric relies on.  The table build takes its quadrature nodes in blocks of
+``BLOCK_PANELS`` panels, so no temporary holds all 4096 x 10 of them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from ._scipy import kernel
 
 N_PANELS = 4096
+# panels per block of the table build: its per-node temporaries hold
+# BLOCK_PANELS x 10 values (40 KB) instead of N_PANELS x 10
+BLOCK_PANELS = 512
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(10)
 
 
@@ -114,7 +119,7 @@ def _logsumexp_rows(a: np.ndarray) -> np.ndarray:
     split off the shifted sum, and rows whose result is not finite fall
     back to the unshifted ``log(sum(exp(a)))``.  scipy's array-API
     dispatch around the same steps more than doubles their cost on the
-    (4096, 10) panel array.
+    (512, 10) panel blocks.
     """
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         a_max = a.max(axis=1, keepdims=True)
@@ -138,16 +143,15 @@ def _panel_nodes(knots: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return mid[:, None] + half[:, None] * _GL_NODES[None, :], half
 
 
-def _log_inner_integral(a: float, knots: np.ndarray, x: np.ndarray,
-                        half: np.ndarray) -> np.ndarray:
-    """log of the cumulative integral of big_phi/phi at every knot, given
-    the panel nodes ``x`` and half widths ``half`` of ``_panel_nodes``.
+def _log_panel_integrals(a: float, x: np.ndarray, half: np.ndarray) -> np.ndarray:
+    """log of the integral of big_phi/phi over each panel, given the panel
+    nodes ``x`` and half widths ``half`` of ``_panel_nodes``.
 
     Integrand g(x) = big_phi(x) exp(a x^2); each inter-knot panel is
-    integrated by 10-point Gauss-Legendre in log space, then panels are
-    combined with a running logaddexp.  With 4096 panels the integrand
-    varies by at most a factor ~e per panel even when a*cutoff^2 is in the
-    thousands, so the quadrature error stays far below 1e-9 relative.
+    integrated by 10-point Gauss-Legendre in log space.  With 4096 panels
+    the integrand varies by at most a factor ~e per panel even when
+    a*cutoff^2 is in the thousands, so the quadrature error stays far
+    below 1e-9 relative.
     """
     erf = kernel("special", "_special_ufuncs", "erf")
     root = np.sqrt(a)
@@ -155,14 +159,27 @@ def _log_inner_integral(a: float, knots: np.ndarray, x: np.ndarray,
         log_big_phi = np.log(np.sqrt(np.pi) / (2.0 * root) * erf(root * x))
         log_g = log_big_phi + a * x ** 2
         log_w = np.log(half[:, None] * _GL_WEIGHTS[None, :])
-    log_panels = _logsumexp_rows(log_w + log_g)
-    out = np.full(knots.shape, -np.inf)
-    np.logaddexp.accumulate(log_panels, out=out[1:])
+    return _logsumexp_rows(log_w + log_g)
+
+
+def _by_blocks(knots: np.ndarray, panel_values) -> np.ndarray:
+    """``panel_values(x, half)`` of every panel between ``knots``, taken
+    on BLOCK_PANELS panels at a time, so the per-node temporaries hold
+    BLOCK_PANELS x 10 values whatever the panel count."""
+    out = np.empty(len(knots) - 1)
+    for lo in range(0, len(out), BLOCK_PANELS):
+        hi = min(lo + BLOCK_PANELS, len(out))
+        out[lo:hi] = panel_values(*_panel_nodes(knots[lo:hi + 1]))
     return out
 
 
 def build_profile(cutoff: float, curvature: float, gamma: float, u: float) -> ConcaveProfile:
-    """Construct the profile tables (identity profile when the cutoff is 0)."""
+    """Construct the profile tables (identity profile when the cutoff is 0).
+
+    Both quadratures go through the panels in blocks (``_by_blocks``);
+    only the running sums over panels, a logaddexp for the inner integral
+    and a cumsum for ``f``, see all panels at once.
+    """
     if cutoff < 0:
         raise ValueError("cutoff must be >= 0")
     if cutoff == 0.0:
@@ -172,17 +189,20 @@ def build_profile(cutoff: float, curvature: float, gamma: float, u: float) -> Co
                               knots=z, f_knots=z, psi_knots=np.ones(1))
     a = curvature
     knots = np.linspace(0.0, cutoff, N_PANELS + 1)
-    x, half = _panel_nodes(knots)
-    log_inner = _log_inner_integral(a, knots, x, half)
+    log_inner = np.full(knots.shape, -np.inf)
+    np.logaddexp.accumulate(_by_blocks(knots, partial(_log_panel_integrals, a)),
+                            out=log_inner[1:])
     log_total = float(log_inner[-1])
     psi_knots = 1.0 - 0.5 * np.exp(log_inner - log_total)
 
     # f knots: per-panel Gauss-Legendre of phi * psi, with psi interpolated
     # linearly between its knot values (psi is smooth and slowly varying)
-    phi_x = np.exp(-a * x ** 2)
-    psi_x = np.interp(x, knots, psi_knots)
-    panels = half * np.sum(_GL_WEIGHTS[None, :] * phi_x * psi_x, axis=1)
-    f_knots = np.concatenate([[0.0], np.cumsum(panels)])
+    def f_panels(x: np.ndarray, half: np.ndarray) -> np.ndarray:
+        phi_x = np.exp(-a * x ** 2)
+        psi_x = np.interp(x, knots, psi_knots)
+        return half * np.sum(_GL_WEIGHTS[None, :] * phi_x * psi_x, axis=1)
+
+    f_knots = np.concatenate([[0.0], np.cumsum(_by_blocks(knots, f_panels))])
 
     chat = u / gamma * float(np.exp(-log_total))  # underflows to 0.0 for stiff configs
     return ConcaveProfile(cutoff=float(cutoff), curvature=float(a), gamma=gamma, u=u,

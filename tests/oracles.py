@@ -13,7 +13,10 @@ library against, and a shorthand for building coupled states.
 * :func:`expression_integrator`, the integrator update written as
   expressions that return new arrays, which the in-place update of
   :func:`kinlang.dynamics.integrator` is tested against bitwise;
-* :func:`pair_state`, a coupled batch of replicated phase points.
+* :func:`pair_state`, a coupled batch of replicated phase points;
+* :func:`one_shot_profile_tables`, the profile tables built over all
+  quadrature nodes at once, which the blocked build of
+  :func:`kinlang.profile.build_profile` is tested against bitwise.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ import numpy as np
 from kinlang.constants import ConstantsError
 from kinlang.coupling import CoupledState, CoupledTrajectory
 from kinlang.metrics import row_norm, small_norm, twisted_norm
+from kinlang.profile import N_PANELS
 from kinlang.transport import TransportError
 
 Array = np.ndarray
@@ -214,3 +218,34 @@ def pair_state(first, second, n: int = 1) -> CoupledState:
     sx, sy = np.atleast_1d(second[0]), np.atleast_1d(second[1])
     return CoupledState(ax=np.tile(fx, (n, 1)), ay=np.tile(fy, (n, 1)),
                         bx=np.tile(sx, (n, 1)), by=np.tile(sy, (n, 1)))
+
+
+# ---------------------------------------------------------------------------
+# profile tables
+# ---------------------------------------------------------------------------
+
+def one_shot_profile_tables(cutoff: float, curvature: float) -> tuple[Array, Array,
+                                                                     Array, Array]:
+    """Knots, log inner integral, psi and f tables of a non-identity
+    profile, each quadrature taken over every panel's 10 Gauss-Legendre
+    nodes in one (N_PANELS, 10) array, through scipy's own ``erf`` and
+    ``logsumexp``."""
+    from scipy.special import erf, logsumexp
+
+    a = curvature
+    gl_nodes, gl_weights = np.polynomial.legendre.leggauss(10)
+    knots = np.linspace(0.0, cutoff, N_PANELS + 1)
+    half = 0.5 * (knots[1:] - knots[:-1])
+    mid = 0.5 * (knots[1:] + knots[:-1])
+    x = mid[:, None] + half[:, None] * gl_nodes[None, :]
+    root = np.sqrt(a)
+    with np.errstate(divide="ignore"):
+        log_g = np.log(np.sqrt(np.pi) / (2.0 * root) * erf(root * x)) + a * x ** 2
+        log_w = np.log(half[:, None] * gl_weights[None, :])
+    log_inner = np.full(knots.shape, -np.inf)
+    np.logaddexp.accumulate(logsumexp(log_w + log_g, axis=1), out=log_inner[1:])
+    psi = 1.0 - 0.5 * np.exp(log_inner - log_inner[-1])
+    phi_x = np.exp(-a * x ** 2)
+    psi_x = np.interp(x, knots, psi)
+    panels = half * np.sum(gl_weights[None, :] * phi_x * psi_x, axis=1)
+    return knots, log_inner, psi, np.concatenate([[0.0], np.cumsum(panels)])

@@ -7,8 +7,9 @@ import pytest
 
 from kinlang.constants import ConstantsError, derive_constants
 from kinlang.model import ExternalForce, InteractionForce, ModelSpec
+from kinlang import profile
 from kinlang.profile import _logsumexp_rows, build_profile
-from oracles import grid_glue_offset, grid_small_cutoff
+from oracles import grid_glue_offset, grid_small_cutoff, one_shot_profile_tables
 
 
 def spec_of(kappa, lip_k, lip_g, radius, gamma, u, dim=1, inter=None):
@@ -231,6 +232,23 @@ class TestProfile:
         got = _logsumexp_rows(a)
         assert got.shape == want.shape
         assert np.array_equal(got, want, equal_nan=True)
+
+
+    @pytest.mark.parametrize("block", [profile.BLOCK_PANELS, 300, 1, profile.N_PANELS])
+    def test_blocked_tables_match_the_one_shot_build_bitwise(self, dw_constants,
+                                                              mild_constants,
+                                                              monkeypatch, block):
+        # the default block, one that leaves a partial last block, single
+        # panels and all panels at once give the same bits
+        monkeypatch.setattr(profile, "BLOCK_PANELS", block)
+        for prof in (dw_constants.profile, mild_constants.profile):
+            built = build_profile(prof.cutoff, prof.curvature, prof.gamma, prof.u)
+            knots, log_inner, psi, f = one_shot_profile_tables(prof.cutoff, prof.curvature)
+            assert np.array_equal(built.knots, knots)
+            assert np.array_equal(built.psi_knots, psi)
+            assert np.array_equal(built.f_knots, f)
+            assert built.log_inner_total == log_inner[-1]
+            assert built.chat == prof.u / prof.gamma * float(np.exp(-log_inner[-1]))
 
 
 class TestAscent:

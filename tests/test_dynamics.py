@@ -423,6 +423,26 @@ class TestMoments:
         assert mom.plateau()
         assert float(mom.ex2[-1]) == pytest.approx(1.0, abs=0.1)
 
+    def test_plateau_median_is_numpys_bitwise(self):
+        # odd and even lengths, ties, signed infinities and NaNs, which
+        # make the median NaN and the verdict False
+        gen = np.random.default_rng(3)
+        for n in range(1, 40):
+            for _ in range(20):
+                a = gen.normal(size=n) * 10.0 ** gen.integers(-200, 200)
+                if gen.random() < 0.3:
+                    a = np.round(a / np.abs(a).max() * 3)
+                for value in (np.nan, np.inf, -np.inf):
+                    if gen.random() < 0.1:
+                        a[gen.integers(n)] = value
+                with np.errstate(invalid="ignore"):
+                    expected = float(np.median(a))
+                got = dyn._median(a)
+                assert got == expected or (math.isnan(got) and math.isnan(expected))
+        series = dyn.MomentSeries(times=np.arange(4.0), ex2=np.ones(4), ey2=np.ones(4),
+                                  lyapunov=np.array([1.0, 1.0, 1.0, np.nan]))
+        assert not series.plateau()
+
     def test_constant_moments_without_noise(self, zero_noise):
         spec = ModelSpec(external=ExternalForce.zero(1),
                          interaction=InteractionForce.none(), gamma=1.0, u=1.0, dim=1)

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import json
+import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -13,9 +15,10 @@ from kinlang.harness import record as record_mod
 from kinlang.harness.cli import main as cli_main
 from kinlang.harness.config import (CONFIG_SCHEMA, ConfigError, config_hash, load_config,
                                     load_config_file, validate_config)
-from kinlang.harness.experiments import (_METRIC_FOR, ExperimentRecord, build_initial_pair,
-                                         coupled_trajectory, fit_decay_rate, run_chaos,
-                                         run_contraction, run_moments)
+from kinlang.harness.experiments import (_METRIC_FOR, ExperimentRecord, _contraction_curve,
+                                         _coupled_model, _coupling_control, _integrator,
+                                         build_initial_pair, coupled_rows, fit_decay_rate,
+                                         run_chaos, run_contraction, run_moments)
 from kinlang.harness.record import record_json, write_record
 from kinlang.metrics import GroundMetric
 from kinlang.transport import SIZE_CAP, cost_matrix_zw, wasserstein_from_costs
@@ -52,6 +55,17 @@ def dw_doc(**over):
            "replicas": 64, "dump_count": 11}
     doc.update(over)
     return doc
+
+
+def kept_trajectory(cfg, constants, step):
+    """The coupled pairs of a contraction config at ``step`` with every
+    dump kept, through :func:`simulate_coupled`: the reference for the
+    runs that reduce each dump as it comes."""
+    spec, law_mean = _coupled_model(cfg)
+    return coupling.simulate_coupled(spec, build_initial_pair(cfg),
+                                     _coupling_control(cfg, constants),
+                                     _integrator(cfg, step=step), constants,
+                                     dump_times=cfg.dump_times, law_mean=law_mean)
 
 
 class TestConfig:
@@ -308,7 +322,7 @@ class TestRecords:
         cfg = load_config(doc)
         rec = run_contraction(cfg)
         constants = derive_constants(cfg.spec)
-        traj = coupled_trajectory(cfg, constants, cfg.step)
+        traj = kept_trajectory(cfg, constants, cfg.step)
         metric = GroundMetric.from_constants(cfg.spec, constants, _METRIC_FOR[cfg.experiment])
         mean_dist = np.asarray(rec.curves["distance"][1])[:, 1]
         for k, mean in enumerate(mean_dist):
@@ -382,6 +396,67 @@ class TestRecords:
         doc = quad_doc(experiment="chaos", ensemble_sizes=[8, 16], proxy_size=64)
         with pytest.raises(ConfigError, match="proxy"):
             run_chaos(load_config(doc))
+
+
+def dw_contract_doc(**over):
+    doc = dw_doc(experiment="contract_classical", replicas=64,
+                 initial={"kind": "gaussian", "std": 0.5},
+                 initial_second={"shift_x": 1.5}, coupling={"mode": "reflection_mix"})
+    doc.update(over)
+    return doc
+
+
+class TestReducingRuns:
+    @pytest.mark.parametrize("doc", [
+        dw_contract_doc(),
+        dw_contract_doc(model={"dimension": 3, "gamma": 10.0, "u": 1.0,
+                               "external": {"kind": "double_well", "beta": 1.0},
+                               "interaction": {"kind": "none"}}),
+        quad_doc(initial={"kind": "gaussian", "std": 1.0},
+                 initial_second={"shift_x": 1.0}, replicas=64),
+    ], ids=["double_well_d1", "double_well_d3", "r_strong"])
+    def test_pair_distances_match_the_kept_dumps_bitwise(self, doc):
+        # a contraction run reduces each dump to its pairs' distances as the
+        # stepping loop hands it over; evaluating the metric on the whole
+        # stack of kept dumps gives the same bits
+        cfg = load_config(doc)
+        constants = derive_constants(cfg.spec)
+        metric = GroundMetric.from_constants(cfg.spec, constants, _METRIC_FOR[cfg.experiment])
+        for step in (cfg.step, cfg.step / 2.0):
+            times, dists, rc_mean = coupled_rows(cfg, constants, step, metric.dist_zw)
+            traj = kept_trajectory(cfg, constants, step)
+            kept = traj.distance_series(metric)
+            assert dists.shape == (len(traj.times), cfg.replicas)
+            assert np.array_equal(dists, kept)
+            assert np.array_equal(times, traj.times)
+            assert np.array_equal(rc_mean, traj.rc_mean)
+            # and the curve reduces each dump's distances further, to the
+            # bits of the row means and standard errors of all of them
+            curve = _contraction_curve(cfg, constants, step)
+            assert np.array_equal(curve[1], kept.mean(axis=1))
+            assert np.array_equal(curve[2], kept.std(axis=1, ddof=1) / math.sqrt(cfg.replicas))
+        # the double wells reflect, so their blend is not zero throughout
+        assert rc_mean.any() == (cfg.experiment == "contract_classical")
+
+    def test_contraction_memory_grows_with_distances_not_dumps(self):
+        # 180 more dumps of R pairs may add about 180 R doubles of
+        # distances; kept phase-space dumps of both copies would add 4 d R
+        # doubles per dump, for the h run and its h/2 rerun alike
+        replicas, extra = 2000, 180
+        cfgs = {count: load_config(dw_contract_doc(
+            replicas=replicas, dump_count=count, step_refinement=True,
+            integrator={"step": 0.01, "horizon": 2.0, "seed": 31}))
+            for count in (21, 21 + extra)}
+        run_contraction(cfgs[21])  # first-call loads and caches stay untraced
+        peaks = {}
+        for count, cfg in cfgs.items():
+            tracemalloc.start()
+            try:
+                run_contraction(cfg)
+                peaks[count] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[21 + extra] - peaks[21] <= 1.5 * extra * replicas * 8
 
 
 class TestCli:

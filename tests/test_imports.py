@@ -36,7 +36,9 @@ from kinlang.harness import load_config_file, run_experiment
 cfg = load_config_file(sys.argv[1])
 if sys.argv[2] == "run":
     run_experiment(cfg)
-print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+package = sys.argv[3]
+print(json.dumps(sorted(m for m in sys.modules
+                        if m == package or m.startswith(package + "."))))
 """
 
 # the modules loaded by import and config loading; then every public name,
@@ -84,11 +86,12 @@ def fresh(*args: str) -> str:
     return out.stdout.splitlines()[-1]
 
 
-def loaded_scipy(config: str, run: bool) -> list[str]:
-    """The scipy modules in ``sys.modules`` of a fresh interpreter after
-    loading (and, if ``run``, running) ``configs/<config>``."""
+def loaded_modules(config: str, run: bool, package: str = "scipy") -> list[str]:
+    """The modules of ``package`` (default scipy) in ``sys.modules`` of a
+    fresh interpreter after loading (and, if ``run``, running)
+    ``configs/<config>``."""
     return json.loads(fresh("-c", SCRIPT, str(ROOT / "configs" / config),
-                            "run" if run else "load"))
+                            "run" if run else "load", package))
 
 
 def test_import_and_load_config_load_only_what_validates():
@@ -128,20 +131,27 @@ def test_public_names_follow_their_submodule(monkeypatch):
 
 
 def test_import_and_load_config_load_no_scipy():
-    assert loaded_scipy("quadratic_contract.json", run=False) == []
+    assert loaded_modules("quadratic_contract.json", run=False) == []
 
 
 @pytest.mark.parametrize("config", ["quadratic_contract.json", "unconfined.json"])
 def test_identity_profile_runs_load_no_scipy(config):
-    assert loaded_scipy(config, run=True) == []
+    assert loaded_modules(config, run=True) == []
 
 
 def test_double_well_loads_the_erf_kernel_only():
-    assert loaded_scipy("double_well.json", run=True) == ["scipy.special._special_ufuncs"]
+    assert loaded_modules("double_well.json", run=True) == ["scipy.special._special_ufuncs"]
 
 
 def test_chaos_loads_the_assignment_kernel_only():
-    assert loaded_scipy("chaos.json", run=True) == ["scipy.optimize._lsap"]
+    assert loaded_modules("chaos.json", run=True) == ["scipy.optimize._lsap"]
+
+
+# moments runs take a median, contraction runs snap dump times: neither
+# goes through numpy.ma (np.median and np.unique would import it)
+@pytest.mark.parametrize("config", ["moments.json", "double_well.json"])
+def test_runs_load_no_numpy_ma(config):
+    assert loaded_modules(config, run=True, package="numpy.ma") == []
 
 
 @pytest.mark.parametrize("order", ["kernel-first", "package-first"])
