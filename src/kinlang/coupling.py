@@ -28,11 +28,12 @@ force buffer (which also holds Z and W while the blend is computed), the
 shared noise block, the stacked noise of reflecting steps (whose first
 slot receives the reflection family's draw) and, in componentwise runs,
 the (2, R, 1, d) law mean.  One step builder, :func:`coupled_step`,
-serves every coupled run, and :func:`march_coupled` marches it, handing
-each dump to a caller's reduction.  :func:`simulate_coupled` copies the
-dumps into (T, 2, ...) arrays allocated up front; contraction runs and
-``kinlang couple`` keep no phase-space dumps, only per-pair distances or
-per-dump means.  The model spec decides the forces both copies feel
+serves every coupled run through :func:`kinlang.dynamics.march`.
+:func:`march_coupled` marches it for runs that keep per-pair values: it
+hands each dump's pair differences Z and W to a caller's reduction, so
+contraction runs and ``kinlang couple`` keep no phase-space dumps; the
+chaos sweep marches the step itself and reads only the final state.  The
+model spec decides the forces both copies feel
 (:func:`kinlang.dynamics.drift`).  A law term
 sees each copy's empirical marginal over the coupled batch, or one fixed
 law mean that both copies share (the exact zero of the centered
@@ -55,7 +56,7 @@ from . import rng
 from .constants import MetricConstants
 from .dynamics import (DynamicsError, IntegratorConfig, drift, dump_steps, integrator,
                        march)
-from .metrics import GroundMetric, row_norm, small_norm, twisted_norm
+from .metrics import row_norm, twisted_norm
 from .model import ModelSpec
 
 Array = np.ndarray
@@ -214,33 +215,25 @@ def _reflected_noise(q: Array, qn: Array, rc: Array, xi_sc: Array,
 
 
 # ---------------------------------------------------------------------------
-# coupled trajectory driver
+# coupled runs
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class CoupledTrajectory:
-    times: Array
-    ax: Array
-    ay: Array
-    bx: Array
-    by: Array
-    rc_mean: Array
-
-    def distance_series(self, metric: GroundMetric) -> Array:
-        """Per-time per-pair distances under any ground metric: (T, R)."""
-        return metric.dist_zw(self.ax - self.bx, self.ay - self.by)
-
 
 def coupled_step(spec: ModelSpec, control: CouplingControl, cfg: IntegratorConfig,
                  constants: MetricConstants, shape: tuple, law_mean: Optional[Array] = None,
                  law_means: Optional[Array] = None) -> Callable:
     """In-place step of coupled pairs stacked on a copy axis, ``(2,) +
     shape`` positions and velocities, for :func:`kinlang.dynamics.march`,
-    with its own buffers; the law terms follow ``law_mean`` and
-    ``law_means`` as in :func:`simulate_coupled`.
+    with its own buffers.
 
-    This is the only coupled step: :func:`march_coupled` marches it for
-    every coupled run.
+    Law terms see each copy's own empirical marginal over the batch, or
+    ``law_mean``, one fixed law mean both copies use (e.g. the exact zero
+    of the centered unconfined theory).  A law-mean path ``law_means``
+    makes the coupling componentwise: the first component evolves as N
+    independent nonlinear copies whose law mean at step k is
+    ``law_means[k]`` (e.g. a large-proxy mean path), and the second as the
+    N-particle system on its own empirical marginal (axis -2, so (R, N, d)
+    arrays hold R replicas).  Each slot carries its own blend and
+    reflection direction.  This is the only coupled step.
     """
     advance = integrator(cfg.step, spec.gamma, spec.u, cfg.scheme)
     # a purely synchronous run shares one increment bitwise at every step;
@@ -277,14 +270,13 @@ def coupled_step(spec: ModelSpec, control: CouplingControl, cfg: IntegratorConfi
 
 def march_coupled(spec: ModelSpec, state0: CoupledState, control: CouplingControl,
                   cfg: IntegratorConfig, constants: MetricConstants, reduce: Callable,
-                  dump_times=None, law_mean: Optional[Array] = None,
-                  law_means: Optional[Array] = None) -> tuple[Array, Array]:
+                  dump_times=None, law_mean: Optional[Array] = None) -> tuple[Array, Array]:
     """March a batch of coupled pairs to the horizon through
-    :func:`coupled_step`, handing each dump's stacked state to
-    ``reduce(i, x, y)``, ``i`` the dump's index, which keeps what it needs
-    of it (the next step overwrites the state).  Returns the dump times and
-    the mean blend of the pairs at each dump (0 throughout a purely
-    synchronous run).  Dumps and blow-ups follow
+    :func:`coupled_step` (law terms as there), handing each dump's pair
+    differences Z and W to ``reduce(i, z, w)``, ``i`` the dump's index.
+    Both are fresh arrays, which ``reduce`` may keep or overwrite.  Returns
+    the dump times and the mean blend of the pairs at each dump (0
+    throughout a purely synchronous run).  Dumps and blow-ups follow
     :func:`kinlang.dynamics.march`.
     """
     synchronous = purely_synchronous(control, constants)
@@ -294,85 +286,13 @@ def march_coupled(spec: ModelSpec, state0: CoupledState, control: CouplingContro
 
     def keep(k: int, state: tuple) -> None:
         x, y = state
-        reduce(slot[k], x, y)
+        z, w = x[0] - x[1], y[0] - y[1]
         if not synchronous:
-            rc_mean[slot[k]] = np.mean(rc_value(control, spec, constants,
-                                                x[0] - x[1], y[0] - y[1]))
+            rc_mean[slot[k]] = np.mean(rc_value(control, spec, constants, z, w))
+        reduce(slot[k], z, w)
 
     march(lambda: (np.stack((state0.ax, state0.bx)), np.stack((state0.ay, state0.by))),
           cfg, coupled_step(spec, control, cfg, constants, state0.ax.shape,
-                            law_mean=law_mean, law_means=law_means),
+                            law_mean=law_mean),
           keep, dump_times, t0=state0.t)
     return state0.t + steps * cfg.step, rc_mean
-
-
-def simulate_coupled(spec: ModelSpec, state0: CoupledState, control: CouplingControl,
-                     cfg: IntegratorConfig, constants: MetricConstants,
-                     dump_times=None, law_mean: Optional[Array] = None,
-                     law_means: Optional[Array] = None) -> CoupledTrajectory:
-    """March a batch of coupled pairs to the horizon, recording dumps.
-
-    Law terms see each copy's own empirical marginal over the batch, or
-    ``law_mean``, one fixed law mean both copies use (e.g. the exact zero
-    of the centered unconfined theory).  A law-mean path ``law_means``
-    makes the coupling componentwise: the first component evolves as N
-    independent nonlinear copies whose law mean at step k is
-    ``law_means[k]`` (e.g. a large-proxy mean path), and the second as the
-    N-particle system on its own empirical marginal (axis -2, so (R, N, d)
-    arrays hold R replicas).  Each slot carries its own blend and
-    reflection direction.  Both copies march as one (2, ...) array
-    (see the module docstring); the trajectory's ``ax``, ``ay``, ``bx`` and
-    ``by`` are views of its stacked dumps.  Dumps and blow-ups follow
-    :func:`kinlang.dynamics.march`.
-    """
-    count = len(dump_steps(cfg, dump_times))
-    xs = np.empty((count, 2) + state0.ax.shape)
-    ys = np.empty_like(xs)
-
-    def reduce(i: int, x: Array, y: Array) -> None:
-        xs[i], ys[i] = x, y
-
-    times, rc_mean = march_coupled(spec, state0, control, cfg, constants, reduce,
-                                   dump_times, law_mean=law_mean, law_means=law_means)
-    return CoupledTrajectory(times=times, ax=xs[:, 0], ay=ys[:, 0],
-                             bx=xs[:, 1], by=ys[:, 1], rc_mean=rc_mean)
-
-
-# ---------------------------------------------------------------------------
-# diagnostics
-# ---------------------------------------------------------------------------
-
-def contraction_monitor(traj: CoupledTrajectory, spec: ModelSpec,
-                        constants: MetricConstants) -> dict:
-    """Per-dump diagnostics of the two-regime contraction mechanism.
-
-    Splits the pairs at the gluing offset each dump time and reports the
-    population fraction and mean distance of each regime: outside pairs
-    (gap >= offset) contract in the twisted norm, inside pairs in the
-    rescaled small norm.  Useful for watching a run migrate from the
-    synchronous to the reflection regime.
-    """
-    z = traj.ax - traj.bx
-    w = traj.ay - traj.by
-    rho = GroundMetric.from_constants(spec, constants, "rho")
-    rl = twisted_norm(z, w, spec.external.matrix_k, constants.tau,
-                      spec.gamma, spec.u)
-    rs = small_norm(z, w, constants.alpha, spec.gamma)
-    gap = rs - constants.eps * rl
-    offset = constants.glue_offset
-    inside = gap < offset
-    frac_inside = inside.mean(axis=1)
-    prof = constants.profile
-
-    def masked_mean(values, mask):
-        out = np.full(values.shape[0], np.nan)
-        for k in range(values.shape[0]):
-            if mask[k].any():
-                out[k] = float(values[k][mask[k]].mean())
-        return out
-
-    return {"times": traj.times,
-            "fraction_inside": frac_inside,
-            "mean_rl_outside": masked_mean(rl, ~inside),
-            "mean_f_rs_inside": masked_mean(prof.value(rs), inside),
-            "mean_rho": rho.dist_zw(z, w).mean(axis=1)}

@@ -229,7 +229,7 @@ def dump_steps(cfg: IntegratorConfig, dump_times=None) -> Array:
 
 
 def march(start: Callable, cfg: IntegratorConfig, step: Callable, keep: Callable,
-          dump_times=None, t0: float = 0.0) -> None:
+          dump_times=None, t0: float = 0.0) -> tuple:
     """The stepping loop every run goes through.
 
     ``start()`` returns the initial state as a tuple of fresh arrays that
@@ -237,7 +237,8 @@ def march(start: Callable, cfg: IntegratorConfig, step: Callable, keep: Callable
     ``k + 1`` for ``k < cfg.n_steps``, and must depend on nothing else that
     changes (a blow-up replays it).  ``keep(k, state)`` receives state
     ``k`` at each step of :func:`dump_steps` and must copy what it keeps,
-    since the next step overwrites it.
+    since the next step overwrites it.  Returns the final state, which the
+    caller then owns.
 
     Overflow runs quietly into inf/nan, and a non-finite state raises
     :class:`BlowUpError` at the time of the first state holding one.  The
@@ -273,6 +274,7 @@ def march(start: Callable, cfg: IntegratorConfig, step: Callable, keep: Callable
                         for copy, a in zip(saved, state):
                             np.copyto(copy, a)
                         checkpoint = (k, saved)
+    return state
 
 
 def _first_nonfinite(k: int, state: tuple, step: Callable, last: int) -> int:
@@ -328,7 +330,7 @@ def simulate(spec: ModelSpec, x: Array, y: Array, cfg: IntegratorConfig,
 
     march(lambda: (np.array(x, dtype=float), np.array(y, dtype=float)), cfg,
           system_step(spec, cfg, x.shape), keep, dump_times)
-    # stamps are running sums of the step (simulate_coupled stamps t0 + k h);
+    # stamps are running sums of the step (march_coupled stamps t0 + k h);
     # the golden digests of moments.json and of `kinlang simulate` pin them
     clock = np.concatenate(([0.0], np.cumsum(np.full(cfg.n_steps, cfg.step))))
     return Trajectory(times=clock[steps], x=xs, y=ys)

@@ -36,7 +36,7 @@ import numpy as np
 
 from .. import rng
 from ..constants import MetricConstants, derive_constants
-from ..coupling import CoupledState, CouplingControl, march_coupled, simulate_coupled
+from ..coupling import CoupledState, CouplingControl, coupled_step, march_coupled
 from ..dynamics import (BlowUpError, IntegratorConfig, Trajectory, dirac_ensemble,
                         gaussian_ensemble, march, simulate, system_step, track_moments)
 from ..metrics import GroundMetric, project_centered
@@ -210,13 +210,10 @@ def coupled_rows(cfg: ExperimentConfig, constants: MetricConstants, step: float,
     mean blend at each dump; no phase-space dump is kept."""
     spec, law_mean = _coupled_model(cfg)
     rows = []
-
-    def keep(i: int, x: Array, y: Array) -> None:
-        rows.append(reduce(x[0] - x[1], y[0] - y[1]))
-
     times, rc_mean = march_coupled(spec, build_initial_pair(cfg),
                                    _coupling_control(cfg, constants),
-                                   _integrator(cfg, step=step), constants, keep,
+                                   _integrator(cfg, step=step), constants,
+                                   lambda i, z, w: rows.append(reduce(z, w)),
                                    dump_times=cfg.dump_times, law_mean=law_mean)
     return times, np.array(rows), rc_mean
 
@@ -317,20 +314,30 @@ def _chaos_point(cfg: ExperimentConfig, constants: MetricConstants,
                  control: CouplingControl, law_means: Array,
                  n_slots: int) -> tuple[float, float]:
     """W1 between N = ``n_slots`` nonlinear copies and the N-particle
-    system, coupled slot by slot, with its bootstrap standard error.  The
-    initial draws, trajectory and cost matrix go out of scope on return,
-    before the next N runs."""
+    system, coupled slot by slot, with its bootstrap standard error.
+
+    The slots march to the evaluation time through
+    :func:`kinlang.coupling.coupled_step` on the stacked (2, R, N, d)
+    state, both copies starting from the same draws, and the cost matrix
+    is built from the final state: no dump is copied and the initial
+    draws are not held (a blow-up replay draws them again).  Everything
+    goes out of scope on return, before the next N runs."""
     spec = cfg.spec
-    r, d = cfg.subsample_pairs, spec.dim
+    shape = (cfg.subsample_pairs, n_slots, spec.dim)
     # key initials and slot noise by N so the sweep points decorrelate
     seed_n = cfg.seed + n_slots
-    x, y = _draw_initial(cfg.initial, spec, r * n_slots, seed_n, rng.SUB_SLOTS)
-    x, y = x.reshape(r, n_slots, d), y.reshape(r, n_slots, d)
-    state = CoupledState(ax=x, ay=y, bx=x, by=y)
-    traj = simulate_coupled(spec, state, control,
-                            _integrator(cfg, horizon=cfg.eval_time, seed=seed_n),
-                            constants, law_means=law_means)
-    ax, ay, bx, by = traj.ax[-1], traj.ay[-1], traj.bx[-1], traj.by[-1]
+    icfg = _integrator(cfg, horizon=cfg.eval_time, seed=seed_n)
+
+    def start() -> tuple[Array, Array]:
+        x, y = _draw_initial(cfg.initial, spec, cfg.subsample_pairs * n_slots, seed_n,
+                             rng.SUB_SLOTS)
+        x, y = x.reshape(shape), y.reshape(shape)
+        return np.stack((x, x)), np.stack((y, y))
+
+    x, y = march(start, icfg,
+                 coupled_step(spec, control, icfg, constants, shape, law_means=law_means),
+                 lambda k, state: None)
+    ax, ay, bx, by = x[0], y[0], x[1], y[1]
     if cfg.experiment == "unconfined_chaos":
         ax, ay = project_centered((ax, ay))
         bx, by = project_centered((bx, by))

@@ -15,7 +15,6 @@ from __future__ import annotations
 import json
 import os
 import shutil
-import uuid
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -35,7 +34,7 @@ def filled_run_dir(run_dir: Path):
     (those of other commands) are hard-linked in, and the sibling is
     renamed into place; the earlier directory is moved aside and removed
     only after."""
-    tmp = run_dir.with_name(f".{run_dir.name}.{uuid.uuid4().hex}")
+    tmp = run_dir.with_name(f".{run_dir.name}.{os.urandom(16).hex()}")
     old = tmp.with_name(tmp.name + ".old")
     tmp.mkdir(parents=True)
     try:
@@ -58,7 +57,7 @@ def write_file(path: Path, text: str) -> None:
     """Write one file whole or not at all: a hidden sibling in the target
     directory (created first if missing) is renamed into place."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(f".{path.name}.{uuid.uuid4().hex}")
+    tmp = path.with_name(f".{path.name}.{os.urandom(16).hex()}")
     try:
         tmp.write_text(text)
         os.replace(tmp, path)

@@ -41,7 +41,17 @@ N_PANELS = 4096
 # panels per block of the table build: its per-node temporaries hold
 # BLOCK_PANELS x 10 values (40 KB) instead of N_PANELS x 10
 BLOCK_PANELS = 512
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(10)
+# 10-point Gauss-Legendre nodes and weights on [-1, 1], the bits of
+# np.polynomial.legendre.leggauss(10), written out so that no run imports
+# numpy.polynomial
+_GL_NODES = np.array([
+    -0.9739065285171717, -0.8650633666889845, -0.6794095682990244, -0.4333953941292472,
+    -0.14887433898163122, 0.14887433898163122, 0.4333953941292472, 0.6794095682990244,
+    0.8650633666889845, 0.9739065285171717])
+_GL_WEIGHTS = np.array([
+    0.06667134430868814, 0.1494513491505804, 0.219086362515982, 0.2692667193099965,
+    0.2955242247147528, 0.2955242247147528, 0.2692667193099965, 0.219086362515982,
+    0.1494513491505804, 0.06667134430868814])
 
 
 @dataclass(frozen=True)

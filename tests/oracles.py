@@ -14,6 +14,9 @@ library against, and a shorthand for building coupled states.
   expressions that return new arrays, which the in-place update of
   :func:`kinlang.dynamics.integrator` is tested against bitwise;
 * :func:`pair_state`, a coupled batch of replicated phase points;
+* :func:`simulate_coupled`, a coupled run that keeps every dump of both
+  copies (a :class:`CoupledTrajectory`), which the runs that keep only
+  per-pair values or the final state are tested against;
 * :func:`one_shot_profile_tables`, the profile tables built over all
   quadrature nodes at once, which the blocked build of
   :func:`kinlang.profile.build_profile` is tested against bitwise.
@@ -26,8 +29,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+import kinlang.coupling as cp
 from kinlang.constants import ConstantsError
-from kinlang.coupling import CoupledState, CoupledTrajectory
+from kinlang.coupling import CoupledState, coupled_step, purely_synchronous
+from kinlang.dynamics import dump_steps, march
 from kinlang.metrics import row_norm, small_norm, twisted_norm
 from kinlang.profile import N_PANELS
 from kinlang.transport import TransportError
@@ -218,6 +223,51 @@ def pair_state(first, second, n: int = 1) -> CoupledState:
     sx, sy = np.atleast_1d(second[0]), np.atleast_1d(second[1])
     return CoupledState(ax=np.tile(fx, (n, 1)), ay=np.tile(fy, (n, 1)),
                         bx=np.tile(sx, (n, 1)), by=np.tile(sy, (n, 1)))
+
+
+@dataclass(frozen=True)
+class CoupledTrajectory:
+    times: Array
+    ax: Array
+    ay: Array
+    bx: Array
+    by: Array
+    rc_mean: Array
+
+    def distance_series(self, metric) -> Array:
+        """Per-time per-pair distances under any ground metric: (T, R)."""
+        return metric.dist_zw(self.ax - self.bx, self.ay - self.by)
+
+
+def simulate_coupled(spec, state0: CoupledState, control, cfg, constants, dump_times=None,
+                     law_mean=None, law_means=None) -> CoupledTrajectory:
+    """March a batch of coupled pairs to the horizon through
+    :func:`kinlang.coupling.coupled_step` (law terms as there), copying
+    every dump of both copies into (T, 2, ...) stacks allocated up front;
+    the trajectory's ``ax``, ``ay``, ``bx`` and ``by`` are views of them.
+    ``rc_mean`` is the mean blend of each dump, through
+    ``kinlang.coupling.rc_value`` (0 throughout a purely synchronous run).
+    Dumps and blow-ups follow :func:`kinlang.dynamics.march`."""
+    steps = dump_steps(cfg, dump_times)
+    xs = np.empty((len(steps), 2) + state0.ax.shape)
+    ys = np.empty_like(xs)
+    rc_mean = np.zeros(len(steps))
+    slot = {k: i for i, k in enumerate(steps.tolist())}
+    synchronous = purely_synchronous(control, constants)
+
+    def keep(k, state):
+        x, y = state
+        xs[slot[k]], ys[slot[k]] = x, y
+        if not synchronous:
+            rc_mean[slot[k]] = np.mean(cp.rc_value(control, spec, constants,
+                                                   x[0] - x[1], y[0] - y[1]))
+
+    march(lambda: (np.stack((state0.ax, state0.bx)), np.stack((state0.ay, state0.by))),
+          cfg, coupled_step(spec, control, cfg, constants, state0.ax.shape,
+                            law_mean=law_mean, law_means=law_means),
+          keep, dump_times, t0=state0.t)
+    return CoupledTrajectory(times=state0.t + steps * cfg.step, ax=xs[:, 0], ay=ys[:, 0],
+                             bx=xs[:, 1], by=ys[:, 1], rc_mean=rc_mean)
 
 
 # ---------------------------------------------------------------------------

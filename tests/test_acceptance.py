@@ -13,14 +13,13 @@ import numpy as np
 import pytest
 
 from kinlang.constants import derive_constants
-from kinlang.coupling import (CoupledState, CouplingControl, rc_value, sc_value,
-                              simulate_coupled)
+from kinlang.coupling import CoupledState, CouplingControl, rc_value, sc_value
 from kinlang.dynamics import IntegratorConfig, gaussian_ensemble, simulate
 from kinlang.harness.config import load_config
 from kinlang.harness.experiments import run_chaos, run_contraction, run_moments
 from kinlang.metrics import GroundMetric
 from kinlang.model import ExternalForce, InteractionForce, ModelSpec
-from oracles import marginal_check, pair_state
+from oracles import marginal_check, pair_state, simulate_coupled
 
 
 def _report(name: str, ok: bool, detail: str, elapsed: float, cap: float) -> None:

@@ -233,6 +233,10 @@ class TestProfile:
         assert got.shape == want.shape
         assert np.array_equal(got, want, equal_nan=True)
 
+    def test_quadrature_literals_are_numpys_gauss_legendre_bitwise(self):
+        nodes, weights = np.polynomial.legendre.leggauss(10)
+        assert profile._GL_NODES.tobytes() == nodes.tobytes()
+        assert profile._GL_WEIGHTS.tobytes() == weights.tobytes()
 
     @pytest.mark.parametrize("block", [profile.BLOCK_PANELS, 300, 1, profile.N_PANELS])
     def test_blocked_tables_match_the_one_shot_build_bitwise(self, dw_constants,

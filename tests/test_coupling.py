@@ -9,15 +9,14 @@ import pytest
 
 import kinlang.coupling as cp
 from kinlang import rng
-from kinlang.coupling import (CoupledState, CouplingControl, rc_value, sc_value,
-                              simulate_coupled)
+from kinlang.coupling import CoupledState, CouplingControl, rc_value, sc_value
 from kinlang.dynamics import (BlowUpError, DynamicsError, IntegratorConfig, drift,
                               gaussian_ensemble, march, simulate)
 from kinlang.metrics import GroundMetric, row_norm, small_norm, twisted_norm
 from kinlang.model import ExternalForce, InteractionForce, ModelSpec
 from kinlang.constants import derive_constants
 from kinlang.harness.config import load_config_file
-from oracles import expression_integrator, marginal_check, pair_state
+from oracles import expression_integrator, marginal_check, pair_state, simulate_coupled
 
 
 def quad(gamma=2.0, inter=None):
@@ -187,7 +186,10 @@ class TestCoupledPair:
         runs = {mode: simulate_coupled(quad_spec, state, CouplingControl(mode=mode),
                                        cfg, quad_constants, dump_times=dumps)
                 for mode in ("synchronous", "reflection_mix")}
+        _, rc_mean = cp.march_coupled(quad_spec, state, CouplingControl(mode="reflection_mix"),
+                                      cfg, quad_constants, lambda i, z, w: None, dumps)
         assert calls == []
+        assert np.all(rc_mean == 0.0)
         sync, mix = runs["synchronous"], runs["reflection_mix"]
         for name in ("times", "ax", "ay", "bx", "by", "rc_mean"):
             assert np.array_equal(getattr(sync, name), getattr(mix, name)), name
@@ -439,8 +441,9 @@ ANISOTROPIC_K = np.array([[1.0, 0.4], [0.4, 2.5]])
 
 
 class TestPerCopyReference:
-    """simulate_coupled equals the per-copy step bitwise in d = 2, where the
-    golden digests (all d = 1) do not reach."""
+    """The coupled step (kept by the oracle simulate_coupled) equals the
+    per-copy step bitwise in d = 2, where the golden digests (all d = 1) do
+    not reach."""
 
     def assert_matches(self, spec, state, control, cfg, dump_times, **kw):
         constants = derive_constants(spec)
@@ -558,24 +561,6 @@ class TestGluedDecay:
         ses = d.std(axis=1, ddof=1) / np.sqrt(d.shape[1])
         rises = np.diff(means) - 2 * (ses[1:] + ses[:-1])
         assert np.all(rises <= 0)
-
-
-class TestMonitor:
-    def test_two_regime_monitor_on_double_well(self, dw_spec, dw_constants):
-        from kinlang.coupling import contraction_monitor
-        control = CouplingControl.for_constants(dw_constants, mode="reflection_mix")
-        cfg = IntegratorConfig(step=0.01, horizon=4.0, seed=20)
-        x, y = gaussian_ensemble(0.0, 0.0, 0.5, n=1000, dim=1, seed=21)
-        state = CoupledState(ax=x, ay=y, bx=x + 1.5, by=y)
-        traj = simulate_coupled(dw_spec, state, control, cfg, dw_constants,
-                                dump_times=np.linspace(0, 4, 9))
-        mon = contraction_monitor(traj, dw_spec, dw_constants)
-        assert np.all(np.isfinite(mon["mean_rho"]))
-        # for this configuration every pair starts and stays in the
-        # small-distance regime, where reflection glues them together
-        assert mon["fraction_inside"][0] == 1.0
-        assert mon["fraction_inside"][-1] >= mon["fraction_inside"][0] - 1e-12
-        assert mon["mean_rho"][-1] < mon["mean_rho"][0]
 
 
 class TestMarginalCheck:

@@ -10,18 +10,23 @@ import pytest
 
 from kinlang import coupling, rng
 from kinlang.constants import derive_constants
+from kinlang.coupling import CoupledState, march_coupled
+from kinlang.dynamics import BlowUpError
 from kinlang.harness import cli as cli_mod
 from kinlang.harness import record as record_mod
 from kinlang.harness.cli import main as cli_main
 from kinlang.harness.config import (CONFIG_SCHEMA, ConfigError, config_hash, load_config,
                                     load_config_file, validate_config)
-from kinlang.harness.experiments import (_METRIC_FOR, ExperimentRecord, _contraction_curve,
-                                         _coupled_model, _coupling_control, _integrator,
+from kinlang.harness import experiments
+from kinlang.harness.experiments import (_METRIC_FOR, ExperimentRecord, _chaos_point,
+                                         _contraction_curve, _coupled_model, _coupling_control,
+                                         _draw_initial, _integrator, _law_mean_series,
                                          build_initial_pair, coupled_rows, fit_decay_rate,
                                          run_chaos, run_contraction, run_moments)
 from kinlang.harness.record import record_json, write_record
-from kinlang.metrics import GroundMetric
-from kinlang.transport import SIZE_CAP, cost_matrix_zw, wasserstein_from_costs
+from kinlang.metrics import GroundMetric, project_centered
+from kinlang.transport import SIZE_CAP, bootstrap_se, cost_matrix_zw, wasserstein_from_costs
+from oracles import ell1_norm, simulate_coupled
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -59,13 +64,12 @@ def dw_doc(**over):
 
 def kept_trajectory(cfg, constants, step):
     """The coupled pairs of a contraction config at ``step`` with every
-    dump kept, through :func:`simulate_coupled`: the reference for the
-    runs that reduce each dump as it comes."""
+    dump kept, through the oracle :func:`simulate_coupled`: the reference
+    for the runs that reduce each dump as it comes."""
     spec, law_mean = _coupled_model(cfg)
-    return coupling.simulate_coupled(spec, build_initial_pair(cfg),
-                                     _coupling_control(cfg, constants),
-                                     _integrator(cfg, step=step), constants,
-                                     dump_times=cfg.dump_times, law_mean=law_mean)
+    return simulate_coupled(spec, build_initial_pair(cfg), _coupling_control(cfg, constants),
+                            _integrator(cfg, step=step), constants,
+                            dump_times=cfg.dump_times, law_mean=law_mean)
 
 
 class TestConfig:
@@ -438,6 +442,25 @@ class TestReducingRuns:
         # the double wells reflect, so their blend is not zero throughout
         assert rc_mean.any() == (cfg.experiment == "contract_classical")
 
+    def test_march_coupled_hands_each_dumps_differences(self):
+        # a reflecting double well: each dump's Z and W, and its mean blend,
+        # are the bits of the kept dumps
+        cfg = load_config(dw_contract_doc())
+        constants = derive_constants(cfg.spec)
+        handed = {}
+        times, rc_mean = march_coupled(cfg.spec, build_initial_pair(cfg),
+                                       _coupling_control(cfg, constants), _integrator(cfg),
+                                       constants, lambda i, z, w: handed.setdefault(i, (z, w)),
+                                       dump_times=cfg.dump_times)
+        traj = kept_trajectory(cfg, constants, cfg.step)
+        assert sorted(handed) == list(range(len(traj.times)))
+        for i, (z, w) in handed.items():
+            assert np.array_equal(z, traj.ax[i] - traj.bx[i])
+            assert np.array_equal(w, traj.ay[i] - traj.by[i])
+        assert np.array_equal(times, traj.times)
+        assert np.array_equal(rc_mean, traj.rc_mean)
+        assert rc_mean.any()
+
     def test_contraction_memory_grows_with_distances_not_dumps(self):
         # 180 more dumps of R pairs may add about 180 R doubles of
         # distances; kept phase-space dumps of both copies would add 4 d R
@@ -457,6 +480,110 @@ class TestReducingRuns:
             finally:
                 tracemalloc.stop()
         assert peaks[21 + extra] - peaks[21] <= 1.5 * extra * replicas * 8
+
+
+def chaos_doc(shape: str, **over) -> dict:
+    """configs/chaos.json, or its unconfined_chaos variant (zero external
+    force, linear-difference interaction, centered Gaussian start)."""
+    doc = json.loads((CONFIGS / "chaos.json").read_text())
+    if shape == "unconfined_chaos":
+        doc["experiment"] = shape
+        doc["model"]["external"] = {"kind": "zero"}
+        doc["model"]["interaction"] = {"kind": "custom", "builtin": "linear_difference",
+                                       "kt_matrix": [[1.0]]}
+        doc["initial"] = {"kind": "gaussian", "std": 1.0, "center": True}
+    doc.update(over)
+    return doc
+
+
+def chaos_point_reference(cfg, constants, control, law_means, n_slots):
+    """A chaos point through the kept-trajectory oracle: the slots' initial
+    draws, the whole coupled run with its last dump kept, the cost matrix
+    of that dump under the pair cost of :func:`ell1_norm`, its W1 and its
+    bootstrap standard error."""
+    spec = cfg.spec
+    r, d = cfg.subsample_pairs, spec.dim
+    seed_n = cfg.seed + n_slots
+    x, y = _draw_initial(cfg.initial, spec, r * n_slots, seed_n, rng.SUB_SLOTS)
+    x, y = x.reshape(r, n_slots, d), y.reshape(r, n_slots, d)
+    traj = simulate_coupled(spec, CoupledState(ax=x, ay=y, bx=x, by=y), control,
+                            _integrator(cfg, horizon=cfg.eval_time, seed=seed_n),
+                            constants, law_means=law_means)
+    a, b = (traj.ax[-1], traj.ay[-1]), (traj.bx[-1], traj.by[-1])
+    if cfg.experiment == "unconfined_chaos":
+        a, b = project_centered(a), project_centered(b)
+    costs = cost_matrix_zw(lambda z, w: ell1_norm(z, w).mean(axis=-1), *a, *b)
+    return costs, wasserstein_from_costs(costs), bootstrap_se(costs, cfg.seed, n_boot=100)
+
+
+class TestChaosPoint:
+    """A chaos point marches the coupled step on its own stacked state and
+    reads the final state; the oracle keeps the whole trajectory."""
+
+    @pytest.mark.parametrize("shape", ["chaos", "unconfined_chaos"])
+    def test_matches_the_kept_trajectory_bitwise(self, shape, monkeypatch):
+        cfg = load_config(chaos_doc(shape, subsample_pairs=12, ensemble_sizes=[3, 5],
+                                    proxy_size=64, eval_time=0.5))
+        constants = derive_constants(cfg.spec)
+        control = _coupling_control(cfg, constants)
+        law_means = _law_mean_series(cfg)
+        seen = []
+
+        def assign(costs):
+            seen.append(costs.copy())
+            return wasserstein_from_costs(costs)
+
+        monkeypatch.setattr(experiments, "wasserstein_from_costs", assign)
+        for n_slots in cfg.ensemble_sizes:
+            w1, se = _chaos_point(cfg, constants, control, law_means, n_slots)
+            costs, ref_w1, ref_se = chaos_point_reference(cfg, constants, control,
+                                                          law_means, n_slots)
+            assert costs.shape == (12, 12)
+            assert np.array_equal(seen[-1], costs)
+            assert w1 == ref_w1 and se == ref_se
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_stiff_blow_up_time_is_the_oracles(self):
+        # K = 1e8 under Euler-Maruyama at h = 10, as in the CLI blow-up
+        # smoke: the only dump is the evaluation time, so the blow-up is
+        # found there and replayed from freshly drawn slots
+        doc = chaos_doc("chaos", subsample_pairs=4, ensemble_sizes=[2, 3],
+                        proxy_size=64, eval_time=10000.0)
+        doc["model"] = {"dimension": 1, "gamma": 0.1, "u": 1.0,
+                        "external": {"kind": "quadratic", "k_matrix": [[1e8]]},
+                        "interaction": {"kind": "linear", "k": 0.0052}}
+        doc["integrator"] = {"step": 10.0, "horizon": 10000.0, "seed": 4,
+                             "scheme": "euler_maruyama"}
+        cfg = load_config(doc)
+        constants = derive_constants(cfg.spec)
+        control = _coupling_control(cfg, constants)
+        law_means = np.zeros((_integrator(cfg).n_steps + 1, 1))
+        with pytest.raises(BlowUpError) as got:
+            _chaos_point(cfg, constants, control, law_means, 3)
+        with pytest.raises(BlowUpError) as ref:
+            chaos_point_reference(cfg, constants, control, law_means, 3)
+        assert 0 < got.value.t < cfg.eval_time
+        assert got.value.t == ref.value.t
+
+    def test_peak_memory_within_three_stacked_states(self):
+        # configs/chaos.json at its largest N: the march holds the stacked
+        # state, one force buffer and the shared noise block, and the cost
+        # matrix is built from the final state; a kept dump, or initial
+        # draws held through the march, would exceed this
+        cfg = load_config_file(CONFIGS / "chaos.json")
+        constants = derive_constants(cfg.spec)
+        control = _coupling_control(cfg, constants)
+        law_means = _law_mean_series(cfg)
+        _chaos_point(cfg, constants, control, law_means, 8)  # first-call loads stay untraced
+        n_slots = max(cfg.ensemble_sizes)
+        stacked_state = 2 * 2 * cfg.subsample_pairs * n_slots * cfg.spec.dim * 8
+        tracemalloc.start()
+        try:
+            _chaos_point(cfg, constants, control, law_means, n_slots)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.0 * stacked_state
 
 
 class TestCli:

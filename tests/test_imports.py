@@ -13,8 +13,10 @@ extension module (``scipy.special._special_ufuncs``,
 package and running a quadratic or unconfined config loads no scipy at all,
 and no run imports ``scipy.special`` or ``scipy.optimize`` themselves.  The
 kernels are the very objects those packages export, whichever is imported
-first.  Each case runs in a fresh interpreter, because pytest's own process
-has long since imported everything.
+first.  No run, record writing included, loads numpy.polynomial (the
+profile's Gauss-Legendre nodes are literals) or uuid (temporary paths take
+``os.urandom`` names).  Each case runs in a fresh interpreter, because
+pytest's own process has long since imported everything.
 """
 
 from __future__ import annotations
@@ -57,6 +59,17 @@ try:
 except AttributeError as err:
     missing = str(err)
 print(json.dumps({"loaded": loaded, "unresolved": unresolved, "missing": missing}))
+"""
+
+# ``kinlang run``, record included; then the modules of the given packages
+CLI_RUN = """
+import json, sys
+from kinlang.harness.cli import main
+status = main(["run", "-c", sys.argv[1], "--out", sys.argv[2]])
+print(json.dumps({"status": status,
+                  "loaded": sorted(m for m in sys.modules
+                                   if any(m == p or m.startswith(p + ".")
+                                          for p in sys.argv[3:]))}))
 """
 
 # the kernel first, then its package; or the package first, then the kernel
@@ -152,6 +165,16 @@ def test_chaos_loads_the_assignment_kernel_only():
 @pytest.mark.parametrize("config", ["moments.json", "double_well.json"])
 def test_runs_load_no_numpy_ma(config):
     assert loaded_modules(config, run=True, package="numpy.ma") == []
+
+
+# the profile's quadrature nodes are literals and temporary paths take
+# os.urandom names, so no run loads numpy.polynomial or uuid
+@pytest.mark.parametrize("config", sorted(p.name for p in (ROOT / "configs").glob("*.json")))
+def test_runs_load_no_numpy_polynomial_or_uuid(config, tmp_path):
+    out = json.loads(fresh("-c", CLI_RUN, str(ROOT / "configs" / config), str(tmp_path),
+                           "numpy.polynomial", "uuid"))
+    assert out["status"] in (0, 2)
+    assert out["loaded"] == []
 
 
 @pytest.mark.parametrize("order", ["kernel-first", "package-first"])

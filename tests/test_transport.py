@@ -12,7 +12,7 @@ from kinlang.metrics import GroundMetric
 from kinlang.harness.experiments import _slot_ell1_cost
 from kinlang.transport import (BLOCK_ELEMENTS, SIZE_CAP, TransportError, bootstrap_se,
                                cost_matrix_zw, wasserstein_from_costs)
-from oracles import ell1_norm, pair_state, wasserstein_1d_sorted
+from oracles import ell1_norm, pair_state, simulate_coupled, wasserstein_1d_sorted
 
 
 euclid = GroundMetric.euclidean().dist_zw
@@ -263,7 +263,7 @@ class TestDistanceCurve:
     def test_deterministic_diracs_decay_exactly(self, quad_spec, quad_constants):
         # two synchronous Dirac trajectories: the Wasserstein curve under the
         # strong metric is exactly the deterministic distance decay
-        from kinlang.coupling import CouplingControl, simulate_coupled
+        from kinlang.coupling import CouplingControl
         from kinlang.dynamics import IntegratorConfig
         mc = quad_constants
         control = CouplingControl(mode="synchronous", xi=1e-3)
