@@ -28,11 +28,12 @@ force buffer (which also holds Z and W while the blend is computed), the
 shared noise block, the stacked noise of reflecting steps (whose first
 slot receives the reflection family's draw) and, in componentwise runs,
 the (2, R, 1, d) law mean.  One step builder, :func:`coupled_step`,
-serves every coupled run through :func:`kinlang.dynamics.march`.
-:func:`march_coupled` marches it for runs that keep per-pair values: it
-hands each dump's pair differences Z and W to a caller's reduction, so
-contraction runs and ``kinlang couple`` keep no phase-space dumps; the
-chaos sweep marches the step itself and reads only the final state.  The
+serves every coupled run, and one driver, :func:`simulate_coupled`,
+marches it through :func:`kinlang.dynamics.march` and returns the final
+state: the chaos sweep reads only that.  :func:`march_coupled` drives it
+for runs that keep per-pair values: it hands each dump's pair differences
+Z and W to a caller's reduction, so contraction runs and ``kinlang
+couple`` keep no phase-space dumps.  The
 model spec decides the forces both copies feel
 (:func:`kinlang.dynamics.drift`).  A law term
 sees each copy's empirical marginal over the coupled batch, or one fixed
@@ -268,11 +269,28 @@ def coupled_step(spec: ModelSpec, control: CouplingControl, cfg: IntegratorConfi
     return step
 
 
+def simulate_coupled(spec: ModelSpec, start: Callable, control: CouplingControl,
+                     cfg: IntegratorConfig, constants: MetricConstants, shape: tuple,
+                     keep: Callable = lambda k, state: None, dump_times=None,
+                     t0: float = 0.0, law_mean: Optional[Array] = None,
+                     law_means: Optional[Array] = None) -> tuple[Array, Array]:
+    """March coupled pairs to the horizon: :func:`coupled_step` on ``(2,) +
+    shape`` arrays (law terms as there) through
+    :func:`kinlang.dynamics.march`, from the stacked positions and
+    velocities ``start()`` returns, with ``keep(k, state)`` at each dump.
+    Returns the final state, which the caller then owns.  Every coupled run
+    goes through here.
+    """
+    return march(start, cfg, coupled_step(spec, control, cfg, constants, shape,
+                                          law_mean=law_mean, law_means=law_means),
+                 keep, dump_times, t0=t0)
+
+
 def march_coupled(spec: ModelSpec, state0: CoupledState, control: CouplingControl,
                   cfg: IntegratorConfig, constants: MetricConstants, reduce: Callable,
                   dump_times=None, law_mean: Optional[Array] = None) -> tuple[Array, Array]:
     """March a batch of coupled pairs to the horizon through
-    :func:`coupled_step` (law terms as there), handing each dump's pair
+    :func:`simulate_coupled` (law terms as there), handing each dump's pair
     differences Z and W to ``reduce(i, z, w)``, ``i`` the dump's index.
     Both are fresh arrays, which ``reduce`` may keep or overwrite.  Returns
     the dump times and the mean blend of the pairs at each dump (0
@@ -291,8 +309,8 @@ def march_coupled(spec: ModelSpec, state0: CoupledState, control: CouplingContro
             rc_mean[slot[k]] = np.mean(rc_value(control, spec, constants, z, w))
         reduce(slot[k], z, w)
 
-    march(lambda: (np.stack((state0.ax, state0.bx)), np.stack((state0.ay, state0.by))),
-          cfg, coupled_step(spec, control, cfg, constants, state0.ax.shape,
-                            law_mean=law_mean),
-          keep, dump_times, t0=state0.t)
+    simulate_coupled(spec, lambda: (np.stack((state0.ax, state0.bx)),
+                                    np.stack((state0.ay, state0.by))),
+                     control, cfg, constants, state0.ax.shape, keep, dump_times,
+                     t0=state0.t, law_mean=law_mean)
     return state0.t + steps * cfg.step, rc_mean

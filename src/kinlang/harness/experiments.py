@@ -36,7 +36,7 @@ import numpy as np
 
 from .. import rng
 from ..constants import MetricConstants, derive_constants
-from ..coupling import CoupledState, CouplingControl, coupled_step, march_coupled
+from ..coupling import CoupledState, CouplingControl, march_coupled, simulate_coupled
 from ..dynamics import (BlowUpError, IntegratorConfig, Trajectory, dirac_ensemble,
                         gaussian_ensemble, march, simulate, system_step, track_moments)
 from ..metrics import GroundMetric, project_centered
@@ -317,7 +317,7 @@ def _chaos_point(cfg: ExperimentConfig, constants: MetricConstants,
     system, coupled slot by slot, with its bootstrap standard error.
 
     The slots march to the evaluation time through
-    :func:`kinlang.coupling.coupled_step` on the stacked (2, R, N, d)
+    :func:`kinlang.coupling.simulate_coupled` on the stacked (2, R, N, d)
     state, both copies starting from the same draws, and the cost matrix
     is built from the final state: no dump is copied and the initial
     draws are not held (a blow-up replay draws them again).  Everything
@@ -334,9 +334,8 @@ def _chaos_point(cfg: ExperimentConfig, constants: MetricConstants,
         x, y = x.reshape(shape), y.reshape(shape)
         return np.stack((x, x)), np.stack((y, y))
 
-    x, y = march(start, icfg,
-                 coupled_step(spec, control, icfg, constants, shape, law_means=law_means),
-                 lambda k, state: None)
+    x, y = simulate_coupled(spec, start, control, icfg, constants, shape,
+                            law_means=law_means)
     ax, ay, bx, by = x[0], y[0], x[1], y[1]
     if cfg.experiment == "unconfined_chaos":
         ax, ay = project_centered((ax, ay))

@@ -14,7 +14,10 @@ library against, and a shorthand for building coupled states.
   expressions that return new arrays, which the in-place update of
   :func:`kinlang.dynamics.integrator` is tested against bitwise;
 * :func:`pair_state`, a coupled batch of replicated phase points;
-* :func:`simulate_coupled`, a coupled run that keeps every dump of both
+* :func:`chaos_doc`, ``configs/chaos.json`` or its ``unconfined_chaos``
+  variant, the one definition of that doc the golden pin, the tests and
+  the CI smoke share;
+* :func:`coupled_trajectory`, a coupled run that keeps every dump of both
   copies (a :class:`CoupledTrajectory`), which the runs that keep only
   per-pair values or the final state are tested against;
 * :func:`one_shot_profile_tables`, the profile tables built over all
@@ -24,8 +27,10 @@ library against, and a shorthand for building coupled states.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -38,6 +43,8 @@ from kinlang.profile import N_PANELS
 from kinlang.transport import TransportError
 
 Array = np.ndarray
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 # ---------------------------------------------------------------------------
@@ -225,6 +232,22 @@ def pair_state(first, second, n: int = 1) -> CoupledState:
                         bx=np.tile(sx, (n, 1)), by=np.tile(sy, (n, 1)))
 
 
+def chaos_doc(shape: str = "chaos", **over) -> dict:
+    """``configs/chaos.json``, or its ``unconfined_chaos`` variant: zero
+    external force, the linear-difference interaction with ``kt_matrix
+    [[1.0]]`` and a centered Gaussian start, the centered branch of the
+    chaos sweep, which no shipped config takes; then the keys of ``over``."""
+    doc = json.loads((CONFIGS / "chaos.json").read_text())
+    if shape == "unconfined_chaos":
+        doc["experiment"] = shape
+        doc["model"]["external"] = {"kind": "zero"}
+        doc["model"]["interaction"] = {"kind": "custom", "builtin": "linear_difference",
+                                       "kt_matrix": [[1.0]]}
+        doc["initial"] = {"kind": "gaussian", "std": 1.0, "center": True}
+    doc.update(over)
+    return doc
+
+
 @dataclass(frozen=True)
 class CoupledTrajectory:
     times: Array
@@ -239,8 +262,8 @@ class CoupledTrajectory:
         return metric.dist_zw(self.ax - self.bx, self.ay - self.by)
 
 
-def simulate_coupled(spec, state0: CoupledState, control, cfg, constants, dump_times=None,
-                     law_mean=None, law_means=None) -> CoupledTrajectory:
+def coupled_trajectory(spec, state0: CoupledState, control, cfg, constants, dump_times=None,
+                       law_mean=None, law_means=None) -> CoupledTrajectory:
     """March a batch of coupled pairs to the horizon through
     :func:`kinlang.coupling.coupled_step` (law terms as there), copying
     every dump of both copies into (T, 2, ...) stacks allocated up front;

@@ -19,7 +19,7 @@ from kinlang.harness.config import load_config
 from kinlang.harness.experiments import run_chaos, run_contraction, run_moments
 from kinlang.metrics import GroundMetric
 from kinlang.model import ExternalForce, InteractionForce, ModelSpec
-from oracles import marginal_check, pair_state, simulate_coupled
+from oracles import coupled_trajectory, marginal_check, pair_state
 
 
 def _report(name: str, ok: bool, detail: str, elapsed: float, cap: float) -> None:
@@ -55,7 +55,7 @@ def test_c01_strongly_convex_exact_check():
         w0 = np.zeros(dim)
         state = pair_state((z0, w0), (np.zeros(dim), np.zeros(dim)))
         dumps = np.linspace(0.0, 20.0, 100)
-        traj = simulate_coupled(spec, state, control, cfg, mc, dump_times=dumps)
+        traj = coupled_trajectory(spec, state, control, cfg, mc, dump_times=dumps)
         metric = GroundMetric.from_constants(spec, mc, "r_strong")
         r = traj.distance_series(metric)[:, 0]
         bound = r[0] * np.exp(-mc.c_strong * traj.times) * (1.0 + 10.0 * h)
@@ -80,7 +80,7 @@ def test_c02_spectral_gap_order():
         state = pair_state((np.array([1.0]), np.array([0.0])),
                            (np.zeros(1), np.zeros(1)))
         dumps = np.linspace(0.0, horizon, 60)
-        traj = simulate_coupled(spec, state, control, cfg, mc, dump_times=dumps)
+        traj = coupled_trajectory(spec, state, control, cfg, mc, dump_times=dumps)
         metric = GroundMetric.from_constants(spec, mc, "r_strong")
         r = traj.distance_series(metric)[:, 0]
         slope = np.polyfit(traj.times, np.log(r), 1)[0]
@@ -190,7 +190,7 @@ def test_c05_coupling_validity():
     fx, fy = gaussian_ensemble(0.0, 0.0, 1.0, n=n, dim=1, seed=21)
     state = CoupledState(ax=fx, ay=fy, bx=fx + 2.0, by=fy)
     dumps = np.linspace(1.0, 5.0, 5)
-    traj = simulate_coupled(spec, state, control, cfg, mc, dump_times=dumps)
+    traj = coupled_trajectory(spec, state, control, cfg, mc, dump_times=dumps)
     indep_first = simulate(spec, *gaussian_ensemble(0.0, 0.0, 1.0, n=n, dim=1, seed=22),
                            IntegratorConfig(step=h, horizon=5.0, seed=1011),
                            dump_times=dumps)
@@ -292,9 +292,9 @@ def test_c09_unconfined_exact_check():
     state = pair_state((np.array([0.5]), np.array([0.25])),
                        (np.array([-0.5]), np.array([-0.25])))
     dumps = np.linspace(0.0, 20.0, 100)
-    traj, other = (simulate_coupled(spec, state, control,
-                                    IntegratorConfig(step=h, horizon=20.0, seed=seed),
-                                    mc, dump_times=dumps, law_mean=np.zeros(1))
+    traj, other = (coupled_trajectory(spec, state, control,
+                                      IntegratorConfig(step=h, horizon=20.0, seed=seed),
+                                      mc, dump_times=dumps, law_mean=np.zeros(1))
                    for seed in (61, 62))
     metric = GroundMetric.from_constants(spec, mc, "r_tilde")
     r = traj.distance_series(metric)[:, 0]

@@ -16,7 +16,7 @@ from kinlang.metrics import GroundMetric, row_norm, small_norm, twisted_norm
 from kinlang.model import ExternalForce, InteractionForce, ModelSpec
 from kinlang.constants import derive_constants
 from kinlang.harness.config import load_config_file
-from oracles import expression_integrator, marginal_check, pair_state, simulate_coupled
+from oracles import coupled_trajectory, expression_integrator, marginal_check, pair_state
 
 
 def quad(gamma=2.0, inter=None):
@@ -162,8 +162,8 @@ class TestCoupledPair:
         cfg = IntegratorConfig(step=0.01, horizon=1.0, seed=3)
         state = pair_state((np.array([0.7]), np.array([-0.2])),
                            (np.array([0.7]), np.array([-0.2])), n=16)
-        traj = simulate_coupled(dw_spec, state, control, cfg, dw_constants,
-                                dump_times=np.linspace(0, 1, 6))
+        traj = coupled_trajectory(dw_spec, state, control, cfg, dw_constants,
+                                  dump_times=np.linspace(0, 1, 6))
         assert np.array_equal(traj.ax, traj.bx)
         assert np.array_equal(traj.ay, traj.by)
 
@@ -183,8 +183,8 @@ class TestCoupledPair:
             return rc_value(*args)
 
         monkeypatch.setattr(cp, "rc_value", counted)
-        runs = {mode: simulate_coupled(quad_spec, state, CouplingControl(mode=mode),
-                                       cfg, quad_constants, dump_times=dumps)
+        runs = {mode: coupled_trajectory(quad_spec, state, CouplingControl(mode=mode),
+                                         cfg, quad_constants, dump_times=dumps)
                 for mode in ("synchronous", "reflection_mix")}
         _, rc_mean = cp.march_coupled(quad_spec, state, CouplingControl(mode="reflection_mix"),
                                       cfg, quad_constants, lambda i, z, w: None, dumps)
@@ -205,8 +205,8 @@ class TestCoupledPair:
                            (np.array([-1.0]), np.array([0.5])))
         metric = GroundMetric.from_constants(quad_spec, mc, "r_strong")
         dumps = np.linspace(0, 5, 26)
-        traj = simulate_coupled(quad_spec, state, control, cfg, mc,
-                                dump_times=dumps)
+        traj = coupled_trajectory(quad_spec, state, control, cfg, mc,
+                                  dump_times=dumps)
         r = traj.distance_series(metric)[:, 0]
         bound = r[0] * np.exp(-mc.c_strong * traj.times) * (1 + 10 * h)
         assert np.all(r <= bound + 1e-14)
@@ -232,8 +232,8 @@ class TestCoupledPair:
         e = cp._unit_q(q0, np.linalg.norm(q0, axis=-1))
         force = dw_spec.external.force
         drift = (h / g) * u * (force(state.ax) - force(state.bx))
-        out = simulate_coupled(dw_spec, state, control, cfg, dw_constants,
-                               dump_times=[h])
+        out = coupled_trajectory(dw_spec, state, control, cfg, dw_constants,
+                                 dump_times=[h])
         q1 = (out.ax[-1] - out.bx[-1]) + (out.ay[-1] - out.by[-1]) / g
         xi_rc = rng.normals(cfg.seed, rng.SUB_REFLECT, 0, (1, 1))
         expected = q0 + drift + math.sqrt(8 / g * u) * (e * xi_rc) * math.sqrt(h) * e
@@ -252,8 +252,8 @@ class TestCoupledPair:
         fx, fy = gen.normal(size=(n, 1)), gen.normal(size=(n, 1))
         sx, sy = fx + 1.0, fy.copy()
         state = CoupledState(ax=fx, ay=fy, bx=sx, by=sy)
-        traj = simulate_coupled(spec, state, control, cfg, constants,
-                                dump_times=[0.25, 0.5])
+        traj = coupled_trajectory(spec, state, control, cfg, constants,
+                                  dump_times=[0.25, 0.5])
         solo = simulate(spec, fx, fy, cfg, dump_times=[0.25, 0.5])
         assert np.array_equal(traj.ax, solo.x)
         assert np.array_equal(traj.ay, solo.y)
@@ -267,7 +267,7 @@ class TestCoupledPair:
         state = pair_state((np.array([1.0]), np.array([0.0])),
                            (np.array([0.0]), np.array([0.0])))
         with pytest.raises(BlowUpError):
-            simulate_coupled(stiff, state, control, cfg, dw_constants)
+            coupled_trajectory(stiff, state, control, cfg, dw_constants)
 
     @pytest.mark.parametrize("kappa, h", [(1e8, 10.0), (1e9, 5.0)])
     @pytest.mark.parametrize("law", ["none", "analytic_zero"])
@@ -299,10 +299,10 @@ class TestCoupledPair:
         # mid-run, and at the last state or just before it (the end check)
         for horizon in (cfg.horizon, t, t + h):
             with pytest.raises(BlowUpError) as coupled:
-                simulate_coupled(spec, state, control,
-                                 IntegratorConfig(step=h, horizon=horizon,
-                                                  scheme="euler_maruyama"),
-                                 dw_constants, law_mean=law_mean)
+                coupled_trajectory(spec, state, control,
+                                   IntegratorConfig(step=h, horizon=horizon,
+                                                    scheme="euler_maruyama"),
+                                   dw_constants, law_mean=law_mean)
             assert coupled.value.t == t
 
     def test_blow_up_under_reflection_matches_the_per_state_loop(self, dw_constants,
@@ -321,10 +321,10 @@ class TestCoupledPair:
                                    cfg.n_steps)
         assert 0 < k_ref < cfg.n_steps
         # the blend reflected on some pairs before the blow-up
-        before = simulate_coupled(stiff, state, control,
-                                  IntegratorConfig(step=cfg.step, horizon=(k_ref - 1) * cfg.step,
-                                                   scheme="euler_maruyama", seed=3),
-                                  dw_constants, dump_times=cfg.step * np.arange(k_ref))
+        before = coupled_trajectory(stiff, state, control,
+                                    IntegratorConfig(step=cfg.step, horizon=(k_ref - 1) * cfg.step,
+                                                     scheme="euler_maruyama", seed=3),
+                                    dw_constants, dump_times=cfg.step * np.arange(k_ref))
         assert np.count_nonzero(before.rc_mean) > 1
         # the blend's squares overflowed well before the last finite state,
         # and the blend stayed finite all the same
@@ -333,8 +333,8 @@ class TestCoupledPair:
         for every in (1, 10, cfg.n_steps):
             assert every == 1 or k_ref % every != 0
             with pytest.raises(BlowUpError) as err:
-                simulate_coupled(stiff, state, control, cfg, dw_constants,
-                                 dump_times=cfg.step * np.arange(0, cfg.n_steps + 1, every))
+                coupled_trajectory(stiff, state, control, cfg, dw_constants,
+                                   dump_times=cfg.step * np.arange(0, cfg.n_steps + 1, every))
             assert err.value.t == k_ref * cfg.step
 
 
@@ -347,10 +347,10 @@ class TestComponentwise:
         n = 6
         state = CoupledState(ax=gen.normal(size=(n, 1)), ay=gen.normal(size=(n, 1)),
                              bx=gen.normal(size=(n, 1)), by=gen.normal(size=(n, 1)))
-        a = simulate_coupled(dw_spec, state, control, cfg, dw_constants, dump_times=[0.3],
-                             law_means=gen.normal(size=(cfg.n_steps + 1, 1)))
-        b = simulate_coupled(dw_spec, state, control, cfg, dw_constants,
-                             dump_times=[0.3])
+        a = coupled_trajectory(dw_spec, state, control, cfg, dw_constants, dump_times=[0.3],
+                               law_means=gen.normal(size=(cfg.n_steps + 1, 1)))
+        b = coupled_trajectory(dw_spec, state, control, cfg, dw_constants,
+                               dump_times=[0.3])
         assert np.array_equal(a.ax, b.ax) and np.array_equal(a.bx, b.bx)
 
     def test_identical_initializations_synchronous_all_zero(self):
@@ -363,7 +363,7 @@ class TestComponentwise:
         x = gen.normal(size=(12, 1))
         y = gen.normal(size=(12, 1))
         state = CoupledState(ax=x, ay=y, bx=x.copy(), by=y.copy())
-        traj = simulate_coupled(spec, state, control, cfg, mc, dump_times=[0.5])
+        traj = coupled_trajectory(spec, state, control, cfg, mc, dump_times=[0.5])
         assert np.array_equal(traj.ax, traj.bx) and np.array_equal(traj.ay, traj.by)
 
 
@@ -441,14 +441,14 @@ ANISOTROPIC_K = np.array([[1.0, 0.4], [0.4, 2.5]])
 
 
 class TestPerCopyReference:
-    """The coupled step (kept by the oracle simulate_coupled) equals the
+    """The coupled step (kept by the oracle coupled_trajectory) equals the
     per-copy step bitwise in d = 2, where the golden digests (all d = 1) do
     not reach."""
 
     def assert_matches(self, spec, state, control, cfg, dump_times, **kw):
         constants = derive_constants(spec)
-        traj = simulate_coupled(spec, state, control, cfg, constants,
-                                dump_times=dump_times, **kw)
+        traj = coupled_trajectory(spec, state, control, cfg, constants,
+                                  dump_times=dump_times, **kw)
         ref = per_copy_reference(spec, state, control, cfg, constants, dump_times, **kw)
         for name, value in ref.items():
             assert np.array_equal(getattr(traj, name), value), name
@@ -538,9 +538,9 @@ class TestViews:
     def test_trajectory_copies_are_views_of_one_stack(self, dw_spec, dw_constants):
         state = pair_state((np.array([0.3]), np.array([0.1])),
                            (np.array([-0.3]), np.array([0.0])), n=4)
-        traj = simulate_coupled(dw_spec, state, CouplingControl(mode="synchronous"),
-                                IntegratorConfig(step=0.01, horizon=0.1, seed=1),
-                                dw_constants, dump_times=[0.0, 0.1])
+        traj = coupled_trajectory(dw_spec, state, CouplingControl(mode="synchronous"),
+                                  IntegratorConfig(step=0.01, horizon=0.1, seed=1),
+                                  dw_constants, dump_times=[0.0, 0.1])
         assert traj.ax.base is traj.bx.base and traj.ay.base is traj.by.base
         assert traj.ax.shape == traj.by.shape == (2, 4, 1)
 
@@ -553,8 +553,8 @@ class TestGluedDecay:
         cfg = IntegratorConfig(step=0.01, horizon=5.0, seed=17)
         x, y = gaussian_ensemble(0.0, 0.0, 0.5, n=2000, dim=1, seed=18)
         state = CoupledState(ax=x, ay=y, bx=x + 1.5, by=y)
-        traj = simulate_coupled(dw_spec, state, control, cfg, dw_constants,
-                                dump_times=np.linspace(0, 5, 11))
+        traj = coupled_trajectory(dw_spec, state, control, cfg, dw_constants,
+                                  dump_times=np.linspace(0, 5, 11))
         rho = GroundMetric.from_constants(dw_spec, dw_constants, "rho")
         d = traj.distance_series(rho)
         means = d.mean(axis=1)
@@ -571,8 +571,8 @@ class TestMarginalCheck:
         x, y = gaussian_ensemble(0.0, 0.0, 1.0, n=n, dim=1, seed=13)
         state = CoupledState(ax=x, ay=y, bx=x + 2.0, by=y)
         dumps = np.linspace(0, 0.5, 6)
-        traj = simulate_coupled(dw_spec, state, control, cfg, dw_constants,
-                                dump_times=dumps)
+        traj = coupled_trajectory(dw_spec, state, control, cfg, dw_constants,
+                                  dump_times=dumps)
         solo = simulate(dw_spec, x, y, cfg, dump_times=dumps)
         # the first coupled component IS the uncoupled run, so its moment
         # z-scores vanish identically
@@ -592,8 +592,8 @@ class TestMarginalCheck:
         x, y = gaussian_ensemble(0.5, 0.0, 1.0, n=16, dim=1, seed=15)
         state = CoupledState(ax=x, ay=y, bx=x, by=y)
         dumps = [0.0, 0.2, 0.4]
-        traj = simulate_coupled(dw_spec, state, control, cfg, dw_constants,
-                                dump_times=dumps)
+        traj = coupled_trajectory(dw_spec, state, control, cfg, dw_constants,
+                                  dump_times=dumps)
         solo = simulate(dw_spec, x, y, cfg, dump_times=dumps)
         report = marginal_check(traj, solo, solo)
         assert report.ok and report.max_abs_z == 0.0
@@ -627,8 +627,8 @@ class TestInPlaceReplay:
         assert 0 < k_ref < cfg.n_steps and k_ref % every != 0
         start = [a.copy() for a in (state.ax, state.ay, state.bx, state.by)]
         with pytest.raises(BlowUpError) as err:
-            simulate_coupled(spec, state, control, cfg, constants, law_means=law_means,
-                             dump_times=cfg.step * np.arange(0, cfg.n_steps + 1, every))
+            coupled_trajectory(spec, state, control, cfg, constants, law_means=law_means,
+                               dump_times=cfg.step * np.arange(0, cfg.n_steps + 1, every))
         assert err.value.t == k_ref * cfg.step
         for before, after in zip(start, (state.ax, state.ay, state.bx, state.by)):
             assert np.array_equal(before, after)
@@ -647,7 +647,7 @@ class TestInPlaceReplay:
         # the only dump is the horizon: the blow-up is found there and
         # replayed from step 0 of a fresh copy of the start
         with pytest.raises(BlowUpError) as err:
-            simulate_coupled(spec, state, control, cfg, dw_constants)
+            coupled_trajectory(spec, state, control, cfg, dw_constants)
         assert err.value.t == k_ref * cfg.step
         assert np.array_equal(state.ax, np.ones((3, 1)))
         assert np.array_equal(state.by, np.full((3, 1), 0.5))
@@ -681,8 +681,8 @@ class TestMemory:
         stacked_state = 2 * 2 * x.nbytes
         tracemalloc.start()
         try:
-            traj = simulate_coupled(spec, state, CouplingControl.for_constants(constants),
-                                    icfg, constants, law_means=law_means)
+            traj = coupled_trajectory(spec, state, CouplingControl.for_constants(constants),
+                                      icfg, constants, law_means=law_means)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

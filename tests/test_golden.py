@@ -11,7 +11,6 @@ with an announced, versioned change to the numbers.
 from __future__ import annotations
 
 import hashlib
-import json
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +19,7 @@ import pytest
 from kinlang import rng
 from kinlang.harness import load_config, load_config_file, run_experiment, write_record
 from kinlang.harness.cli import main as cli_main
+from oracles import chaos_doc
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -46,23 +46,13 @@ GOLDEN = {
     },
 }
 
-# an unconfined_chaos run derived from configs/chaos.json: zero external
-# force, the linear-difference interaction and a centered Gaussian start,
+# the unconfined_chaos variant of configs/chaos.json (oracles.chaos_doc):
 # the centered branch of the chaos sweep, which no shipped config takes
 UNCONFINED_CHAOS = {
     "chaos.csv": "f2f636668b899e6b7a43172373823d97cd2986be8729364a57cd56c76ef5b387",
     "record.json": "1bb202850068897176f8bcfd14e6d3923365ab34ff177dddffbfbf91d9f70f49",
 }
 
-
-def unconfined_chaos_doc() -> dict:
-    doc = json.loads((CONFIGS / "chaos.json").read_text())
-    doc["experiment"] = "unconfined_chaos"
-    doc["model"]["external"] = {"kind": "zero"}
-    doc["model"]["interaction"] = {"kind": "custom", "builtin": "linear_difference",
-                                   "kt_matrix": [[1.0]]}
-    doc["initial"] = {"kind": "gaussian", "std": 1.0, "center": True}
-    return doc
 
 # trajectory.csv of ``kinlang simulate -c configs/moments.json``: the plain
 # particle run, which no record digest covers
@@ -111,7 +101,7 @@ def test_config_digests(name, tmp_path):
 
 
 def test_unconfined_chaos_digests(tmp_path):
-    run_dir = write_record(run_experiment(load_config(unconfined_chaos_doc())), tmp_path)
+    run_dir = write_record(run_experiment(load_config(chaos_doc("unconfined_chaos"))), tmp_path)
     digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
                for p in sorted(run_dir.iterdir())}
     assert digests == UNCONFINED_CHAOS

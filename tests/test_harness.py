@@ -26,7 +26,7 @@ from kinlang.harness.experiments import (_METRIC_FOR, ExperimentRecord, _chaos_p
 from kinlang.harness.record import record_json, write_record
 from kinlang.metrics import GroundMetric, project_centered
 from kinlang.transport import SIZE_CAP, bootstrap_se, cost_matrix_zw, wasserstein_from_costs
-from oracles import ell1_norm, simulate_coupled
+from oracles import chaos_doc, coupled_trajectory, ell1_norm
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -64,12 +64,12 @@ def dw_doc(**over):
 
 def kept_trajectory(cfg, constants, step):
     """The coupled pairs of a contraction config at ``step`` with every
-    dump kept, through the oracle :func:`simulate_coupled`: the reference
+    dump kept, through the oracle :func:`coupled_trajectory`: the reference
     for the runs that reduce each dump as it comes."""
     spec, law_mean = _coupled_model(cfg)
-    return simulate_coupled(spec, build_initial_pair(cfg), _coupling_control(cfg, constants),
-                            _integrator(cfg, step=step), constants,
-                            dump_times=cfg.dump_times, law_mean=law_mean)
+    return coupled_trajectory(spec, build_initial_pair(cfg), _coupling_control(cfg, constants),
+                              _integrator(cfg, step=step), constants,
+                              dump_times=cfg.dump_times, law_mean=law_mean)
 
 
 class TestConfig:
@@ -482,20 +482,6 @@ class TestReducingRuns:
         assert peaks[21 + extra] - peaks[21] <= 1.5 * extra * replicas * 8
 
 
-def chaos_doc(shape: str, **over) -> dict:
-    """configs/chaos.json, or its unconfined_chaos variant (zero external
-    force, linear-difference interaction, centered Gaussian start)."""
-    doc = json.loads((CONFIGS / "chaos.json").read_text())
-    if shape == "unconfined_chaos":
-        doc["experiment"] = shape
-        doc["model"]["external"] = {"kind": "zero"}
-        doc["model"]["interaction"] = {"kind": "custom", "builtin": "linear_difference",
-                                       "kt_matrix": [[1.0]]}
-        doc["initial"] = {"kind": "gaussian", "std": 1.0, "center": True}
-    doc.update(over)
-    return doc
-
-
 def chaos_point_reference(cfg, constants, control, law_means, n_slots):
     """A chaos point through the kept-trajectory oracle: the slots' initial
     draws, the whole coupled run with its last dump kept, the cost matrix
@@ -506,9 +492,9 @@ def chaos_point_reference(cfg, constants, control, law_means, n_slots):
     seed_n = cfg.seed + n_slots
     x, y = _draw_initial(cfg.initial, spec, r * n_slots, seed_n, rng.SUB_SLOTS)
     x, y = x.reshape(r, n_slots, d), y.reshape(r, n_slots, d)
-    traj = simulate_coupled(spec, CoupledState(ax=x, ay=y, bx=x, by=y), control,
-                            _integrator(cfg, horizon=cfg.eval_time, seed=seed_n),
-                            constants, law_means=law_means)
+    traj = coupled_trajectory(spec, CoupledState(ax=x, ay=y, bx=x, by=y), control,
+                              _integrator(cfg, horizon=cfg.eval_time, seed=seed_n),
+                              constants, law_means=law_means)
     a, b = (traj.ax[-1], traj.ay[-1]), (traj.bx[-1], traj.by[-1])
     if cfg.experiment == "unconfined_chaos":
         a, b = project_centered(a), project_centered(b)

@@ -31,16 +31,17 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 
+# load a config; given an output directory, run it and write its record;
+# then list the modules of the given packages
 SCRIPT = """
 import json, sys
 import kinlang, kinlang.harness
-from kinlang.harness import load_config_file, run_experiment
+from kinlang.harness import load_config_file, run_experiment, write_record
 cfg = load_config_file(sys.argv[1])
-if sys.argv[2] == "run":
-    run_experiment(cfg)
-package = sys.argv[3]
+if sys.argv[2]:
+    write_record(run_experiment(cfg), sys.argv[2])
 print(json.dumps(sorted(m for m in sys.modules
-                        if m == package or m.startswith(package + "."))))
+                        if any(m == p or m.startswith(p + ".") for p in sys.argv[3:]))))
 """
 
 # the modules loaded by import and config loading; then every public name,
@@ -59,17 +60,6 @@ try:
 except AttributeError as err:
     missing = str(err)
 print(json.dumps({"loaded": loaded, "unresolved": unresolved, "missing": missing}))
-"""
-
-# ``kinlang run``, record included; then the modules of the given packages
-CLI_RUN = """
-import json, sys
-from kinlang.harness.cli import main
-status = main(["run", "-c", sys.argv[1], "--out", sys.argv[2]])
-print(json.dumps({"status": status,
-                  "loaded": sorted(m for m in sys.modules
-                                   if any(m == p or m.startswith(p + ".")
-                                          for p in sys.argv[3:]))}))
 """
 
 # the kernel first, then its package; or the package first, then the kernel
@@ -99,12 +89,17 @@ def fresh(*args: str) -> str:
     return out.stdout.splitlines()[-1]
 
 
-def loaded_modules(config: str, run: bool, package: str = "scipy") -> list[str]:
-    """The modules of ``package`` (default scipy) in ``sys.modules`` of a
-    fresh interpreter after loading (and, if ``run``, running)
-    ``configs/<config>``."""
+def loaded_modules(config: str, out=None, packages=("scipy",)) -> list[str]:
+    """The modules of ``packages`` in ``sys.modules`` of a fresh interpreter
+    after loading ``configs/<config>`` and, given an output directory
+    ``out``, running it and writing its record there."""
     return json.loads(fresh("-c", SCRIPT, str(ROOT / "configs" / config),
-                            "run" if run else "load", package))
+                            "" if out is None else str(out), *packages))
+
+
+# no run, record writing included, loads numpy.polynomial or uuid: each
+# run below checks both beside its own packages
+NEVER_RUN = ("numpy.polynomial", "uuid")
 
 
 def test_import_and_load_config_load_only_what_validates():
@@ -144,37 +139,29 @@ def test_public_names_follow_their_submodule(monkeypatch):
 
 
 def test_import_and_load_config_load_no_scipy():
-    assert loaded_modules("quadratic_contract.json", run=False) == []
+    assert loaded_modules("quadratic_contract.json") == []
 
 
 @pytest.mark.parametrize("config", ["quadratic_contract.json", "unconfined.json"])
-def test_identity_profile_runs_load_no_scipy(config):
-    assert loaded_modules(config, run=True) == []
+def test_identity_profile_runs_load_no_scipy(config, tmp_path):
+    assert loaded_modules(config, tmp_path, ("scipy",) + NEVER_RUN) == []
 
 
-def test_double_well_loads_the_erf_kernel_only():
-    assert loaded_modules("double_well.json", run=True) == ["scipy.special._special_ufuncs"]
+def test_double_well_loads_the_erf_kernel_only(tmp_path):
+    assert loaded_modules("double_well.json", tmp_path, ("scipy",) + NEVER_RUN) \
+        == ["scipy.special._special_ufuncs"]
 
 
-def test_chaos_loads_the_assignment_kernel_only():
-    assert loaded_modules("chaos.json", run=True) == ["scipy.optimize._lsap"]
+def test_chaos_loads_the_assignment_kernel_only(tmp_path):
+    assert loaded_modules("chaos.json", tmp_path, ("scipy",) + NEVER_RUN) \
+        == ["scipy.optimize._lsap"]
 
 
 # moments runs take a median, contraction runs snap dump times: neither
 # goes through numpy.ma (np.median and np.unique would import it)
 @pytest.mark.parametrize("config", ["moments.json", "double_well.json"])
-def test_runs_load_no_numpy_ma(config):
-    assert loaded_modules(config, run=True, package="numpy.ma") == []
-
-
-# the profile's quadrature nodes are literals and temporary paths take
-# os.urandom names, so no run loads numpy.polynomial or uuid
-@pytest.mark.parametrize("config", sorted(p.name for p in (ROOT / "configs").glob("*.json")))
-def test_runs_load_no_numpy_polynomial_or_uuid(config, tmp_path):
-    out = json.loads(fresh("-c", CLI_RUN, str(ROOT / "configs" / config), str(tmp_path),
-                           "numpy.polynomial", "uuid"))
-    assert out["status"] in (0, 2)
-    assert out["loaded"] == []
+def test_runs_load_no_numpy_ma(config, tmp_path):
+    assert loaded_modules(config, tmp_path, ("numpy.ma",) + NEVER_RUN) == []
 
 
 @pytest.mark.parametrize("order", ["kernel-first", "package-first"])

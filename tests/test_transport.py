@@ -12,7 +12,7 @@ from kinlang.metrics import GroundMetric
 from kinlang.harness.experiments import _slot_ell1_cost
 from kinlang.transport import (BLOCK_ELEMENTS, SIZE_CAP, TransportError, bootstrap_se,
                                cost_matrix_zw, wasserstein_from_costs)
-from oracles import ell1_norm, pair_state, simulate_coupled, wasserstein_1d_sorted
+from oracles import coupled_trajectory, ell1_norm, pair_state, wasserstein_1d_sorted
 
 
 euclid = GroundMetric.euclidean().dist_zw
@@ -268,7 +268,7 @@ class TestDistanceCurve:
         mc = quad_constants
         control = CouplingControl(mode="synchronous", xi=1e-3)
         cfg = IntegratorConfig(step=0.01, horizon=2.0, seed=16)
-        traj = simulate_coupled(quad_spec, pair_state(
+        traj = coupled_trajectory(quad_spec, pair_state(
             (np.array([1.0]), np.array([0.0])),
             (np.array([0.0]), np.array([0.0]))), control, cfg, mc,
             dump_times=np.linspace(0, 2, 5))
