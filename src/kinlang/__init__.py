@@ -20,8 +20,7 @@ __all__, __getattr__, __dir__ = namespace(__name__, {
                  "default_step", "dirac_ensemble", "gaussian_ensemble", "simulate",
                  "track_moments"),
     "metrics": ("GroundMetric", "MetricError", "project_centered"),
-    "model": ("AssumptionReport", "ExternalForce", "InteractionForce", "ModelError",
-              "ModelSpec", "validate_assumptions"),
+    "model": ("ExternalForce", "InteractionForce", "ModelError", "ModelSpec"),
     "profile": ("ConcaveProfile", "build_profile"),
     "transport": ("TransportError",),
 })

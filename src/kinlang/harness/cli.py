@@ -82,9 +82,6 @@ def cmd_simulate(args) -> int:
     meta = {"config_hash": cfg.hash, "seed": cfg.seed, "system": system,
             "step": cfg.step, "horizon": cfg.horizon}
     with filled_run_dir(run_dir) as tmp:
-        if args.binary:
-            np.savez_compressed(tmp / "trajectory.npz", times=traj.times,
-                                x=traj.x, y=traj.y)
         write_csv(tmp / "trajectory.csv", *trajectory_to_rows(traj))
         (tmp / "trajectory.json").write_text(json.dumps(meta, sort_keys=True, indent=1))
     print(run_dir)
@@ -142,9 +139,6 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--seed", type=int, default=None)
             p.add_argument("--step", type=float, default=None)
             p.add_argument("--replicas", type=int, default=None)
-        if name == "simulate":
-            p.add_argument("--binary", action="store_true",
-                           help="also dump the trajectory as .npz")
         p.set_defaults(handler=fn)
     return parser
 

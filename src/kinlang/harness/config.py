@@ -275,6 +275,11 @@ def load_config(doc: dict) -> ExperimentConfig:
     eval_time = float(doc.get("eval_time", horizon))
     if eval_time > horizon + 1e-12:
         raise ConfigError("config invalid at /eval_time: beyond the horizon")
+    sizes = tuple(doc.get("ensemble_sizes", (8, 16, 32, 64, 128)))
+    proxy_size = int(doc.get("proxy_size", 1024))
+    if doc["experiment"] in ("chaos", "unconfined_chaos") and proxy_size < 8 * max(sizes):
+        raise ConfigError(f"config invalid at /proxy_size: {proxy_size} is less than "
+                          f"8 x the largest ensemble size {max(sizes)}")
     coup = doc.get("coupling", {})
     return ExperimentConfig(
         experiment=doc["experiment"],
@@ -286,8 +291,8 @@ def load_config(doc: dict) -> ExperimentConfig:
         coupling_mode=coup.get("mode"),
         coupling_xi=coup.get("xi"),
         replicas=int(doc.get("replicas", 1000)),
-        ensemble_sizes=tuple(doc.get("ensemble_sizes", (8, 16, 32, 64, 128))),
-        proxy_size=int(doc.get("proxy_size", 1024)),
+        ensemble_sizes=sizes,
+        proxy_size=proxy_size,
         dump_times=dump,
         initial=doc.get("initial", {"kind": "gaussian", "mean_x": 0.0,
                                     "mean_y": 0.0, "std": 1.0}),

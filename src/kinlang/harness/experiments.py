@@ -350,10 +350,6 @@ def run_chaos(cfg: ExperimentConfig) -> ExperimentRecord:
     spec = cfg.spec
     constants = derive_constants(spec)
     unconfined = cfg.experiment == "unconfined_chaos"
-    max_n = max(cfg.ensemble_sizes)
-    if cfg.proxy_size < 8 * max_n:
-        raise ConfigError(f"proxy size {cfg.proxy_size} too small: "
-                          f"need at least 8 x max ensemble size = {8 * max_n}")
     law_means = _law_mean_series(cfg)
     control = _coupling_control(cfg, constants)
 

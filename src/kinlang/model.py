@@ -8,9 +8,8 @@ be jointly Lipschitz; for the unconfined dynamics it must additionally split
 as ``b_int(x, z) = -Kt (x - z) + gt(x - z)`` with ``gt`` anti-symmetric.
 
 The library never infers splitting constants: built-in forces carry the
-known ones, custom forces must declare theirs, and
-:func:`validate_assumptions` tries to falsify whatever was declared by
-Monte Carlo sampling.
+known ones, and custom forces must declare theirs; a declaration is the
+caller's responsibility and is not checked.
 """
 
 from __future__ import annotations
@@ -52,51 +51,13 @@ def double_well_force(x: Array, beta: float, out: Optional[Array] = None) -> Arr
     return np.multiply(np.where(r2 <= 4.0, -beta * (r2 - 1.0), -3.0 * beta), x, out=out)
 
 
-def _double_well_g(x: Array, beta: float) -> Array:
-    # perturbation part of the splitting -V' = -(2 beta) x + g
-    x = np.asarray(x, dtype=float)
-    r2 = np.sum(x ** 2, axis=-1, keepdims=True)
-    inner = -beta * (r2 - 3.0) * x
-    outer = -beta * x
-    return np.where(r2 <= 4.0, inner, outer)
-
-
-# elements per (rows, grid) temporary of `double_well_monotonicity_radius`
-RADIUS_BLOCK_ELEMENTS = 2 ** 16
-
-
-def double_well_monotonicity_radius(step: float = 0.01, box: float = 10.0) -> float:
-    """Smallest radius beyond which the double-well perturbation is monotone.
-
-    Brute-force search over 1-d pairs on a regular grid: find the largest
-    separation at which ``(g(x) - g(x')) (x - x') > 0`` still occurs and
-    return it padded by one grid step.  The grid is scanned in blocks of
-    rows, each temporary holding about RADIUS_BLOCK_ELEMENTS values, with a
-    running maximum of the separation over the violating pairs.  The
-    result does not depend on the well depth (the perturbation scales
-    linearly with it).
-    """
-    xs = np.arange(-box, box + step / 2, step)
-    g = np.where(np.abs(xs) <= 2.0, -(xs ** 3 - 3.0 * xs), -xs)
-    rows = max(1, RADIUS_BLOCK_ELEMENTS // xs.size)
-    # a violating pair has x != x', so a widest separation of 0 means none
-    widest = 0.0
-    for i in range(0, xs.size, rows):
-        dx = xs[i:i + rows, None] - xs
-        viol = (g[i:i + rows, None] - g) * dx > 1e-12
-        widest = np.max(np.abs(dx, out=dx), where=viol, initial=widest)
-    return float(widest + step) if widest > 0 else 0.0
-
-
-# cached: the radius is parameter-free (see docstring above)
-_DW_RADIUS: Optional[float] = None
-
-
-def _dw_radius() -> float:
-    global _DW_RADIUS
-    if _DW_RADIUS is None:
-        _DW_RADIUS = double_well_monotonicity_radius()
-    return _DW_RADIUS
+# Monotonicity radius of the double-well perturbation g = b + 2 beta x: the
+# widest separation of a 1-d pair on the 0.01 grid over [-10, 10] with
+# (g(x) - g(x')) (x - x') > 0, padded by one grid step (symmetric pairs +-a
+# in the quartic branch violate monotonicity up to 2 sqrt(3)).  g scales
+# linearly with beta, so the radius does not depend on it;
+# tests/oracles.py repeats the scan.
+DW_RADIUS = 3.469999999999926
 
 
 # ---------------------------------------------------------------------------
@@ -108,8 +69,8 @@ class ExternalForce:
     """External drift with declared splitting ``b(x) = -K x + g(x)``.
 
     ``kappa``/``lip_k`` are the extreme eigenvalues of ``K``; ``lip_g`` is
-    the declared Lipschitz constant of ``g`` and ``radius`` the declared
-    monotonicity radius.
+    the declared Lipschitz constant of ``g(x) = b(x) + K x`` and ``radius``
+    the declared monotonicity radius of ``g``.
     """
 
     kind: str                      # "quadratic" | "double_well" | "custom" | "zero"
@@ -120,7 +81,6 @@ class ExternalForce:
     lip_g: float
     radius: float
     params: dict = field(default_factory=dict)
-    g_fn: Optional[Callable[[Array], Array]] = None
     force_fn: Optional[Callable[[Array], Array]] = None
     potential_fn: Optional[Callable[[Array], Array]] = None
     # -K^T, so the quadratic force -K x is one product per call: each entry
@@ -165,11 +125,10 @@ class ExternalForce:
         """Radial double well, split off its strongest linear part."""
         if beta <= 0:
             raise ModelError("well depth must be positive")
-        radius = _dw_radius()
         return ExternalForce(kind="double_well", dim=dim,
                              matrix_k=2.0 * beta * np.eye(dim),
                              kappa=2.0 * beta, lip_k=2.0 * beta,
-                             lip_g=9.0 * beta, radius=radius,
+                             lip_g=9.0 * beta, radius=DW_RADIUS,
                              params={"beta": beta})
 
     @staticmethod
@@ -181,7 +140,7 @@ class ExternalForce:
 
     @staticmethod
     def custom(force: Callable[[Array], Array], k_matrix, lip_g: float,
-               radius: float, dim: int, g: Optional[Callable[[Array], Array]] = None,
+               radius: float, dim: int,
                potential: Optional[Callable[[Array], Array]] = None) -> "ExternalForce":
         """Custom force with user-declared splitting constants."""
         k = np.asarray(k_matrix, dtype=float)
@@ -191,7 +150,7 @@ class ExternalForce:
         return ExternalForce(kind="custom", dim=dim, matrix_k=k,
                              kappa=float(eigs[0]), lip_k=float(eigs[-1]),
                              lip_g=float(lip_g), radius=float(radius),
-                             force_fn=force, g_fn=g, potential_fn=potential)
+                             force_fn=force, potential_fn=potential)
 
     # -- evaluation ----------------------------------------------------------
 
@@ -208,17 +167,6 @@ class ExternalForce:
             return value
         np.copyto(out, value)
         return out
-
-    def g(self, x: Array) -> Array:
-        """Perturbation part: g(x) = b(x) + K x."""
-        x = np.asarray(x, dtype=float)
-        if self.kind == "double_well":
-            return _double_well_g(x, self.params["beta"])
-        if self.kind in ("quadratic", "zero"):
-            return np.zeros_like(x)
-        if self.g_fn is not None:
-            return self.g_fn(x)
-        return self.force(x) + x @ self.matrix_k.T
 
     def potential(self, x: Array) -> Array:
         x = np.asarray(x, dtype=float)
@@ -385,11 +333,6 @@ class InteractionForce:
             return self.potential_fn(x, z)
         raise ModelError(f"no potential available for kind {self.kind!r}")
 
-    def split_g_eval(self, zdiff: Array) -> Array:
-        if self.split_g is None:
-            return np.zeros_like(np.asarray(zdiff, dtype=float))
-        return self.split_g(zdiff)
-
     def _self_check_gradient(self, n: int = 16, seed: int = 2024) -> None:
         # construction-time guard: analytic force must match the central
         # difference of the mollified potential
@@ -498,120 +441,3 @@ class ModelSpec:
             raise ModelError(f"unknown interaction kind {ikind!r}")
         return ModelSpec(external=ext, interaction=inter,
                          gamma=float(doc["gamma"]), u=float(doc["u"]), dim=d)
-
-
-# ---------------------------------------------------------------------------
-# operations
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Violation:
-    check: str
-    detail: str
-    witness: tuple
-    observed: float
-    declared: float
-
-
-@dataclass(frozen=True)
-class AssumptionReport:
-    violations: tuple
-    estimates: dict
-
-    @property
-    def ok(self) -> bool:
-        return len(self.violations) == 0
-
-
-def validate_assumptions(spec: ModelSpec, samples: int = 2000, seed: int = 0,
-                         scale: float = 5.0) -> AssumptionReport:
-    """Monte Carlo falsification of the declared structural constants.
-
-    Never proves an assumption; it only fails to falsify.  Violations are
-    collected into a structured report instead of raising.
-    """
-    if samples < 1:
-        raise ModelError("samples must be >= 1")
-    violations: list[Violation] = []
-    estimates: dict[str, float] = {}
-    d = spec.dim
-    pts = scale * rng.normals(seed, rng.SUB_MAIN, 0, (samples, 2, d))
-    x, xb = pts[:, 0, :], pts[:, 1, :]
-
-    ext = spec.external
-    if ext.kind == "zero":
-        # placeholder for unconfined runs: there is no external force to check
-        return _interaction_checks(spec, samples, seed, scale, violations, estimates)
-    # splitting reproduces the declared force pointwise
-    recomposed = -x @ ext.matrix_k.T + ext.g(x)
-    direct = ext.force(x)
-    err = np.abs(recomposed - direct).max()
-    estimates["splitting_residual"] = float(err)
-    if err > 1e-9 * max(1.0, np.abs(direct).max()):
-        i = int(np.abs(recomposed - direct).max(axis=-1).argmax())
-        violations.append(Violation("external_splitting", "-Kx + g(x) != b(x)",
-                                    (tuple(x[i]),), float(err), 0.0))
-
-    # Lipschitz constant of g
-    sep = np.linalg.norm(x - xb, axis=-1)
-    good = sep > 1e-9
-    gdiff = np.linalg.norm(ext.g(x) - ext.g(xb), axis=-1)
-    ratio = np.where(good, gdiff / np.maximum(sep, 1e-300), 0.0)
-    estimates["lip_g_observed"] = float(ratio.max())
-    if ratio.max() > ext.lip_g * (1 + 1e-9) + 1e-12:
-        i = int(ratio.argmax())
-        violations.append(Violation("external_lip_g", "|g(x)-g(x')| > L_g |x-x'|",
-                                    (tuple(x[i]), tuple(xb[i])),
-                                    float(ratio.max()), ext.lip_g))
-
-    # monotonicity of g beyond the declared radius
-    inner = np.einsum("ij,ij->i", ext.g(x) - ext.g(xb), x - xb)
-    far = sep >= ext.radius
-    bad = far & (inner > 1e-10 * np.maximum(sep, 1.0) ** 2)
-    estimates["monotonicity_excess"] = float(np.where(far, inner, -np.inf).max())
-    if bad.any():
-        i = int(np.where(bad, inner, -np.inf).argmax())
-        violations.append(Violation("external_monotonicity",
-                                    "<g(x)-g(x'), x-x'> > 0 beyond radius",
-                                    (tuple(x[i]), tuple(xb[i])),
-                                    float(inner[i]), 0.0))
-
-    return _interaction_checks(spec, samples, seed, scale, violations, estimates)
-
-
-def _interaction_checks(spec: ModelSpec, samples: int, seed: int, scale: float,
-                        violations: list, estimates: dict) -> AssumptionReport:
-    d = spec.dim
-    inter = spec.interaction
-    if inter.kind != "none":
-        pts2 = scale * rng.normals(seed, rng.SUB_MAIN, 1, (samples, 4, d))
-        a, b, ap, bp = pts2[:, 0], pts2[:, 1], pts2[:, 2], pts2[:, 3]
-        num = np.linalg.norm(inter.pair_force(a, b) - inter.pair_force(ap, bp), axis=-1)
-        den = np.linalg.norm(a - ap, axis=-1) + np.linalg.norm(b - bp, axis=-1)
-        ratio = np.where(den > 1e-9, num / np.maximum(den, 1e-300), 0.0)
-        estimates["lip_interaction_observed"] = float(ratio.max())
-        if ratio.max() > inter.lip * (1 + 1e-9) + 1e-12:
-            i = int(ratio.argmax())
-            violations.append(Violation("interaction_lipschitz",
-                                        "interaction force exceeds declared Lipschitz bound",
-                                        (tuple(a[i]), tuple(b[i])),
-                                        float(ratio.max()), inter.lip))
-        if inter.has_split:
-            zd = scale * rng.normals(seed, rng.SUB_MAIN, 2, (samples, d))
-            ga = inter.split_g_eval(zd)
-            gb = inter.split_g_eval(-zd)
-            anti = np.abs(ga + gb).max()
-            estimates["split_antisymmetry_residual"] = float(anti)
-            if anti > 1e-9 * max(1.0, np.abs(ga).max()):
-                violations.append(Violation("interaction_antisymmetry",
-                                            "gt(-z) != -gt(z)", (), float(anti), 0.0))
-            recomposed = -zd @ inter.split_matrix.T + inter.split_g_eval(zd)
-            direct = inter.pair_force(a, a - zd)
-            err = np.abs(recomposed - direct).max()
-            estimates["split_residual"] = float(err)
-            if err > 1e-9 * max(1.0, np.abs(direct).max()):
-                violations.append(Violation("interaction_splitting",
-                                            "-Kt z + gt(z) != b_int(x, x-z)",
-                                            (), float(err), 0.0))
-
-    return AssumptionReport(violations=tuple(violations), estimates=estimates)

@@ -37,8 +37,7 @@ def mild_spec():
     useful when the double well's profile underflows every slope."""
     ext = ExternalForce.custom(
         force=lambda x: -0.1 * x + 0.02 * np.tanh(-x),
-        k_matrix=0.1, lip_g=0.02, radius=1.0, dim=1,
-        g=lambda x: 0.02 * np.tanh(-x))
+        k_matrix=0.1, lip_g=0.02, radius=1.0, dim=1)
     return ModelSpec(external=ext, interaction=InteractionForce.none(),
                      gamma=1.0, u=1.0, dim=1)
 

@@ -3,6 +3,9 @@ library against, and a shorthand for building coupled states.
 
 * dense-grid suprema of the gluing geometry (d <= 2), the reference for
   the multistart ascent of :mod:`kinlang.constants`;
+* the double well's monotonicity radius, scanned in blocks of grid rows
+  and over the whole grid of pairs, which ``kinlang.model.DW_RADIUS``
+  is tested against;
 * the marginal-validity check of a coupling: each coupled component must
   have the law of an uncoupled run;
 * the sorted quantile coupling, the exact W_p of two samples on the line;
@@ -108,6 +111,42 @@ def _box_grid(d, z_max, w_max, points):
         h = max(zs[1] - zs[0], ws[1] - ws[0])
         return z, w, h
     raise ConstantsError("grid oracle only supports d <= 2")
+
+
+# ---------------------------------------------------------------------------
+# double-well monotonicity radius
+# ---------------------------------------------------------------------------
+
+def _double_well_grid(step: float, box: float) -> tuple[Array, Array]:
+    # the grid and the double well's perturbation g = b + 2 beta x at beta = 1
+    xs = np.arange(-box, box + step / 2, step)
+    return xs, np.where(np.abs(xs) <= 2.0, -(xs ** 3 - 3.0 * xs), -xs)
+
+
+def double_well_radius_scan(step: float = 0.01, box: float = 10.0) -> float:
+    """Widest separation of a violating 1-d pair on the grid, ``(g(x) -
+    g(x')) (x - x') > 0``, padded by one grid step (0 if no pair
+    violates), scanned in blocks of rows of about 2^16 pairs each, with a
+    running maximum; the default grid gives ``kinlang.model.DW_RADIUS``."""
+    xs, g = _double_well_grid(step, box)
+    rows = max(1, 2 ** 16 // xs.size)
+    # a violating pair has x != x', so a widest separation of 0 means none
+    widest = 0.0
+    for i in range(0, xs.size, rows):
+        dx = xs[i:i + rows, None] - xs
+        viol = (g[i:i + rows, None] - g) * dx > 1e-12
+        widest = np.max(np.abs(dx, out=dx), where=viol, initial=widest)
+    return float(widest + step) if widest > 0 else 0.0
+
+
+def double_well_radius_full_grid(step: float, box: float) -> float:
+    """The same radius from the whole (n, n) grid of pairs at once."""
+    xs, g = _double_well_grid(step, box)
+    dx = xs[:, None] - xs[None, :]
+    viol = (g[:, None] - g[None, :]) * dx > 1e-12
+    if not viol.any():
+        return 0.0
+    return float(np.abs(dx[viol]).max() + step)
 
 
 # ---------------------------------------------------------------------------

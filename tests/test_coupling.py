@@ -457,8 +457,7 @@ class TestPerCopyReference:
     def test_anisotropic_reflection_mix(self):
         ext = ExternalForce.custom(
             force=lambda x: -x @ ANISOTROPIC_K.T + 0.5 * np.tanh(-x),
-            k_matrix=ANISOTROPIC_K, lip_g=0.5, radius=1.0, dim=2,
-            g=lambda x: 0.5 * np.tanh(-x))
+            k_matrix=ANISOTROPIC_K, lip_g=0.5, radius=1.0, dim=2)
         spec = ModelSpec(external=ext, interaction=InteractionForce.none(),
                          gamma=2.0, u=1.0, dim=2)
         state = CoupledState(*(0.3 * np.random.default_rng(3).normal(size=(4, 16, 2))))

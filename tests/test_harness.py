@@ -393,13 +393,20 @@ class TestRecords:
 
     def test_eval_time_beyond_horizon_rejected(self):
         doc = quad_doc(experiment="chaos", eval_time=99.0)
-        with pytest.raises(ConfigError, match="eval_time"):
+        with pytest.raises(ConfigError, match="config invalid at /eval_time: beyond the horizon"):
             load_config(doc)
 
     def test_chaos_proxy_too_small_rejected(self):
-        doc = quad_doc(experiment="chaos", ensemble_sizes=[8, 16], proxy_size=64)
-        with pytest.raises(ConfigError, match="proxy"):
-            run_chaos(load_config(doc))
+        # at load time, before any constant is derived, for both chaos kinds
+        for doc in (quad_doc(experiment="chaos", ensemble_sizes=[8, 16], proxy_size=64),
+                    unconfined_doc(experiment="unconfined_chaos", ensemble_sizes=[8, 16],
+                                   proxy_size=64)):
+            with pytest.raises(ConfigError, match="config invalid at /proxy_size: 64 is less "
+                                                  "than 8 x the largest ensemble size 16"):
+                load_config(doc)
+            load_config(dict(doc, proxy_size=128))
+        # the proxy exists only in chaos runs
+        load_config(quad_doc(ensemble_sizes=[8, 16], proxy_size=2))
 
 
 def dw_contract_doc(**over):

@@ -1,15 +1,14 @@
 from __future__ import annotations
 
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
 
 from kinlang.dynamics import BlowUpError, IntegratorConfig, simulate
 from kinlang import model
-from kinlang.model import (ExternalForce, InteractionForce, ModelError, ModelSpec,
-                           double_well_monotonicity_radius, validate_assumptions)
+from kinlang.model import ExternalForce, InteractionForce, ModelError, ModelSpec
+from oracles import double_well_radius_full_grid, double_well_radius_scan
 
 FD = 1e-6
 
@@ -37,49 +36,29 @@ class TestExternalForce:
 
     def test_monotonicity_radius_oracle(self):
         # symmetric pairs +-a in the quartic branch violate monotonicity up
-        # to separation 2*sqrt(3); the stored radius pads by one grid step
-        r = double_well_monotonicity_radius()
-        assert 2 * math.sqrt(3) <= r <= 2 * math.sqrt(3) + 0.02
+        # to separation 2*sqrt(3); the radius pads by one grid step
+        assert 2 * math.sqrt(3) <= model.DW_RADIUS <= 2 * math.sqrt(3) + 0.02
+        assert ExternalForce.double_well(0.3, dim=2).radius == model.DW_RADIUS
+
+    def test_radius_constant_is_the_grid_scan_bitwise(self):
+        assert model.DW_RADIUS == double_well_radius_scan()
+        assert model.DW_RADIUS == double_well_radius_full_grid(0.01, 10.0)
 
     @pytest.mark.parametrize("step, box", [(0.01, 10.0), (0.05, 5.0), (0.013, 7.0),
                                            (0.5, 1.0), (3.0, 3.0)])
     def test_monotonicity_radius_equals_full_grid_bitwise(self, step, box):
-        # reference: the whole (n, n) grid of pairs at once
-        def full_grid(step, box):
-            xs = np.arange(-box, box + step / 2, step)
-            g = np.where(np.abs(xs) <= 2.0, -(xs ** 3 - 3.0 * xs), -xs)
-            dx = xs[:, None] - xs[None, :]
-            dg = g[:, None] - g[None, :]
-            viol = dg * dx > 1e-12
-            if not viol.any():
-                return 0.0
-            return float(np.abs(dx[viol]).max() + step)
-
-        assert double_well_monotonicity_radius(step, box) == full_grid(step, box)
-
-    def test_monotonicity_radius_cases_cover_block_edges(self):
-        # the default grid of 2001 points ends in a partial block of rows,
-        # and the three points of the (3.0, 3.0) grid hold no violating pair
-        rows = model.RADIUS_BLOCK_ELEMENTS // 2001
-        assert 1 < rows < 2001 and 2001 % rows != 0
-        assert double_well_monotonicity_radius() == 3.469999999999926
-        assert double_well_monotonicity_radius(3.0, 3.0) == 0.0
-
-    def test_monotonicity_radius_memory_is_bounded(self):
-        # the full (2001, 2001) grid of pairs took about 100 MB
-        tracemalloc.start()
-        try:
-            double_well_monotonicity_radius()
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 8e6
+        # the blocked scan against the whole (n, n) grid of pairs at once
+        assert double_well_radius_scan(step, box) == double_well_radius_full_grid(step, box)
 
     def test_splitting_recomposes(self):
-        spec = dw(beta=0.7, dim=2)
+        # g = b + K x with K = 2 beta I is the perturbation -beta (r^2 - 3) x
+        # inside |x| <= 2 and -beta x outside
+        beta = 0.7
+        ext = dw(beta=beta, dim=2).external
         x = np.random.default_rng(3).normal(size=(256, 2)) * 3
-        recomposed = -x @ spec.external.matrix_k.T + spec.external.g(x)
-        assert np.allclose(recomposed, spec.external.force(x), atol=1e-12)
+        r2 = np.sum(x ** 2, axis=-1, keepdims=True)
+        closed = np.where(r2 <= 4.0, -beta * (r2 - 3.0) * x, -beta * x)
+        assert np.allclose(ext.force(x) + x @ ext.matrix_k.T, closed, atol=1e-12)
 
     def test_gradient_matches_potential(self):
         for spec in (dw(beta=1.3, dim=3), dw(beta=1.0, dim=1)):
@@ -190,50 +169,86 @@ class TestInteractionForce:
             InteractionForce.mollified_coulomb(1.0, p=2.0, q=0.0)
 
     def test_lipschitz_estimate_not_falsified(self):
-        inter = InteractionForce.mollified_coulomb(2.0, p=2.0, q=0.7)
-        spec = dw(inter=inter)
-        report = validate_assumptions(spec, samples=4000, seed=8)
-        assert report.ok, report.violations
+        # the field depends on x - z alone, so its joint Lipschitz constant
+        # is that of the radial field h(r) r/|r|: on a dense line of
+        # differences the steepest chord is sup |h'|, and the estimate pads
+        # its grid maximum by 5%
+        for inter in (InteractionForce.mollified_coulomb(2.0, p=2.0, q=0.7),
+                      InteractionForce.mollified_coulomb(1.0, p=3.0, q=0.5),
+                      InteractionForce.mollified_log(p=2.0, q=0.5)):
+            r = np.linspace(-20.0, 20.0, 400_001)[:, None]
+            f = inter.pair_force(r, np.zeros_like(r))[:, 0]
+            steepest = np.max(np.abs(np.diff(f)) / np.diff(r[:, 0]))
+            assert steepest <= inter.lip <= 1.05 * steepest * (1 + 1e-6)
+            # random pairs of pairs in d = 3, close and far
+            gen = np.random.default_rng(8)
+            a, b = gen.normal(size=(2, 20_000, 3)) * 5
+            da, db = gen.normal(size=(2, 20_000, 3)) * np.geomspace(1e-4, 5, 20_000)[:, None]
+            num = np.linalg.norm(inter.pair_force(a, b) - inter.pair_force(a + da, b + db),
+                                 axis=-1)
+            den = np.linalg.norm(da, axis=-1) + np.linalg.norm(db, axis=-1)
+            assert np.max(num / den) <= inter.lip
 
 
-class TestValidateAssumptions:
-    def test_double_well_not_falsified(self):
-        report = validate_assumptions(dw(), samples=5000, seed=1)
-        assert report.ok
-        assert report.estimates["lip_g_observed"] <= 9.0 + 1e-9
+class TestSplittingConstants:
+    """The constants each built-in kind declares, checked on its own force:
+    ``g = b + K x`` for external forces, the pair force for interactions."""
 
-    def test_quadratic_not_falsified(self):
-        spec = ModelSpec(external=ExternalForce.quadratic(np.eye(2)),
-                         interaction=InteractionForce.none(), gamma=2.0, u=1.0, dim=2)
-        assert validate_assumptions(spec, samples=2000, seed=2).ok
+    def test_double_well_lip_g_and_radius(self):
+        for beta in (0.3, 1.0, 2.5):
+            ext = ExternalForce.double_well(beta, dim=1)
+            # lip_g = 9 beta is sup |g'|, reached at |x| = 2 from inside
+            xs = np.linspace(-10.0, 10.0, 200_001)[:, None]
+            g = (ext.force(xs) + xs @ ext.matrix_k.T)[:, 0]
+            slopes = np.abs(np.diff(g)) / np.diff(xs[:, 0])
+            assert ext.lip_g == 9.0 * beta
+            assert 0.999 * ext.lip_g <= slopes.max() <= ext.lip_g * (1 + 1e-9)
+            # g is monotone across every pair separated by at least R, in
+            # d = 1 and, sampled, in d = 2 and 3
+            for d in (1, 2, 3):
+                ext = ExternalForce.double_well(beta, dim=d)
+                gen = np.random.default_rng(d)
+                x, xb = gen.normal(size=(2, 50_000, d)) * 3
+                sep = np.linalg.norm(x - xb, axis=-1)
+                gx = ext.force(x) + x @ ext.matrix_k.T
+                gb = ext.force(xb) + xb @ ext.matrix_k.T
+                inner = np.einsum("ij,ij->i", gx - gb, x - xb)
+                far = sep >= ext.radius
+                assert far.sum() > 1000
+                assert np.all(inner[far] <= 1e-10 * sep[far] ** 2)
+            # and the radius is sharp: the pair +-a just inside 2 sqrt(3)
+            # violates monotonicity
+            a = np.array([[math.sqrt(3) - 0.01], [-(math.sqrt(3) - 0.01)]])
+            ga = ExternalForce.double_well(beta).force(a) + 2.0 * beta * a
+            assert (ga[0, 0] - ga[1, 0]) * (a[0, 0] - a[1, 0]) > 0
 
-    def test_understated_interaction_lipschitz_is_caught(self):
-        lying = InteractionForce(kind="linear", lip=1.0, params={"k": 2.0})
-        spec = dw(inter=lying)
-        report = validate_assumptions(spec, samples=500, seed=3)
-        assert not report.ok
-        assert any(v.check == "interaction_lipschitz" for v in report.violations)
-        bad = [v for v in report.violations if v.check == "interaction_lipschitz"][0]
-        assert bad.observed > bad.declared
+    def test_quadratic_g_vanishes(self):
+        k = np.array([[2.0, 0.3], [0.3, 1.0]])
+        ext = ExternalForce.quadratic(k)
+        x = np.random.default_rng(2).normal(size=(2000, 2)) * 5
+        assert np.all(ext.force(x) + x @ ext.matrix_k.T == 0.0)
+        assert ext.lip_g == 0.0 and ext.radius == 0.0
+        assert (ext.kappa, ext.lip_k) == pytest.approx(tuple(np.linalg.eigvalsh(k)))
 
-    def test_understated_radius_is_caught(self):
-        ext = ExternalForce(kind="double_well", dim=1, matrix_k=np.array([[2.0]]),
-                            kappa=2.0, lip_k=2.0, lip_g=9.0, radius=0.5,
-                            params={"beta": 1.0})
-        spec = ModelSpec(external=ext, interaction=InteractionForce.none(),
-                         gamma=10.0, u=1.0, dim=1)
-        report = validate_assumptions(spec, samples=5000, seed=4)
-        assert any(v.check == "external_monotonicity" for v in report.violations)
-
-    def test_rejects_zero_samples(self):
-        with pytest.raises(ModelError):
-            validate_assumptions(dw(), samples=0)
-
-    def test_antisymmetry_checked_for_split(self):
-        spec = ModelSpec(external=ExternalForce.zero(1),
-                         interaction=InteractionForce.linear_difference(1.5, dim=1),
-                         gamma=2.0, u=1.0, dim=1)
-        assert validate_assumptions(spec, samples=1000, seed=5).ok
+    def test_linear_difference_split(self):
+        # b_int(x, z) = -Kt (x - z): the affine split with gt = 0, and the
+        # joint Lipschitz constant the largest eigenvalue of Kt, reached
+        # when only x moves along its eigenvector
+        kt = np.array([[1.5, 0.4], [0.4, 0.5]])
+        inter = InteractionForce.linear_difference(kt)
+        eigs, vecs = np.linalg.eigh(kt)
+        assert inter.has_split and inter.split_g is None and inter.split_lip_g == 0.0
+        assert (inter.split_kappa, inter.split_lip_k) == pytest.approx(tuple(eigs))
+        assert inter.lip == pytest.approx(eigs[-1])
+        gen = np.random.default_rng(5)
+        x, z, dx, dz = gen.normal(size=(4, 1000, 2)) * 5
+        direct = inter.pair_force(x, z)
+        assert np.allclose(direct, -(x - z) @ kt.T, rtol=0, atol=1e-12)
+        num = np.linalg.norm(direct - inter.pair_force(x + dx, z + dz), axis=-1)
+        den = np.linalg.norm(dx, axis=-1) + np.linalg.norm(dz, axis=-1)
+        assert np.max(num / den) <= inter.lip * (1 + 1e-12)
+        along = np.linalg.norm(inter.pair_force(vecs[:, -1], np.zeros(2)))
+        assert along == pytest.approx(inter.lip)
 
 
 class TestJsonRoundTrip:
