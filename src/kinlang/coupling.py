@@ -244,19 +244,19 @@ def coupled_step(spec: ModelSpec, control: CouplingControl, cfg: IntegratorConfi
     force, noise = np.empty(shape), np.empty(shape[1:])
     pair_noise = None if synchronous else np.empty(shape)
     law = None if law_means is None else np.empty((2,) + shape[1:-2] + (1, shape[-1]))
+    seed, noise_shape = cfg.seed, noise.shape
 
-    def mean_at(k: int, x: Array) -> Optional[Array]:
-        """Law mean of both copies; in componentwise runs the second copy's
-        is its own empirical marginal, stacked after the first copy's."""
-        if law_means is None:
-            return law_mean
+    def mean_at(k: int, x: Array) -> Array:
+        """Law mean of both copies in a componentwise run: the second
+        copy's is its own empirical marginal, stacked after the first
+        copy's."""
         np.copyto(law[0], law_means[k])
         np.mean(x[1], axis=-2, keepdims=True, out=law[1])
         return law
 
     def step(k: int, state: tuple) -> None:
         x, y = state
-        increments = rng.normals(cfg.seed, rng.SUB_MAIN, k, noise.shape, out=noise)
+        increments = rng.normals(seed, rng.SUB_MAIN, k, noise_shape, out=noise)
         if not synchronous:
             # Z and W go into the force buffer, which drift fills afterwards
             rc, q, qn = _blend(control, spec, constants,
@@ -264,7 +264,8 @@ def coupled_step(spec: ModelSpec, control: CouplingControl, cfg: IntegratorConfi
                                np.subtract(y[0], y[1], out=force[1]))
             if rc.any():
                 increments = _reflected_noise(q, qn, rc, increments, cfg, k, pair_noise)
-        advance(x, y, drift(spec, x, mean_at(k, x), out=force), increments)
+        mean = law_mean if law is None else mean_at(k, x)
+        advance(x, y, drift(spec, x, mean, out=force), increments)
 
     return step
 

@@ -133,35 +133,39 @@ def integrator(h: float, gamma: float, u: float, scheme: str) -> Callable:
     (``x + flight * (y + kick * force)`` and so on) gives, operation for
     operation, and the step-size coefficients are computed here, once, in
     the order a per-step evaluation would use, so every step is bitwise
-    the same.
+    the same.  They are held as Python floats, the IEEE values of the
+    ``np.float64`` results, since a ufunc takes a Python float operand
+    faster than a numpy scalar.
     """
     if scheme == "euler_maruyama":
-        em_scale = np.sqrt(2.0 * gamma * u * h)
+        em_scale = float(np.sqrt(2.0 * gamma * u * h))
+        neg_gamma, u, h = -float(gamma), float(u), float(h)
         scratch = np.empty(0)
 
         def advance(x: Array, y: Array, force: Array, noise: Array) -> None:
             nonlocal scratch
             if scratch.shape != y.shape:
                 scratch = np.empty_like(y)
-            np.multiply(u, force, out=force)
-            np.add(np.multiply(-gamma, y, out=scratch), force, out=force)
-            np.multiply(h, force, out=force)
-            np.add(x, np.multiply(h, y, out=scratch), out=x)
-            np.add(y, force, out=y)
-            np.add(y, np.multiply(em_scale, noise, out=force), out=y)
+            np.multiply(u, force, force)
+            np.add(np.multiply(neg_gamma, y, scratch), force, force)
+            np.multiply(h, force, force)
+            np.add(x, np.multiply(h, y, scratch), x)
+            np.add(y, force, y)
+            np.add(y, np.multiply(em_scale, noise, force), y)
 
         return advance
     # ou_splitting: Euler force kick, then exact damped free flight
     decay = np.exp(-gamma * h)
-    kick = h * u
-    flight = (1.0 - decay) / gamma
-    ou_scale = np.sqrt(u * (1.0 - decay * decay))
+    kick = float(h * u)
+    flight = float((1.0 - decay) / gamma)
+    ou_scale = float(np.sqrt(u * (1.0 - decay * decay)))
+    decay = float(decay)
 
     def advance(x: Array, y: Array, force: Array, noise: Array) -> None:
-        y_kicked = np.add(y, np.multiply(kick, force, out=force), out=force)
-        np.multiply(decay, y_kicked, out=y)
-        np.add(x, np.multiply(flight, y_kicked, out=force), out=x)
-        np.add(y, np.multiply(ou_scale, noise, out=force), out=y)
+        y_kicked = np.add(y, np.multiply(kick, force, force), force)
+        np.multiply(decay, y_kicked, y)
+        np.add(x, np.multiply(flight, y_kicked, force), x)
+        np.add(y, np.multiply(ou_scale, noise, force), y)
 
     return advance
 
@@ -291,11 +295,12 @@ def system_step(spec: ModelSpec, cfg: IntegratorConfig, shape: tuple) -> Callabl
     ``shape``, for :func:`march`, with its own force and noise buffers."""
     advance = integrator(cfg.step, spec.gamma, spec.u, cfg.scheme)
     force, noise = np.empty(shape), np.empty(shape)
+    seed, substream = cfg.seed, cfg.substream
 
     def step(k: int, state: tuple) -> None:
         x, y = state
         advance(x, y, drift(spec, x, out=force),
-                rng.normals(cfg.seed, cfg.substream, k, shape, out=noise))
+                rng.normals(seed, substream, k, shape, out=noise))
 
     return step
 

@@ -26,7 +26,8 @@ from ..constants import derive_constants
 from ..dynamics import trajectory_to_rows
 from ..metrics import GroundMetric
 from ..model import ModelSpec
-from .config import ConfigError, ExperimentConfig, config_hash, load_config, load_document
+from .config import (ConfigError, ExperimentConfig, config_hash, load_config, load_document,
+                     validate_model)
 from .experiments import _coupling_control, coupled_rows, run_experiment, simulate_particles
 from .record import filled_run_dir, write_csv, write_file, write_record
 
@@ -53,7 +54,10 @@ def _out_root(cfg: ExperimentConfig) -> Path:
 
 def cmd_constants(args) -> int:
     doc = load_document(args.config)
-    model_doc = doc.get("model", doc)
+    # a full config, or a bare model document
+    path = ("model",) if isinstance(doc, dict) and "model" in doc else ()
+    model_doc = doc["model"] if path else doc
+    validate_model(model_doc, path)
     spec = ModelSpec.from_dict(model_doc)
     constants = derive_constants(spec)
     payload = constants.to_dict()

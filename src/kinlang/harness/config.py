@@ -214,7 +214,18 @@ def _errors(schema: dict, instance, path: tuple):
 def validate_config(doc: dict) -> None:
     """Schema-validate; the error reported is the first in JSON-pointer
     order, and its message carries that pointer."""
-    errors = list(_errors(CONFIG_SCHEMA, doc, ()))
+    _validate(CONFIG_SCHEMA, doc, ())
+
+
+def validate_model(doc, path: tuple = ()) -> None:
+    """Schema-validate a model document alone, as :func:`validate_config`
+    does; ``path`` is where it sits in its document, ``("model",)`` in a
+    full config, and starts each error's pointer."""
+    _validate(MODEL_SCHEMA, doc, path)
+
+
+def _validate(schema: dict, doc, path: tuple) -> None:
+    errors = list(_errors(schema, doc, path))
     if errors:
         path, message = min(errors, key=lambda e: e[0])
         pointer = "/" + "/".join(str(p) for p in path)

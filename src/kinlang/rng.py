@@ -32,34 +32,63 @@ SUB_BOOTSTRAP = 11  # resampling inside estimators
 
 
 # constructing a Philox pulls OS entropy even when the key is explicit, and
-# a Generator costs a few microseconds, so one (key, Philox, Generator) is
-# cached per (seed, substream) and re-pointed per step by assigning a fresh
-# state: the step in the counter, the buffer emptied.  That dict is numpy's
-# private Philox state layout; tests/test_rng.py pins the draws against
-# the public ``Generator(Philox(key=..., counter=...))``.  Draws happen
+# a Generator costs a few microseconds, so each (seed, substream) stream is
+# built once: its key masked to 64 bits, a Philox and its Generator, and one
+# state dict in numpy's private Philox layout, with the key and the empty
+# buffer as Python ints.  A draw swaps the step into that dict's counter and
+# assigns the same dict to ``bg.state``, which re-points the generator: the
+# step in the counter, the buffer emptied.  A new stream checks that layout
+# once (``_stream``), and tests/test_rng.py pins the draws against the
+# public ``Generator(Philox(key=..., counter=...))``.  Draws happen
 # entirely inside the module functions below; handing the underlying
 # generator out would break on interleaved use, and the cache makes this
 # module single-threaded (parallelism belongs at replica level, one
-# process per worker).
-_CACHE: dict[tuple[int, int], tuple[np.ndarray, Philox, Generator]] = {}
-_EMPTY = np.zeros(4, dtype=np.uint64)
+# process per worker).  The cache is keyed by the raw (seed, substream),
+# so two raw values that mask to one key are two entries of one stream.
+_CACHE: dict[tuple[int, int], tuple[dict, dict, Philox, Generator]] = {}
+_MASK = 0xFFFFFFFFFFFFFFFF
+# the counter of the layout check: nonzero in the step's word only
+_PROBE = (0, 0, 1, 0)
+
+
+def _stream(seed: int, substream: int) -> tuple[dict, dict, Philox, Generator]:
+    """Build, check and cache the stream of ``(seed, substream)``.
+
+    The check draws from the Philox the public constructor pointed at the
+    counter ``_PROBE``, then re-points it there through the state dict and
+    draws again: numpy changing its private Philox state raises here,
+    naming numpy's version, instead of shifting every draw."""
+    key = (seed & _MASK, substream & _MASK)
+    bg = Philox(key=np.array(key, dtype=np.uint64), counter=_PROBE)
+    gen = Generator(bg)
+    public = gen.standard_normal(8).tolist()
+    counter = {"counter": _PROBE, "key": key}
+    state = {"bit_generator": "Philox", "state": counter, "buffer": (0, 0, 0, 0),
+             "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    try:
+        bg.state = state
+        same = gen.standard_normal(8).tolist() == public
+    except (KeyError, TypeError, ValueError):
+        same = False
+    if not same:
+        raise RuntimeError(f"numpy {np.__version__} changed the private Philox state "
+                           "that kinlang.rng re-points: its draws no longer match "
+                           "the public Philox(key=..., counter=...)")
+    if len(_CACHE) >= 4096:
+        _CACHE.clear()
+    stream = _CACHE[seed, substream] = (state, counter, bg, gen)
+    return stream
 
 
 def _generator(seed: int, substream: int, step: int) -> Generator:
-    ident = (seed & 0xFFFFFFFFFFFFFFFF, substream & 0xFFFFFFFFFFFFFFFF)
-    cached = _CACHE.get(ident)
-    if cached is None:
-        key = np.array(ident, dtype=np.uint64)
-        bg = Philox(key=key, counter=_EMPTY)
-        if len(_CACHE) > 4096:
-            _CACHE.clear()
-        cached = _CACHE[ident] = (key, bg, Generator(bg))
-    key, bg, gen = cached
+    stream = _CACHE.get((seed, substream))
+    if stream is None:
+        stream = _stream(seed, substream)
+    state, counter, bg, gen = stream
     # the step index lives in a HIGH counter word: generation increments the
     # low words, so each step owns a disjoint 2^128-value block
-    bg.state = {"bit_generator": "Philox",
-                "state": {"counter": (0, 0, step, 0), "key": key},
-                "buffer": _EMPTY, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    counter["counter"] = (0, 0, step, 0)
+    bg.state = state
     return gen
 
 

@@ -22,9 +22,11 @@ from kinlang.harness.experiments import (_METRIC_FOR, ExperimentRecord, _chaos_p
                                          _contraction_curve, _coupled_model, _coupling_control,
                                          _draw_initial, _integrator, _law_mean_series,
                                          build_initial_pair, coupled_rows, fit_decay_rate,
-                                         run_chaos, run_contraction, run_moments)
+                                         run_chaos, run_contraction, run_experiment,
+                                         run_moments)
 from kinlang.harness.record import record_json, write_record
 from kinlang.metrics import GroundMetric, project_centered
+from kinlang.model import ExternalForce
 from kinlang.transport import SIZE_CAP, bootstrap_se, cost_matrix_zw, wasserstein_from_costs
 from oracles import chaos_doc, coupled_trajectory, ell1_norm
 
@@ -418,6 +420,28 @@ def dw_contract_doc(**over):
 
 
 class TestReducingRuns:
+    def test_a_contraction_step_calls_each_traced_layer_once(self, monkeypatch):
+        # configs/quadratic_contract.json at a tenth of its horizon: a step
+        # builder that hoists a draw or a force evaluation out of the step
+        # would change the per-layer counts a trace of the run reports
+        doc = json.loads((CONFIGS / "quadratic_contract.json").read_text())
+        doc["integrator"]["horizon"] = 2.0
+        cfg = load_config(doc)
+        calls = {"normals": 0, "force": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(rng, "normals", counted("normals", rng.normals))
+        monkeypatch.setattr(ExternalForce, "force", counted("force", ExternalForce.force))
+        run_experiment(cfg)
+        n_steps = _integrator(cfg).n_steps
+        assert n_steps == 2000
+        assert calls == {"normals": n_steps, "force": n_steps}
+
     @pytest.mark.parametrize("doc", [
         dw_contract_doc(),
         dw_contract_doc(model={"dimension": 3, "gamma": 10.0, "u": 1.0,
@@ -601,6 +625,30 @@ class TestCli:
             cli_main(["constants", "-c", str(cfgp), *option])
         assert err.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+    # each ran before the model was validated: gamma = true printed the
+    # constants of gamma = 1, a missing u raised KeyError, an unknown kind a
+    # ModelError without a pointer
+    @pytest.mark.parametrize("key, value, where, message", [
+        ("gamma", True, "/gamma", "True is not of type 'number'"),
+        ("u", None, "", "'u' is a required property"),
+        ("external", {"kind": "quartic"}, "/external/kind", "'quartic' is not one of"),
+    ], ids=["gamma-bool", "u-missing", "kind-unknown"])
+    @pytest.mark.parametrize("full", [True, False], ids=["config", "model"])
+    def test_constants_rejects_an_invalid_model(self, tmp_path, capsys, key, value,
+                                                where, message, full):
+        doc = dw_doc()
+        if value is None:
+            del doc["model"][key]
+        else:
+            doc["model"][key] = value
+        cfgp = tmp_path / "bad.json"
+        cfgp.write_text(json.dumps(doc if full else doc["model"]))
+        outp = tmp_path / "constants.json"
+        assert cli_main(["constants", "-c", str(cfgp), "--out", str(outp)]) == 1
+        pointer = "/model" + where if full else where or "/"
+        assert f"error: config invalid at {pointer}: {message}" in capsys.readouterr().err
+        assert not outp.exists()
 
     def test_constants_out_creates_its_directory(self, tmp_path):
         cfgp = tmp_path / "dw.json"

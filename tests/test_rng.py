@@ -20,7 +20,9 @@ NOISE_KEYS = ((0, 0, 0, (8,)), (31, 1, 2999, (4, 2)), (179, 6, 199, (3, 1)),
 
 
 def public(seed, substream, step):
-    return Generator(Philox(key=[seed, substream], counter=[0, 0, step, 0]))
+    # an explicit dtype: a list mixing keys below 2^63 and above promotes to float
+    key = np.array([seed, substream], dtype=np.uint64)
+    return Generator(Philox(key=key, counter=[0, 0, step, 0]))
 
 
 @pytest.mark.parametrize("seed, substream, step, shape", NOISE_KEYS)
@@ -61,3 +63,62 @@ def test_interleaved_draws_match_isolated_draws():
                     else gen.integers(0, 50, size=shape))
         assert np.array_equal(got, expected), call
         assert np.array_equal(got, draw(*call)), call
+
+
+@pytest.mark.parametrize("seed, substream, masked", [
+    (-1, 0, (2**64 - 1, 0)),
+    (-7, -2, (2**64 - 7, 2**64 - 2)),
+    (2**64 + 5, 1, (5, 1)),
+    (3 * 2**64 + 9, 2**65 + 11, (9, 11)),
+])
+def test_raw_keys_draw_the_masked_public_key(seed, substream, masked):
+    # the cache holds raw (seed, substream) and masks only when it builds a stream
+    shape = (3, 2)
+    got = rng.normals(seed, substream, 41, shape)
+    assert np.array_equal(got, public(*masked, 41).standard_normal(shape))
+    assert np.array_equal(rng.normals(*masked, 41, shape), got)
+    assert np.array_equal(rng.integers(seed, substream, 41, 0, 99, (5,)),
+                          public(*masked, 41).integers(0, 99, size=(5,)))
+
+
+def test_draws_match_after_the_cache_is_evicted(monkeypatch):
+    monkeypatch.setattr(rng, "_CACHE", {})
+    seeds = range(4200)
+    first = [rng.normals(seed, 3, seed % 7, (2,)) for seed in seeds]
+    assert len(rng._CACHE) < 4200
+    again = [rng.normals(seed, 3, seed % 7, (2,)) for seed in seeds]
+    for seed, a, b in zip(seeds, first, again):
+        expected = public(seed, 3, seed % 7).standard_normal((2,))
+        assert np.array_equal(a, expected) and np.array_equal(b, expected), seed
+
+
+class MovedStep(Philox):
+    """A Philox whose private state reads the step from another counter word,
+    as a numpy release that changed that layout would."""
+
+    @property
+    def state(self):
+        return Philox.state.__get__(self)
+
+    @state.setter
+    def state(self, value):
+        c = value["state"]["counter"]
+        Philox.state.__set__(self, {**value, "state": {**value["state"],
+                                                       "counter": (c[0], c[2], c[1], c[3])}})
+
+
+class RenamedCounter(MovedStep):
+    """A Philox whose private state no longer has a ``counter`` entry."""
+
+    @MovedStep.state.setter
+    def state(self, value):
+        value["state"]["ctr"]
+
+
+@pytest.mark.parametrize("bit_generator", [MovedStep, RenamedCounter])
+def test_a_changed_private_layout_is_refused(monkeypatch, bit_generator):
+    monkeypatch.setattr(rng, "_CACHE", {})
+    monkeypatch.setattr(rng, "Philox", bit_generator)
+    with pytest.raises(RuntimeError, match=f"numpy {np.__version__} changed"):
+        rng.normals(5, 0, 3, (2,))
+    assert rng._CACHE == {}
