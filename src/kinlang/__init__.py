@@ -15,7 +15,7 @@ __version__ = "0.1.0"
 
 __all__, __getattr__, __dir__ = namespace(__name__, {
     "constants": ("ConstantsError", "MetricConstants", "derive_constants"),
-    "coupling": ("CoupledState", "CouplingControl", "rc_value", "sc_value"),
+    "coupling": ("CouplingControl", "rc_value", "sc_value"),
     "dynamics": ("BlowUpError", "DynamicsError", "IntegratorConfig", "Trajectory",
                  "default_step", "dirac_ensemble", "gaussian_ensemble", "simulate",
                  "track_moments"),

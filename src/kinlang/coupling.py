@@ -29,19 +29,19 @@ shared noise block, the stacked noise of reflecting steps (whose first
 slot receives the reflection family's draw) and, in componentwise runs,
 the (2, R, 1, d) law mean.  One step builder, :func:`coupled_step`,
 serves every coupled run, and one driver, :func:`simulate_coupled`,
-marches it through :func:`kinlang.dynamics.march` and returns the final
-state: the chaos sweep reads only that.  :func:`march_coupled` drives it
-for runs that keep per-pair values: it hands each dump's pair differences
-Z and W to a caller's reduction, so contraction runs and ``kinlang
-couple`` keep no phase-space dumps.  The
-model spec decides the forces both copies feel
-(:func:`kinlang.dynamics.drift`).  A law term
-sees each copy's empirical marginal over the coupled batch, or one fixed
-law mean that both copies share (the exact zero of the centered
-unconfined theory).  The componentwise adaptation is the same step with
-one more axis: given an external law-mean path (e.g. the mean path of a
-large proxy run), it couples N independent nonlinear copies against one
-N-particle system, slot by slot, on (2, R, N, d) arrays.
+marches it through :func:`kinlang.dynamics.march` from a stacked start,
+hands each dump to a caller's ``keep`` and returns the final state: the
+chaos sweep reads only that, and contraction runs and ``kinlang couple``
+reduce each dump's pair differences as it comes.
+
+The model spec decides the forces both copies feel
+(:func:`kinlang.dynamics.drift`).  A law term sees each copy's empirical
+marginal over the coupled batch, or one fixed law mean that both copies
+share (the exact zero of the centered unconfined theory).  The
+componentwise adaptation is the same step with one more axis: given an
+external law-mean path (e.g. the mean path of a large proxy run), it
+couples N independent nonlinear copies against one N-particle system,
+slot by slot, on (2, R, N, d) arrays.
 """
 
 from __future__ import annotations
@@ -55,8 +55,7 @@ import numpy as np
 
 from . import rng
 from .constants import MetricConstants
-from .dynamics import (DynamicsError, IntegratorConfig, drift, dump_steps, integrator,
-                       march)
+from .dynamics import DynamicsError, IntegratorConfig, drift, integrator, march
 from .metrics import row_norm, twisted_norm
 from .model import ModelSpec
 
@@ -97,24 +96,6 @@ class CouplingControl:
         of synchronizing.
         """
         return self.xi >= math.sqrt(8.0 * spec.u * step / spec.gamma)
-
-
-@dataclass(frozen=True)
-class CoupledState:
-    """Batch of coupled pairs: positions and velocities of both copies."""
-
-    ax: Array
-    ay: Array
-    bx: Array
-    by: Array
-    t: float = 0.0
-
-    def __post_init__(self):
-        for name in ("ax", "ay", "bx", "by"):
-            object.__setattr__(self, name,
-                               np.atleast_2d(np.asarray(getattr(self, name), dtype=float)))
-        if not (self.ax.shape == self.ay.shape == self.bx.shape == self.by.shape):
-            raise DynamicsError("coupled state shape mismatch")
 
 
 # ---------------------------------------------------------------------------
@@ -273,7 +254,7 @@ def coupled_step(spec: ModelSpec, control: CouplingControl, cfg: IntegratorConfi
 def simulate_coupled(spec: ModelSpec, start: Callable, control: CouplingControl,
                      cfg: IntegratorConfig, constants: MetricConstants, shape: tuple,
                      keep: Callable = lambda k, state: None, dump_times=None,
-                     t0: float = 0.0, law_mean: Optional[Array] = None,
+                     law_mean: Optional[Array] = None,
                      law_means: Optional[Array] = None) -> tuple[Array, Array]:
     """March coupled pairs to the horizon: :func:`coupled_step` on ``(2,) +
     shape`` arrays (law terms as there) through
@@ -284,34 +265,5 @@ def simulate_coupled(spec: ModelSpec, start: Callable, control: CouplingControl,
     """
     return march(start, cfg, coupled_step(spec, control, cfg, constants, shape,
                                           law_mean=law_mean, law_means=law_means),
-                 keep, dump_times, t0=t0)
+                 keep, dump_times)
 
-
-def march_coupled(spec: ModelSpec, state0: CoupledState, control: CouplingControl,
-                  cfg: IntegratorConfig, constants: MetricConstants, reduce: Callable,
-                  dump_times=None, law_mean: Optional[Array] = None) -> tuple[Array, Array]:
-    """March a batch of coupled pairs to the horizon through
-    :func:`simulate_coupled` (law terms as there), handing each dump's pair
-    differences Z and W to ``reduce(i, z, w)``, ``i`` the dump's index.
-    Both are fresh arrays, which ``reduce`` may keep or overwrite.  Returns
-    the dump times and the mean blend of the pairs at each dump (0
-    throughout a purely synchronous run).  Dumps and blow-ups follow
-    :func:`kinlang.dynamics.march`.
-    """
-    synchronous = purely_synchronous(control, constants)
-    steps = dump_steps(cfg, dump_times)
-    rc_mean = np.zeros(len(steps))
-    slot = {k: i for i, k in enumerate(steps.tolist())}
-
-    def keep(k: int, state: tuple) -> None:
-        x, y = state
-        z, w = x[0] - x[1], y[0] - y[1]
-        if not synchronous:
-            rc_mean[slot[k]] = np.mean(rc_value(control, spec, constants, z, w))
-        reduce(slot[k], z, w)
-
-    simulate_coupled(spec, lambda: (np.stack((state0.ax, state0.bx)),
-                                    np.stack((state0.ay, state0.by))),
-                     control, cfg, constants, state0.ax.shape, keep, dump_times,
-                     t0=state0.t, law_mean=law_mean)
-    return state0.t + steps * cfg.step, rc_mean

@@ -69,7 +69,7 @@ class BlowUpError(RuntimeError):
     """A run reached a non-finite state.
 
     ``t`` is the time of the first state with a non-finite position or
-    velocity, ``t0 + k * step`` for state ``k``, whichever driver ran.
+    velocity, ``k * step`` for state ``k``, whichever driver ran.
     """
 
     def __init__(self, t: float):
@@ -233,7 +233,7 @@ def dump_steps(cfg: IntegratorConfig, dump_times=None) -> Array:
 
 
 def march(start: Callable, cfg: IntegratorConfig, step: Callable, keep: Callable,
-          dump_times=None, t0: float = 0.0) -> tuple:
+          dump_times=None) -> tuple:
     """The stepping loop every run goes through.
 
     ``start()`` returns the initial state as a tuple of fresh arrays that
@@ -258,7 +258,7 @@ def march(start: Callable, cfg: IntegratorConfig, step: Callable, keep: Callable
     dumps = set(dump_steps(cfg, dump_times).tolist())
     state = start()
     if not _finite(state):
-        raise BlowUpError(t0)
+        raise BlowUpError(0.0)
     checkpoint = None
     # overflow is left to produce inf: blow-up detection keys off
     # non-finite states, so the loop runs with these warnings off
@@ -270,7 +270,7 @@ def march(start: Callable, cfg: IntegratorConfig, step: Callable, keep: Callable
             if k in dumps or k == n:
                 if not _finite(state):
                     k_ok, replay = checkpoint or (0, start())
-                    raise BlowUpError(t0 + _first_nonfinite(k_ok, replay, step, k) * h)
+                    raise BlowUpError(_first_nonfinite(k_ok, replay, step, k) * h)
                 if k in dumps:
                     keep(k, state)
                     if k < n:  # the checkpoint a later blow-up replays from
@@ -335,8 +335,8 @@ def simulate(spec: ModelSpec, x: Array, y: Array, cfg: IntegratorConfig,
 
     march(lambda: (np.array(x, dtype=float), np.array(y, dtype=float)), cfg,
           system_step(spec, cfg, x.shape), keep, dump_times)
-    # stamps are running sums of the step (march_coupled stamps t0 + k h);
-    # the golden digests of moments.json and of `kinlang simulate` pin them
+    # stamps are running sums of the step (coupled runs stamp k h); the
+    # golden digests of moments.json and of `kinlang simulate` pin them
     clock = np.concatenate(([0.0], np.cumsum(np.full(cfg.n_steps, cfg.step))))
     return Trajectory(times=clock[steps], x=xs, y=ys)
 

@@ -121,7 +121,8 @@ CONFIG_SCHEMA = {
                            "minItems": 2, "uniqueItems": True},
         "proxy_size": {"type": "integer", "minimum": 2},
         "dump_count": {"type": "integer", "minimum": 2},
-        "dump_times": {"type": "array", "items": {"type": "number", "minimum": 0}},
+        "dump_times": {"type": "array", "items": {"type": "number", "minimum": 0},
+                       "minItems": 1},
         "initial": INITIAL_SCHEMA,
         "initial_second": INITIAL_SCHEMA,
         "eval_time": _positive,
@@ -203,7 +204,8 @@ def _errors(schema: dict, instance, path: tuple):
                     yield from _errors(value, item, path + (i,))
         elif key == "minItems":
             if isinstance(instance, list) and len(instance) < value:
-                yield path, f"{instance!r} is too short"
+                text = "should be non-empty" if value == 1 else "is too short"
+                yield path, f"{instance!r} {text}"
         elif key == "uniqueItems" and value is True:
             if isinstance(instance, list) and len(set(map(_json_key, instance))) < len(instance):
                 yield path, f"{instance!r} has non-unique elements"
@@ -218,14 +220,42 @@ def validate_config(doc: dict) -> None:
 
 
 def validate_model(doc, path: tuple = ()) -> None:
-    """Schema-validate a model document alone, as :func:`validate_config`
-    does; ``path`` is where it sits in its document, ``("model",)`` in a
-    full config, and starts each error's pointer."""
+    """Validate a model document alone: the schema, as
+    :func:`validate_config` does, then the shape of each matrix against
+    the dimension.  ``path`` is where it sits in its document,
+    ``("model",)`` in a full config, and starts each error's pointer."""
     _validate(MODEL_SCHEMA, doc, path)
+    _report(list(_matrix_errors(doc, path)))
+
+
+def _matrix_errors(model: dict, path: tuple):
+    """``(path, message)`` of each matrix of a schema-valid model document
+    that is not dimension x dimension."""
+    d = int(model["dimension"])
+    for part, key in (("external", "k_matrix"), ("interaction", "kt_matrix")):
+        matrix = model.get(part, {}).get(key)
+        if matrix is not None and (len(matrix) != d or any(len(row) != d for row in matrix)):
+            yield path + (part, key), f"{matrix!r} is not a {d} x {d} matrix"
+
+
+def _point_errors(doc: dict):
+    """``(path, message)`` of each Dirac point of a schema-valid config
+    whose length is not the model's dimension."""
+    d = int(doc["model"]["dimension"])
+    for name in ("initial", "initial_second"):
+        law = doc.get(name, {})
+        if law.get("kind") == "dirac":
+            for key in ("x", "y"):
+                if key in law and len(law[key]) != d:
+                    yield (name, key), f"{law[key]!r} does not have the dimension {d}"
 
 
 def _validate(schema: dict, doc, path: tuple) -> None:
-    errors = list(_errors(schema, doc, path))
+    _report(list(_errors(schema, doc, path)))
+
+
+def _report(errors: list) -> None:
+    """Raise the first of ``(path, message)`` errors in JSON-pointer order."""
     if errors:
         path, message = min(errors, key=lambda e: e[0])
         pointer = "/" + "/".join(str(p) for p in path)
@@ -270,7 +300,10 @@ class ExperimentConfig:
 
 
 def load_config(doc: dict) -> ExperimentConfig:
+    """The config a document describes: schema-valid, and with every
+    matrix and Dirac point of the model's dimension."""
     validate_config(doc)
+    _report([*_matrix_errors(doc["model"], ("model",)), *_point_errors(doc)])
     spec = ModelSpec.from_dict(doc["model"])
     integ = doc.get("integrator", {})
     step = float(integ.get("step", default_step(spec.gamma)))

@@ -36,8 +36,8 @@ import numpy as np
 
 from .. import rng
 from ..constants import MetricConstants, derive_constants
-from ..coupling import CoupledState, CouplingControl, march_coupled, simulate_coupled
-from ..dynamics import (BlowUpError, IntegratorConfig, Trajectory, dirac_ensemble,
+from ..coupling import CouplingControl, purely_synchronous, rc_value, simulate_coupled
+from ..dynamics import (BlowUpError, IntegratorConfig, Trajectory, dirac_ensemble, dump_steps,
                         gaussian_ensemble, march, simulate, system_step, track_moments)
 from ..metrics import GroundMetric, project_centered
 from ..model import InteractionForce, ModelSpec
@@ -101,9 +101,10 @@ def _integrator(cfg: ExperimentConfig, **over) -> IntegratorConfig:
                                "scheme": cfg.scheme, "seed": cfg.seed, **over})
 
 
-def build_initial_pair(cfg: ExperimentConfig) -> CoupledState:
-    """Coupled initial batch: common draws, second law defaulting to a
-    shifted copy of the first (a comonotone coupling of the two laws)."""
+def build_initial_pair(cfg: ExperimentConfig) -> tuple[Array, Array]:
+    """Coupled initial batch, positions and velocities stacked on a copy
+    axis, (2, R, d) each: common draws, second law defaulting to a shifted
+    copy of the first (a comonotone coupling of the two laws)."""
     first = _draw_initial(cfg.initial, cfg.spec, cfg.replicas, cfg.seed, rng.SUB_INIT)
     second_doc = cfg.initial_second or {"shift_x": 1.0}
     if "kind" in second_doc:
@@ -112,7 +113,7 @@ def build_initial_pair(cfg: ExperimentConfig) -> CoupledState:
     else:
         second = _draw_initial(second_doc, cfg.spec, cfg.replicas, cfg.seed,
                                rng.SUB_INIT, base=first)
-    return CoupledState(ax=first[0], ay=first[1], bx=second[0], by=second[1])
+    return np.stack((first[0], second[0])), np.stack((first[1], second[1]))
 
 
 # ---------------------------------------------------------------------------
@@ -205,17 +206,29 @@ def _coupled_model(cfg: ExperimentConfig) -> tuple[ModelSpec, Optional[Array]]:
 def coupled_rows(cfg: ExperimentConfig, constants: MetricConstants, step: float,
                  reduce: Callable) -> tuple[Array, Array, Array]:
     """March the coupled pairs a config describes at ``step``, keeping one
-    row per dump: ``reduce(z, w)`` of its pair differences Z and W.
-    Returns the dump times, the rows stacked in a (T, ...) array and the
-    mean blend at each dump; no phase-space dump is kept."""
+    row per dump: ``reduce(z, w)`` of its pair differences Z and W, fresh
+    arrays that ``reduce`` may keep.  Returns the dump times, the rows
+    stacked in a (T, ...) array and the mean blend at each dump (0
+    throughout a purely synchronous run); no phase-space dump is kept.
+    Dumps and blow-ups follow :func:`kinlang.dynamics.march`."""
     spec, law_mean = _coupled_model(cfg)
-    rows = []
-    times, rc_mean = march_coupled(spec, build_initial_pair(cfg),
-                                   _coupling_control(cfg, constants),
-                                   _integrator(cfg, step=step), constants,
-                                   lambda i, z, w: rows.append(reduce(z, w)),
-                                   dump_times=cfg.dump_times, law_mean=law_mean)
-    return times, np.array(rows), rc_mean
+    control = _coupling_control(cfg, constants)
+    icfg = _integrator(cfg, step=step)
+    synchronous = purely_synchronous(control, constants)
+    steps = dump_steps(icfg, cfg.dump_times)
+    rows, rc_mean = [], np.zeros(len(steps))
+
+    def keep(k: int, state: tuple) -> None:
+        x, y = state
+        z, w = x[0] - x[1], y[0] - y[1]
+        if not synchronous:
+            rc_mean[len(rows)] = np.mean(rc_value(control, spec, constants, z, w))
+        rows.append(reduce(z, w))
+
+    # the draws are counter-keyed: a blow-up replay draws the same start
+    simulate_coupled(spec, lambda: build_initial_pair(cfg), control, icfg, constants,
+                     (cfg.replicas, spec.dim), keep, cfg.dump_times, law_mean=law_mean)
+    return steps * step, np.array(rows), rc_mean
 
 
 def _contraction_curve(cfg: ExperimentConfig, constants: MetricConstants,

@@ -12,9 +12,11 @@ velocity, all parametrized by the friction ``gamma`` and inverse mass
 * their gluing ``f((delta ^ glue_offset) + eps * r_large)`` through the
   concave profile, where ``delta = r_small - eps * r_large``.
 
-Every distance is exposed both as a norm of a difference ``(z, w)`` and as
-a distance between two ``(x, y)`` points.  All evaluators are pure and
-broadcast over leading axes.
+A :class:`GroundMetric` holds one of them with its constants, and
+:meth:`GroundMetric.from_constants` builds it from a model spec and its
+derived constants.  Every distance is a norm of a difference ``(z, w)``:
+two points ``(ax, ay)`` and ``(bx, by)`` are ``dist_zw(ax - bx, ay - by)``
+apart.  All evaluators are pure and broadcast over leading axes.
 """
 
 from __future__ import annotations
@@ -31,11 +33,6 @@ Array = np.ndarray
 
 class MetricError(ValueError):
     pass
-
-
-def _as_xy(p) -> tuple[Array, Array]:
-    x, y = p
-    return np.asarray(x, dtype=float), np.asarray(y, dtype=float)
 
 
 # ---------------------------------------------------------------------------
@@ -81,7 +78,7 @@ def small_norm(z: Array, w: Array, alpha: float, gamma: float) -> Array:
 # ground metrics
 # ---------------------------------------------------------------------------
 
-_KINDS = ("euclidean", "r_strong", "r_l", "r_s", "rho", "r_tilde")
+_KINDS = ("r_strong", "r_l", "r_s", "rho", "r_tilde")
 
 
 @dataclass(frozen=True)
@@ -102,62 +99,26 @@ class GroundMetric:
         if self.kind not in _KINDS:
             raise MetricError(f"unknown metric kind {self.kind!r}")
 
-    # -- factories -----------------------------------------------------------
-
-    @staticmethod
-    def euclidean() -> "GroundMetric":
-        return GroundMetric(kind="euclidean")
-
-    @staticmethod
-    def strong(k_matrix, lam: float, gamma: float, u: float) -> "GroundMetric":
-        return GroundMetric(kind="r_strong", gamma=gamma, u=u,
-                            k_matrix=np.asarray(k_matrix, dtype=float), twist=lam)
-
-    @staticmethod
-    def large(k_matrix, tau: float, gamma: float, u: float) -> "GroundMetric":
-        return GroundMetric(kind="r_l", gamma=gamma, u=u,
-                            k_matrix=np.asarray(k_matrix, dtype=float), twist=tau)
-
-    @staticmethod
-    def small(alpha: float, gamma: float) -> "GroundMetric":
-        return GroundMetric(kind="r_s", gamma=gamma, alpha=alpha)
-
-    @staticmethod
-    def glued(k_matrix, tau: float, alpha: float, eps: float, glue_offset: float,
-              profile: ConcaveProfile, gamma: float, u: float) -> "GroundMetric":
-        return GroundMetric(kind="rho", gamma=gamma, u=u,
-                            k_matrix=np.asarray(k_matrix, dtype=float), twist=tau,
-                            alpha=alpha, eps=eps, glue_offset=glue_offset,
-                            profile=profile)
-
-    @staticmethod
-    def unconfined(kt_matrix, sigma: float, gamma: float, u: float) -> "GroundMetric":
-        return GroundMetric(kind="r_tilde", gamma=gamma, u=u,
-                            k_matrix=np.asarray(kt_matrix, dtype=float), twist=sigma)
-
     @staticmethod
     def from_constants(spec, constants, kind: str) -> "GroundMetric":
-        """Build any metric kind from a model spec and its derived constants."""
-        if kind == "euclidean":
-            return GroundMetric.euclidean()
+        """The metric ``kind`` of a model spec and its derived constants:
+        the only way a metric is built."""
+        g, u, k = spec.gamma, spec.u, spec.external.matrix_k
         if kind == "r_strong":
-            return GroundMetric.strong(spec.external.matrix_k, constants.lam,
-                                       spec.gamma, spec.u)
+            return GroundMetric(kind, g, u, k_matrix=k, twist=constants.lam)
         if kind == "r_l":
-            return GroundMetric.large(spec.external.matrix_k, constants.tau,
-                                      spec.gamma, spec.u)
+            return GroundMetric(kind, g, u, k_matrix=k, twist=constants.tau)
         if kind == "r_s":
-            return GroundMetric.small(constants.alpha, spec.gamma)
+            return GroundMetric(kind, g, alpha=constants.alpha)
         if kind == "rho":
-            return GroundMetric.glued(spec.external.matrix_k, constants.tau,
-                                      constants.alpha, constants.eps,
-                                      constants.glue_offset, constants.profile,
-                                      spec.gamma, spec.u)
+            return GroundMetric(kind, g, u, k_matrix=k, twist=constants.tau,
+                                alpha=constants.alpha, eps=constants.eps,
+                                glue_offset=constants.glue_offset, profile=constants.profile)
         if kind == "r_tilde":
             if not spec.interaction.has_split:
                 raise MetricError("unconfined metric needs an interaction splitting")
-            return GroundMetric.unconfined(spec.interaction.split_matrix,
-                                           constants.sigma, spec.gamma, spec.u)
+            return GroundMetric(kind, g, u, k_matrix=spec.interaction.split_matrix,
+                                twist=constants.sigma)
         raise MetricError(f"unknown metric kind {kind!r}")
 
     # -- evaluation -----------------------------------------------------------
@@ -168,8 +129,6 @@ class GroundMetric:
         w = np.asarray(w, dtype=float)
         if z.shape != w.shape:
             raise MetricError("z and w shapes differ")
-        if self.kind == "euclidean":
-            return np.sqrt(np.sum(z ** 2, axis=-1) + np.sum(w ** 2, axis=-1))
         if self.kind in ("r_strong", "r_l", "r_tilde"):
             return twisted_norm(z, w, self.k_matrix, self.twist, self.gamma, self.u)
         if self.kind == "r_s":
@@ -182,13 +141,6 @@ class GroundMetric:
         delta = r_small - self.eps * r_large
         inner = np.minimum(delta, self.glue_offset) + self.eps * r_large
         return self.profile.value(inner)
-
-    def dist(self, a, b) -> Array:
-        ax, ay = _as_xy(a)
-        bx, by = _as_xy(b)
-        if ax.shape[-1] != bx.shape[-1]:
-            raise MetricError("dimension mismatch between the two points")
-        return self.dist_zw(ax - bx, ay - by)
 
     def delta_zw(self, z: Array, w: Array) -> Array:
         """Gluing gap r_small - eps * r_large (only defined for the glued kind)."""

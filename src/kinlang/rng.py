@@ -16,6 +16,7 @@ experiment drivers rely on:
 
 from __future__ import annotations
 
+import operator
 from typing import Optional
 
 import numpy as np
@@ -58,7 +59,8 @@ def _stream(seed: int, substream: int) -> tuple[dict, dict, Philox, Generator]:
     counter ``_PROBE``, then re-points it there through the state dict and
     draws again: numpy changing its private Philox state raises here,
     naming numpy's version, instead of shifting every draw."""
-    key = (seed & _MASK, substream & _MASK)
+    # as Python ints: a numpy integer would overflow against the mask
+    key = (operator.index(seed) & _MASK, operator.index(substream) & _MASK)
     bg = Philox(key=np.array(key, dtype=np.uint64), counter=_PROBE)
     gen = Generator(bg)
     public = gen.standard_normal(8).tolist()

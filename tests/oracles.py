@@ -10,13 +10,15 @@ library against, and a shorthand for building coupled states.
   have the law of an uncoupled run;
 * the sorted quantile coupling, the exact W_p of two samples on the line;
 * :func:`ell1_norm`, the pair cost that the chaos sweep's in-place slot
-  cost is tested against op for op;
+  cost is tested against op for op, and :func:`euclidean_norm`, the
+  Euclidean distance the glued metric's equivalence constants bound;
 * :func:`pair_law_term`, the O(N^2) law term over all pairs, which the
   O(N) mean path of affine interactions is tested against;
 * :func:`expression_integrator`, the integrator update written as
   expressions that return new arrays, which the in-place update of
   :func:`kinlang.dynamics.integrator` is tested against bitwise;
-* :func:`pair_state`, a coupled batch of replicated phase points;
+* :func:`pair_state`, a coupled batch of phase points stacked on a copy
+  axis;
 * :func:`chaos_doc`, ``configs/chaos.json`` or its ``unconfined_chaos``
   variant, the one definition of that doc the golden pin, the tests and
   the CI smoke share;
@@ -39,7 +41,7 @@ import numpy as np
 
 import kinlang.coupling as cp
 from kinlang.constants import ConstantsError
-from kinlang.coupling import CoupledState, coupled_step, purely_synchronous
+from kinlang.coupling import coupled_step, purely_synchronous
 from kinlang.dynamics import dump_steps, march
 from kinlang.metrics import row_norm, small_norm, twisted_norm
 from kinlang.profile import N_PANELS
@@ -226,6 +228,13 @@ def ell1_norm(z: Array, w: Array) -> Array:
     return row_norm(np.asarray(z, dtype=float)) + row_norm(np.asarray(w, dtype=float))
 
 
+def euclidean_norm(z: Array, w: Array) -> Array:
+    """sqrt(|z|^2 + |w|^2): the Euclidean phase-space distance of a pair
+    whose difference is (z, w), which the glued metric is sandwiched by."""
+    z, w = np.asarray(z, dtype=float), np.asarray(w, dtype=float)
+    return np.sqrt(np.sum(z ** 2, axis=-1) + np.sum(w ** 2, axis=-1))
+
+
 def pair_law_term(spec, x: Array) -> Array:
     """``N^-1 sum_j b_int(x_i, x_j)`` over the members on axis -2, with
     every pair force materialized."""
@@ -263,12 +272,13 @@ def expression_integrator(h: float, gamma: float, u: float, scheme: str):
 # coupled states
 # ---------------------------------------------------------------------------
 
-def pair_state(first, second, n: int = 1) -> CoupledState:
-    """Coupled state from two phase points, replicated n times."""
-    fx, fy = np.atleast_1d(first[0]), np.atleast_1d(first[1])
-    sx, sy = np.atleast_1d(second[0]), np.atleast_1d(second[1])
-    return CoupledState(ax=np.tile(fx, (n, 1)), ay=np.tile(fy, (n, 1)),
-                        bx=np.tile(sx, (n, 1)), by=np.tile(sy, (n, 1)))
+def pair_state(first, second, n: int = 1) -> tuple[Array, Array]:
+    """Coupled state from the positions and velocities ``(x, y)`` of two
+    phase points, or of two batches of them, replicated n times: the
+    positions and velocities, each stacked on a leading copy axis."""
+    fx, fy, sx, sy = (np.tile(np.atleast_1d(np.asarray(a, dtype=float)), (n, 1))
+                      for a in (*first, *second))
+    return np.stack((fx, sx)), np.stack((fy, sy))
 
 
 def chaos_doc(shape: str = "chaos", **over) -> dict:
@@ -301,17 +311,19 @@ class CoupledTrajectory:
         return metric.dist_zw(self.ax - self.bx, self.ay - self.by)
 
 
-def coupled_trajectory(spec, state0: CoupledState, control, cfg, constants, dump_times=None,
+def coupled_trajectory(spec, state0: tuple, control, cfg, constants, dump_times=None,
                        law_mean=None, law_means=None) -> CoupledTrajectory:
-    """March a batch of coupled pairs to the horizon through
+    """March a batch of coupled pairs, the stacked positions and
+    velocities ``state0`` (left as they are), to the horizon through
     :func:`kinlang.coupling.coupled_step` (law terms as there), copying
     every dump of both copies into (T, 2, ...) stacks allocated up front;
     the trajectory's ``ax``, ``ay``, ``bx`` and ``by`` are views of them.
     ``rc_mean`` is the mean blend of each dump, through
     ``kinlang.coupling.rc_value`` (0 throughout a purely synchronous run).
     Dumps and blow-ups follow :func:`kinlang.dynamics.march`."""
+    x0, y0 = state0
     steps = dump_steps(cfg, dump_times)
-    xs = np.empty((len(steps), 2) + state0.ax.shape)
+    xs = np.empty((len(steps),) + x0.shape)
     ys = np.empty_like(xs)
     rc_mean = np.zeros(len(steps))
     slot = {k: i for i, k in enumerate(steps.tolist())}
@@ -324,11 +336,11 @@ def coupled_trajectory(spec, state0: CoupledState, control, cfg, constants, dump
             rc_mean[slot[k]] = np.mean(cp.rc_value(control, spec, constants,
                                                    x[0] - x[1], y[0] - y[1]))
 
-    march(lambda: (np.stack((state0.ax, state0.bx)), np.stack((state0.ay, state0.by))),
-          cfg, coupled_step(spec, control, cfg, constants, state0.ax.shape,
+    march(lambda: (np.array(x0, dtype=float), np.array(y0, dtype=float)),
+          cfg, coupled_step(spec, control, cfg, constants, x0.shape[1:],
                             law_mean=law_mean, law_means=law_means),
-          keep, dump_times, t0=state0.t)
-    return CoupledTrajectory(times=state0.t + steps * cfg.step, ax=xs[:, 0], ay=ys[:, 0],
+          keep, dump_times)
+    return CoupledTrajectory(times=steps * cfg.step, ax=xs[:, 0], ay=ys[:, 0],
                              bx=xs[:, 1], by=ys[:, 1], rc_mean=rc_mean)
 
 

@@ -9,13 +9,14 @@ import pytest
 
 import kinlang.coupling as cp
 from kinlang import rng
-from kinlang.coupling import CoupledState, CouplingControl, rc_value, sc_value
+from kinlang.coupling import CouplingControl, rc_value, sc_value
 from kinlang.dynamics import (BlowUpError, DynamicsError, IntegratorConfig, drift,
                               gaussian_ensemble, march, simulate)
 from kinlang.metrics import GroundMetric, row_norm, small_norm, twisted_norm
 from kinlang.model import ExternalForce, InteractionForce, ModelSpec
 from kinlang.constants import derive_constants
-from kinlang.harness.config import load_config_file
+from kinlang.harness import experiments
+from kinlang.harness.config import load_config, load_config_file
 from oracles import coupled_trajectory, expression_integrator, marginal_check, pair_state
 
 
@@ -173,8 +174,8 @@ class TestCoupledPair:
         # decides that once, so the blend is never evaluated
         assert quad_constants.glue_offset == 0.0
         cfg = IntegratorConfig(step=0.01, horizon=1.0, seed=8)
-        gen = np.random.default_rng(9)
-        state = CoupledState(*gen.normal(size=(4, 8, 1)))
+        ax, ay, bx, by = np.random.default_rng(9).normal(size=(4, 8, 1))
+        state = pair_state((ax, ay), (bx, by))
         dumps = np.linspace(0, 1, 5)
         calls = []
 
@@ -183,11 +184,16 @@ class TestCoupledPair:
             return rc_value(*args)
 
         monkeypatch.setattr(cp, "rc_value", counted)
+        monkeypatch.setattr(experiments, "rc_value", counted)
         runs = {mode: coupled_trajectory(quad_spec, state, CouplingControl(mode=mode),
                                          cfg, quad_constants, dump_times=dumps)
                 for mode in ("synchronous", "reflection_mix")}
-        _, rc_mean = cp.march_coupled(quad_spec, state, CouplingControl(mode="reflection_mix"),
-                                      cfg, quad_constants, lambda i, z, w: None, dumps)
+        doc = {"experiment": "contract_strong", "model": quad_spec.to_dict(),
+               "integrator": {"step": cfg.step, "horizon": cfg.horizon, "seed": cfg.seed},
+               "coupling": {"mode": "reflection_mix"}, "replicas": 8,
+               "dump_times": dumps.tolist()}
+        _, _, rc_mean = experiments.coupled_rows(load_config(doc), quad_constants, cfg.step,
+                                                 lambda z, w: 0.0)
         assert calls == []
         assert np.all(rc_mean == 0.0)
         sync, mix = runs["synchronous"], runs["reflection_mix"]
@@ -225,13 +231,14 @@ class TestCoupledPair:
         first = (np.array([0.3]), np.array([0.1]))
         second = (np.array([0.3]), np.array([0.1 - control.xi * g * 2]))
         state = pair_state(first, second)
-        z, w = state.ax - state.bx, state.ay - state.by
+        (ax, bx), (ay, by) = state
+        z, w = ax - bx, ay - by
         rc = rc_value(control, dw_spec, dw_constants, z, w)
         assert rc[0] == pytest.approx(1.0)
         q0 = z + w / g
         e = cp._unit_q(q0, np.linalg.norm(q0, axis=-1))
         force = dw_spec.external.force
-        drift = (h / g) * u * (force(state.ax) - force(state.bx))
+        drift = (h / g) * u * (force(ax) - force(bx))
         out = coupled_trajectory(dw_spec, state, control, cfg, dw_constants,
                                  dump_times=[h])
         q1 = (out.ax[-1] - out.bx[-1]) + (out.ay[-1] - out.by[-1]) / g
@@ -250,8 +257,7 @@ class TestCoupledPair:
         n = 8
         gen = np.random.default_rng(7)
         fx, fy = gen.normal(size=(n, 1)), gen.normal(size=(n, 1))
-        sx, sy = fx + 1.0, fy.copy()
-        state = CoupledState(ax=fx, ay=fy, bx=sx, by=sy)
+        state = pair_state((fx, fy), (fx + 1.0, fy))
         traj = coupled_trajectory(spec, state, control, cfg, constants,
                                   dump_times=[0.25, 0.5])
         solo = simulate(spec, fx, fy, cfg, dump_times=[0.25, 0.5])
@@ -315,10 +321,9 @@ class TestCoupledPair:
         control = CouplingControl(mode="reflection_mix", xi=0.05)
         cfg = IntegratorConfig(step=0.1, horizon=100.0, scheme="euler_maruyama", seed=3)
         ax = np.random.default_rng(1).normal(size=(8, 1)) * 1e-3
-        state = CoupledState(ax=ax, ay=np.zeros((8, 1)), bx=ax + 1e-3, by=np.zeros((8, 1)))
+        state = pair_state((ax, np.zeros((8, 1))), (ax + 1e-3, np.zeros((8, 1))))
         step, _ = per_copy_step(stiff, control, cfg, dw_constants)
-        k_ref, _ = first_nonfinite(step, (state.ax, state.ay, state.bx, state.by),
-                                   cfg.n_steps)
+        k_ref, _ = first_nonfinite(step, copies(state), cfg.n_steps)
         assert 0 < k_ref < cfg.n_steps
         # the blend reflected on some pairs before the blow-up
         before = coupled_trajectory(stiff, state, control,
@@ -345,8 +350,8 @@ class TestComponentwise:
         cfg = IntegratorConfig(step=0.01, horizon=0.3, seed=8)
         gen = np.random.default_rng(9)
         n = 6
-        state = CoupledState(ax=gen.normal(size=(n, 1)), ay=gen.normal(size=(n, 1)),
-                             bx=gen.normal(size=(n, 1)), by=gen.normal(size=(n, 1)))
+        ax, ay, bx, by = (gen.normal(size=(n, 1)) for _ in range(4))
+        state = pair_state((ax, ay), (bx, by))
         a = coupled_trajectory(dw_spec, state, control, cfg, dw_constants, dump_times=[0.3],
                                law_means=gen.normal(size=(cfg.n_steps + 1, 1)))
         b = coupled_trajectory(dw_spec, state, control, cfg, dw_constants,
@@ -362,9 +367,16 @@ class TestComponentwise:
         gen = np.random.default_rng(11)
         x = gen.normal(size=(12, 1))
         y = gen.normal(size=(12, 1))
-        state = CoupledState(ax=x, ay=y, bx=x.copy(), by=y.copy())
+        state = pair_state((x, y), (x, y))
         traj = coupled_trajectory(spec, state, control, cfg, mc, dump_times=[0.5])
         assert np.array_equal(traj.ax, traj.bx) and np.array_equal(traj.ay, traj.by)
+
+
+def copies(state):
+    """Fresh copies of the four arrays ``ax, ay, bx, by`` of a stacked
+    pair, the state :func:`per_copy_step` steps."""
+    (ax, bx), (ay, by) = state
+    return tuple(np.array(a) for a in (ax, ay, bx, by))
 
 
 def per_copy_step(spec, control, cfg, constants, law_mean=None, law_means=None):
@@ -429,9 +441,8 @@ def per_copy_reference(spec, state0, control, cfg, constants, dump_times, **kw):
         kept.append((k, tuple(a.copy() for a in arrays),
                      float(np.mean(blend(ax - bx, ay - by)))))
 
-    march(lambda: tuple(np.array(a) for a in (state0.ax, state0.ay, state0.bx, state0.by)),
-          cfg, step, keep, dump_times, t0=state0.t)
-    return {"times": state0.t + np.array([k for k, _, _ in kept]) * cfg.step,
+    march(lambda: copies(state0), cfg, step, keep, dump_times)
+    return {"times": np.array([k for k, _, _ in kept]) * cfg.step,
             **{name: np.stack([arrays[i] for _, arrays, _ in kept])
                for i, name in enumerate(("ax", "ay", "bx", "by"))},
             "rc_mean": np.array([rc for _, _, rc in kept])}
@@ -460,7 +471,8 @@ class TestPerCopyReference:
             k_matrix=ANISOTROPIC_K, lip_g=0.5, radius=1.0, dim=2)
         spec = ModelSpec(external=ext, interaction=InteractionForce.none(),
                          gamma=2.0, u=1.0, dim=2)
-        state = CoupledState(*(0.3 * np.random.default_rng(3).normal(size=(4, 16, 2))))
+        ax, ay, bx, by = 0.3 * np.random.default_rng(3).normal(size=(4, 16, 2))
+        state = pair_state((ax, ay), (bx, by))
         traj = self.assert_matches(spec, state,
                                    CouplingControl(mode="reflection_mix", xi=0.05),
                                    IntegratorConfig(step=0.01, horizon=0.5, seed=4),
@@ -474,7 +486,7 @@ class TestPerCopyReference:
                          gamma=10.0, u=1.0, dim=2)
         gen = np.random.default_rng(5)
         ax, ay = gen.normal(size=(2, 3, 5, 2))
-        state = CoupledState(ax=ax, ay=ay, bx=ax + 0.01, by=ay)
+        state = pair_state((ax, ay), (ax + 0.01, ay))
         cfg = IntegratorConfig(step=0.01, horizon=0.3, seed=6)
         law_means = 0.1 * gen.normal(size=(cfg.n_steps + 1, 2))
         traj = self.assert_matches(spec, state,
@@ -487,7 +499,7 @@ class TestPerCopyReference:
                          interaction=InteractionForce.linear_difference(ANISOTROPIC_K),
                          gamma=2.0, u=1.0, dim=2)
         ax, ay, bx, by = np.random.default_rng(7).normal(size=(4, 3, 5, 2))
-        state = CoupledState(ax=ax, ay=ay, bx=bx, by=by)
+        state = pair_state((ax, ay), (bx, by))
         cfg = IntegratorConfig(step=0.01, horizon=0.3, seed=8)
         # the centered theory's law mean, as an all-zero path
         self.assert_matches(spec, state, CouplingControl(mode="reflection_mix", xi=0.05),
@@ -500,7 +512,7 @@ class TestPerCopyReference:
                          interaction=InteractionForce.linear_difference(ANISOTROPIC_K),
                          gamma=2.0, u=1.0, dim=2)
         ax, ay, bx, by = np.random.default_rng(11).normal(size=(4, 6, 2))
-        state = CoupledState(ax=ax, ay=ay, bx=bx, by=by)
+        state = pair_state((ax, ay), (bx, by))
         cfg = IntegratorConfig(step=0.01, horizon=0.3, seed=12)
         control = CouplingControl(mode="reflection_mix", xi=0.05)
         fixed = self.assert_matches(spec, state, control, cfg, [0.1, 0.3],
@@ -513,7 +525,7 @@ class TestPerCopyReference:
                          interaction=InteractionForce.linear(0.3),
                          gamma=10.0, u=1.0, dim=2)
         ax, ay = np.random.default_rng(9).normal(size=(2, 12, 2))
-        state = CoupledState(ax=ax, ay=ay, bx=ax + 0.02, by=ay)
+        state = pair_state((ax, ay), (ax + 0.02, ay))
         traj = self.assert_matches(spec, state,
                                    CouplingControl(mode="reflection_mix", xi=0.05),
                                    IntegratorConfig(step=0.01, horizon=0.3, seed=10),
@@ -551,7 +563,7 @@ class TestGluedDecay:
         control = CouplingControl.for_constants(dw_constants, mode="reflection_mix")
         cfg = IntegratorConfig(step=0.01, horizon=5.0, seed=17)
         x, y = gaussian_ensemble(0.0, 0.0, 0.5, n=2000, dim=1, seed=18)
-        state = CoupledState(ax=x, ay=y, bx=x + 1.5, by=y)
+        state = pair_state((x, y), (x + 1.5, y))
         traj = coupled_trajectory(dw_spec, state, control, cfg, dw_constants,
                                   dump_times=np.linspace(0, 5, 11))
         rho = GroundMetric.from_constants(dw_spec, dw_constants, "rho")
@@ -568,7 +580,7 @@ class TestMarginalCheck:
         cfg = IntegratorConfig(step=0.01, horizon=0.5, seed=12)
         n = 64
         x, y = gaussian_ensemble(0.0, 0.0, 1.0, n=n, dim=1, seed=13)
-        state = CoupledState(ax=x, ay=y, bx=x + 2.0, by=y)
+        state = pair_state((x, y), (x + 2.0, y))
         dumps = np.linspace(0, 0.5, 6)
         traj = coupled_trajectory(dw_spec, state, control, cfg, dw_constants,
                                   dump_times=dumps)
@@ -589,7 +601,7 @@ class TestMarginalCheck:
         control = CouplingControl(mode="reflection_mix", xi=0.05)
         cfg = IntegratorConfig(step=0.01, horizon=0.4, seed=14)
         x, y = gaussian_ensemble(0.5, 0.0, 1.0, n=16, dim=1, seed=15)
-        state = CoupledState(ax=x, ay=y, bx=x, by=y)
+        state = pair_state((x, y), (x, y))
         dumps = [0.0, 0.2, 0.4]
         traj = coupled_trajectory(dw_spec, state, control, cfg, dw_constants,
                                   dump_times=dumps)
@@ -617,19 +629,18 @@ class TestInPlaceReplay:
         cfg = IntegratorConfig(step=10.0, horizon=10000.0, scheme="euler_maruyama", seed=4)
         gen = np.random.default_rng(5)
         x, y = gen.normal(size=(3, 4, 1)), gen.normal(size=(3, 4, 1))
-        state = CoupledState(ax=x, ay=y, bx=x + 0.5, by=y)
+        state = pair_state((x, y), (x + 0.5, y))
         law_means = gen.normal(size=(cfg.n_steps + 1, 1))
         step, _ = per_copy_step(spec, control, cfg, constants, law_means=law_means)
-        k_ref, _ = first_nonfinite(step, (state.ax, state.ay, state.bx, state.by),
-                                   cfg.n_steps)
+        k_ref, _ = first_nonfinite(step, copies(state), cfg.n_steps)
         every = 7
         assert 0 < k_ref < cfg.n_steps and k_ref % every != 0
-        start = [a.copy() for a in (state.ax, state.ay, state.bx, state.by)]
+        start = [a.copy() for a in state]
         with pytest.raises(BlowUpError) as err:
             coupled_trajectory(spec, state, control, cfg, constants, law_means=law_means,
                                dump_times=cfg.step * np.arange(0, cfg.n_steps + 1, every))
         assert err.value.t == k_ref * cfg.step
-        for before, after in zip(start, (state.ax, state.ay, state.bx, state.by)):
+        for before, after in zip(start, state):
             assert np.array_equal(before, after)
 
     def test_blow_up_before_the_first_dump_replays_from_the_start(self, dw_constants,
@@ -640,25 +651,23 @@ class TestInPlaceReplay:
         state = pair_state((np.array([1.0]), np.array([0.0])),
                            (np.array([0.0]), np.array([0.5])), n=3)
         step, _ = per_copy_step(spec, control, cfg, dw_constants)
-        k_ref, _ = first_nonfinite(step, (state.ax, state.ay, state.bx, state.by),
-                                   cfg.n_steps)
+        k_ref, _ = first_nonfinite(step, copies(state), cfg.n_steps)
         assert 0 < k_ref < cfg.n_steps
         # the only dump is the horizon: the blow-up is found there and
         # replayed from step 0 of a fresh copy of the start
         with pytest.raises(BlowUpError) as err:
             coupled_trajectory(spec, state, control, cfg, dw_constants)
         assert err.value.t == k_ref * cfg.step
-        assert np.array_equal(state.ax, np.ones((3, 1)))
-        assert np.array_equal(state.by, np.full((3, 1), 0.5))
+        assert np.array_equal(state[0][0], np.ones((3, 1)))
+        assert np.array_equal(state[1][1], np.full((3, 1), 0.5))
         replayed = []
 
         def counting(k, arrays):
             replayed.append(k)
             step(k, arrays)
 
-        start = (state.ax, state.ay, state.bx, state.by)
         with pytest.raises(BlowUpError) as err:
-            march(lambda: tuple(a.copy() for a in start), cfg, counting, lambda k, _: None)
+            march(lambda: copies(state), cfg, counting, lambda k, _: None)
         assert err.value.t == k_ref * cfg.step
         assert replayed == list(range(cfg.n_steps)) + list(range(k_ref))
 
@@ -675,7 +684,7 @@ class TestMemory:
         r, n, d = cfg.subsample_pairs, max(cfg.ensemble_sizes), spec.dim
         x, y = gaussian_ensemble(0.0, 0.0, 1.0, r * n, d, seed=cfg.seed)
         x, y = x.reshape(r, n, d), y.reshape(r, n, d)
-        state = CoupledState(ax=x, ay=y, bx=x, by=y)
+        state = pair_state((x, y), (x, y))
         law_means = np.zeros((icfg.n_steps + 1, d))
         stacked_state = 2 * 2 * x.nbytes
         tracemalloc.start()

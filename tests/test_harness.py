@@ -10,7 +10,6 @@ import pytest
 
 from kinlang import coupling, rng
 from kinlang.constants import derive_constants
-from kinlang.coupling import CoupledState, march_coupled
 from kinlang.dynamics import BlowUpError
 from kinlang.harness import cli as cli_mod
 from kinlang.harness import record as record_mod
@@ -28,7 +27,7 @@ from kinlang.harness.record import record_json, write_record
 from kinlang.metrics import GroundMetric, project_centered
 from kinlang.model import ExternalForce
 from kinlang.transport import SIZE_CAP, bootstrap_se, cost_matrix_zw, wasserstein_from_costs
-from oracles import chaos_doc, coupled_trajectory, ell1_norm
+from oracles import chaos_doc, coupled_trajectory, ell1_norm, pair_state
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -168,6 +167,70 @@ class TestConfig:
         with pytest.raises(ConfigError, match=f"at {pointer}: .* is not of type 'number'"):
             load_config(doc)
 
+    # each reached the run: a 1-d Dirac start under a 2-d double well ran
+    # as a 1-d ensemble, and under a 2-d quadratic it failed in a matmul
+    @pytest.mark.parametrize("law, key", [("initial", "x"), ("initial", "y"),
+                                          ("initial_second", "x"), ("initial_second", "y")])
+    @pytest.mark.parametrize("external", [
+        {"kind": "double_well", "beta": 1.0},
+        {"kind": "quadratic", "k_matrix": [[1.0, 0.0], [0.0, 1.0]]}],
+        ids=["double_well", "quadratic"])
+    def test_dirac_point_of_another_dimension_rejected(self, tmp_path, capsys, law, key,
+                                                       external):
+        doc = quad_doc()
+        doc["model"].update(dimension=2, external=external)
+        for name in ("initial", "initial_second"):
+            doc[name].update(x=[0.5, 0.0], y=[0.0, 0.0])
+        load_config(doc)
+        doc[law][key] = [1.0]
+        message = f"config invalid at /{law}/{key}: [1.0] does not have the dimension 2"
+        with pytest.raises(ConfigError) as err:
+            load_config(doc)
+        assert str(err.value) == message
+        cfgp = tmp_path / "bad.json"
+        cfgp.write_text(json.dumps(doc))
+        assert cli_main(["run", "-c", str(cfgp), "--out", str(tmp_path / "runs")]) == 1
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()
+
+    # a 2 x 2 K under a 1-d quadratic raised a ModelError without a
+    # pointer; a 2 x 2 Kt under the 1-d unconfined model failed in a matmul
+    # under run, yet constants printed its constants and exited 0
+    @pytest.mark.parametrize("doc, section, key, matrix", [
+        (quad_doc, "external", "k_matrix", [[1.0, 0.0], [0.0, 1.0]]),
+        (quad_doc, "external", "k_matrix", [[1.0, 0.0]]),
+        (unconfined_doc, "interaction", "kt_matrix", [[1.0, 0.0], [0.0, 1.0]]),
+        (unconfined_doc, "interaction", "kt_matrix", [[1.0], [0.0]])],
+        ids=["k-2x2", "k-1x2", "kt-2x2", "kt-2x1"])
+    @pytest.mark.parametrize("command, full", [("run", True), ("constants", True),
+                                               ("constants", False)],
+                             ids=["run", "constants-config", "constants-model"])
+    def test_matrix_of_another_dimension_rejected(self, tmp_path, capsys, doc, section, key,
+                                                  matrix, command, full):
+        doc = doc()
+        doc["model"][section][key] = matrix
+        cfgp = tmp_path / "bad.json"
+        cfgp.write_text(json.dumps(doc if full else doc["model"]))
+        outp = tmp_path / "out"
+        assert cli_main([command, "-c", str(cfgp), "--out", str(outp)]) == 1
+        pointer = ("/model" if full else "") + f"/{section}/{key}"
+        assert (f"error: config invalid at {pointer}: {matrix!r} is not a 1 x 1 matrix"
+                in capsys.readouterr().err)
+        assert not outp.exists()
+
+    # a contraction run failed with an IndexError, a moments run with an
+    # index out of bounds
+    @pytest.mark.parametrize("doc", [quad_doc, dw_doc], ids=["contraction", "moments"])
+    def test_empty_dump_times_rejected(self, tmp_path, capsys, doc):
+        doc = doc(dump_times=[])
+        with pytest.raises(ConfigError, match=r"at /dump_times: \[\] should be non-empty"):
+            load_config(doc)
+        cfgp = tmp_path / "bad.json"
+        cfgp.write_text(json.dumps(doc))
+        assert cli_main(["run", "-c", str(cfgp), "--out", str(tmp_path / "runs")]) == 1
+        assert "config invalid at /dump_times" in capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()
+
     def test_default_step_follows_friction(self):
         doc = dw_doc()
         del doc["integrator"]["step"]
@@ -179,9 +242,10 @@ class TestInitialLaws:
     def test_shift_sugar(self):
         cfg = load_config(quad_doc(initial={"kind": "gaussian", "std": 0.5},
                                    initial_second={"shift_x": 2.0}))
-        state = build_initial_pair(cfg)
-        assert np.allclose(state.bx - state.ax, 2.0)
-        assert np.array_equal(state.ay, state.by)
+        x, y = build_initial_pair(cfg)
+        assert x.shape == y.shape == (2, 4, 1)
+        assert np.allclose(x[1] - x[0], 2.0)
+        assert np.array_equal(y[0], y[1])
 
     def test_csv_initial(self, tmp_path):
         rows = np.array([[0.1, 0.2], [0.3, 0.4], [0.5, 0.6]])
@@ -189,9 +253,9 @@ class TestInitialLaws:
         np.savetxt(path, rows, delimiter=",", header="x0,y0", comments="")
         cfg = load_config(quad_doc(replicas=3,
                                    initial={"kind": "csv", "path": str(path)}))
-        state = build_initial_pair(cfg)
-        assert np.allclose(state.ax[:, 0], rows[:, 0])
-        assert np.allclose(state.ay[:, 0], rows[:, 1])
+        x, y = build_initial_pair(cfg)
+        assert np.allclose(x[0, :, 0], rows[:, 0])
+        assert np.allclose(y[0, :, 0], rows[:, 1])
 
 
 class TestRateFit:
@@ -473,19 +537,18 @@ class TestReducingRuns:
         # the double wells reflect, so their blend is not zero throughout
         assert rc_mean.any() == (cfg.experiment == "contract_classical")
 
-    def test_march_coupled_hands_each_dumps_differences(self):
+    def test_coupled_rows_hands_each_dumps_differences(self):
         # a reflecting double well: each dump's Z and W, and its mean blend,
         # are the bits of the kept dumps
         cfg = load_config(dw_contract_doc())
         constants = derive_constants(cfg.spec)
-        handed = {}
-        times, rc_mean = march_coupled(cfg.spec, build_initial_pair(cfg),
-                                       _coupling_control(cfg, constants), _integrator(cfg),
-                                       constants, lambda i, z, w: handed.setdefault(i, (z, w)),
-                                       dump_times=cfg.dump_times)
+        handed = []
+        times, rows, rc_mean = coupled_rows(cfg, constants, cfg.step,
+                                            lambda z, w: handed.append((z, w)) or len(handed))
         traj = kept_trajectory(cfg, constants, cfg.step)
-        assert sorted(handed) == list(range(len(traj.times)))
-        for i, (z, w) in handed.items():
+        assert len(handed) == len(traj.times)
+        assert np.array_equal(rows, np.arange(1, len(handed) + 1))
+        for i, (z, w) in enumerate(handed):
             assert np.array_equal(z, traj.ax[i] - traj.bx[i])
             assert np.array_equal(w, traj.ay[i] - traj.by[i])
         assert np.array_equal(times, traj.times)
@@ -523,7 +586,7 @@ def chaos_point_reference(cfg, constants, control, law_means, n_slots):
     seed_n = cfg.seed + n_slots
     x, y = _draw_initial(cfg.initial, spec, r * n_slots, seed_n, rng.SUB_SLOTS)
     x, y = x.reshape(r, n_slots, d), y.reshape(r, n_slots, d)
-    traj = coupled_trajectory(spec, CoupledState(ax=x, ay=y, bx=x, by=y), control,
+    traj = coupled_trajectory(spec, pair_state((x, y), (x, y)), control,
                               _integrator(cfg, horizon=cfg.eval_time, seed=seed_n),
                               constants, law_means=law_means)
     a, b = (traj.ax[-1], traj.ay[-1]), (traj.bx[-1], traj.by[-1])

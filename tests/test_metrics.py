@@ -7,7 +7,7 @@ import pytest
 
 from kinlang.metrics import (GroundMetric, MetricError, project_centered, row_norm,
                              small_norm, twisted_norm)
-from oracles import ell1_norm
+from oracles import ell1_norm, euclidean_norm
 
 
 def rand_pairs(n, d, seed=0, scale=2.0):
@@ -17,18 +17,18 @@ def rand_pairs(n, d, seed=0, scale=2.0):
 
 
 def all_metrics(spec, mc):
-    kinds = ["euclidean", "r_strong", "r_l", "r_s", "rho"]
+    kinds = ["r_strong", "r_l", "r_s", "rho"]
     return [GroundMetric.from_constants(spec, mc, k) for k in kinds]
 
 
 class TestBasics:
     def test_identity_of_indiscernibles(self, dw_spec, dw_constants):
-        x = np.array([0.4]), np.array([-1.1])
+        x, y = np.array([0.4]), np.array([-1.1])
         for m in all_metrics(dw_spec, dw_constants):
-            assert m.dist(x, x) == pytest.approx(0.0, abs=1e-14)
+            assert m.dist_zw(x - x, y - y) == pytest.approx(0.0, abs=1e-14)
 
     def test_small_metric_hand_value(self):
-        m = GroundMetric.small(alpha=0.22, gamma=1.0)
+        m = GroundMetric("r_s", gamma=1.0, alpha=0.22)
         got = m.dist_zw(np.array([1.0]), np.array([0.0]))
         assert got == pytest.approx(1.22)
 
@@ -55,20 +55,21 @@ class TestBasics:
     def test_dimension_mismatch_rejected(self, dw_spec, dw_constants):
         m = GroundMetric.from_constants(dw_spec, dw_constants, "rho")
         with pytest.raises(MetricError):
-            m.dist((np.zeros(1), np.zeros(1)), (np.zeros(2), np.zeros(2)))
+            m.dist_zw(np.zeros(1), np.zeros(2))
 
     def test_norm_and_pair_shapes_agree(self, dw_spec, dw_constants):
+        # a batch of (N, d) differences is taken pair by pair
         ax, ay, bx, by = rand_pairs(100, 1, seed=2)
         for m in all_metrics(dw_spec, dw_constants):
-            via_pair = m.dist((ax, ay), (bx, by))
-            via_diff = m.dist_zw(ax - bx, ay - by)
-            assert np.allclose(via_pair, via_diff)
+            batch = m.dist_zw(ax - bx, ay - by)
+            one_by_one = [m.dist_zw(ax[i] - bx[i], ay[i] - by[i]) for i in range(len(ax))]
+            assert np.allclose(batch, one_by_one)
 
     def test_rho_reduces_to_twisted_norm_when_degenerate(self, quad_spec, quad_constants):
         rho = GroundMetric.from_constants(quad_spec, quad_constants, "rho")
         rl = GroundMetric.from_constants(quad_spec, quad_constants, "r_l")
         ax, ay, bx, by = rand_pairs(200, 1, seed=3)
-        assert np.array_equal(rho.dist((ax, ay), (bx, by)), rl.dist((ax, ay), (bx, by)))
+        assert np.array_equal(rho.dist_zw(ax - bx, ay - by), rl.dist_zw(ax - bx, ay - by))
 
 
 class TestGap:
@@ -81,7 +82,7 @@ class TestGap:
         m = GroundMetric.from_constants(dw_spec, dw_constants, "rho")
         ax, ay, bx, by = rand_pairs(10000, 1, seed=4)
         gap = m.delta_zw(ax - bx, ay - by)
-        rs = GroundMetric.from_constants(dw_spec, dw_constants, "r_s").dist((ax, ay), (bx, by))
+        rs = GroundMetric.from_constants(dw_spec, dw_constants, "r_s").dist_zw(ax - bx, ay - by)
         assert np.all(gap >= 0.5 * rs - 1e-12)
 
     def test_gap_recomputed_from_raw_formulas(self, dw_spec, dw_constants):
@@ -99,40 +100,39 @@ class TestMetricInequalities:
     def test_norm_equivalences(self, dw_spec, dw_constants):
         mc = dw_constants
         ax, ay, bx, by = rand_pairs(10000, 1, seed=6)
-        rl = GroundMetric.from_constants(dw_spec, mc, "r_l").dist((ax, ay), (bx, by))
-        rs = GroundMetric.from_constants(dw_spec, mc, "r_s").dist((ax, ay), (bx, by))
+        rl = GroundMetric.from_constants(dw_spec, mc, "r_l").dist_zw(ax - bx, ay - by)
+        rs = GroundMetric.from_constants(dw_spec, mc, "r_s").dist_zw(ax - bx, ay - by)
         assert np.all(2 * mc.eps * rl <= rs * (1 + 1e-12) + 1e-12)
         assert np.all(mc.ratio_floor * rs <= rl * (1 + 1e-12) + 1e-12)
 
     def test_euclidean_sandwich(self, dw_spec, dw_constants):
         mc = dw_constants
         rho = GroundMetric.from_constants(dw_spec, mc, "rho")
-        euc = GroundMetric.euclidean()
         ax, ay, bx, by = rand_pairs(10000, 1, seed=7)
-        r = rho.dist((ax, ay), (bx, by))
-        e = euc.dist((ax, ay), (bx, by))
+        r = rho.dist_zw(ax - bx, ay - by)
+        e = euclidean_norm(ax - bx, ay - by)
         assert np.all(mc.equiv_lower * e <= r + 1e-12)
         assert np.all(r <= mc.equiv_upper * e + 1e-12)
 
     def test_triangle_inequality_rho(self, dw_spec, dw_constants):
         rho = GroundMetric.from_constants(dw_spec, dw_constants, "rho")
         g = np.random.default_rng(8)
-        a = (2 * g.normal(size=(10000, 1)), 2 * g.normal(size=(10000, 1)))
-        b = (2 * g.normal(size=(10000, 1)), 2 * g.normal(size=(10000, 1)))
-        c = (2 * g.normal(size=(10000, 1)), 2 * g.normal(size=(10000, 1)))
-        ab, bc, ac = rho.dist(a, b), rho.dist(b, c), rho.dist(a, c)
+        ax, ay, bx, by, cx, cy = (2 * g.normal(size=(10000, 1)) for _ in range(6))
+        ab = rho.dist_zw(ax - bx, ay - by)
+        bc = rho.dist_zw(bx - cx, by - cy)
+        ac = rho.dist_zw(ax - cx, ay - cy)
         assert np.all(ac <= ab + bc + 1e-10)
 
     def test_symmetry(self, dw_spec, dw_constants):
         ax, ay, bx, by = rand_pairs(500, 1, seed=9)
         for m in all_metrics(dw_spec, dw_constants):
-            assert np.allclose(m.dist((ax, ay), (bx, by)), m.dist((bx, by), (ax, ay)))
+            assert np.allclose(m.dist_zw(ax - bx, ay - by), m.dist_zw(bx - ax, by - ay))
 
     def test_unconfined_sandwich(self, unconfined_spec, unconfined_constants):
         spec, mc = unconfined_spec, unconfined_constants
         rt = GroundMetric.from_constants(spec, mc, "r_tilde")
         ax, ay, bx, by = rand_pairs(5000, 1, seed=10)
-        r2 = rt.dist((ax, ay), (bx, by)) ** 2
+        r2 = rt.dist_zw(ax - bx, ay - by) ** 2
         e2 = (ax - bx) ** 2 + (ay - by) ** 2
         e2 = e2[:, 0]
         kt, lkt = mc_split(spec)
@@ -152,14 +152,15 @@ class TestEnsembles:
         m = GroundMetric.from_constants(dw_spec, dw_constants, "rho")
         x = np.random.default_rng(11).normal(size=(8, 1))
         y = np.random.default_rng(12).normal(size=(8, 1))
-        assert np.allclose(m.dist((x, y), (x, y)), 0.0, atol=1e-14)
+        assert np.allclose(m.dist_zw(x - x, y - y), 0.0, atol=1e-14)
 
     def test_two_member_hand_case(self):
-        # (N, d) ensembles are compared pair by pair: distances 5 and 0
-        m = GroundMetric.euclidean()
-        a = (np.array([[0.0], [1.0]]), np.array([[0.0], [0.0]]))
-        b = (np.array([[3.0], [1.0]]), np.array([[4.0], [0.0]]))
-        assert np.allclose(m.dist(a, b), [5.0, 0.0])
+        # (N, d) ensembles are compared pair by pair: the small norm
+        # alpha |z| + |z + w / gamma| is 0.5 * 3 + 7 and 0
+        m = GroundMetric("r_s", gamma=1.0, alpha=0.5)
+        ax, ay = np.array([[0.0], [1.0]]), np.array([[0.0], [0.0]])
+        bx, by = np.array([[3.0], [1.0]]), np.array([[4.0], [0.0]])
+        assert np.allclose(m.dist_zw(ax - bx, ay - by), [8.5, 0.0])
 
     def test_ell1_hand_case(self):
         z = np.array([[0.0], [1.0]]) - np.array([[1.0], [1.0]])

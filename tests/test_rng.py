@@ -81,6 +81,20 @@ def test_raw_keys_draw_the_masked_public_key(seed, substream, masked):
                           public(*masked, 41).integers(0, 99, size=(5,)))
 
 
+@pytest.mark.parametrize("seed, substream", [(5, 0), (-3, 0), (7, -2), (2**63 - 1, 1)])
+def test_numpy_integer_keys_draw_what_python_ints_draw(monkeypatch, seed, substream):
+    # an empty cache: a Python-int key equal to the numpy one would hide a
+    # numpy key that fails to build its stream
+    monkeypatch.setattr(rng, "_CACHE", {})
+    expected = public(seed & (2**64 - 1), substream & (2**64 - 1), 3).standard_normal((2,))
+    for kind in (np.int64, np.uint64):
+        if kind is np.uint64 and (seed < 0 or substream < 0):
+            continue
+        rng._CACHE.clear()
+        assert np.array_equal(rng.normals(kind(seed), kind(substream), 3, (2,)), expected)
+    assert np.array_equal(rng.normals(seed, substream, 3, (2,)), expected)
+
+
 def test_draws_match_after_the_cache_is_evicted(monkeypatch):
     monkeypatch.setattr(rng, "_CACHE", {})
     seeds = range(4200)

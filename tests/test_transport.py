@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,9 +14,7 @@ from kinlang.harness.experiments import _slot_ell1_cost
 from kinlang.transport import (BLOCK_ELEMENTS, SIZE_CAP, TransportError, bootstrap_se,
                                cost_matrix_zw, wasserstein_from_costs)
 from oracles import coupled_trajectory, ell1_norm, pair_state, wasserstein_1d_sorted
-
-
-euclid = GroundMetric.euclidean().dist_zw
+from oracles import euclidean_norm as euclid
 
 
 def normal_support(gen, n, d):
@@ -29,14 +28,20 @@ def w1(cost_zw, a, b):
     return wasserstein_from_costs(cost_matrix_zw(cost_zw, *a, *b))
 
 
-def per_point_costs(dist_fn, a, b):
+def per_point_costs(cost_zw, a, b):
     """Reference: the per-point double loop over (x, y) points that the
-    blocked builder replaced."""
+    blocked builder replaced, one difference-form cost at a time."""
     out = np.empty((len(a[0]), len(b[0])))
     for i in range(len(a[0])):
         for j in range(len(b[0])):
-            out[i, j] = dist_fn((a[0][i], a[1][i]), (b[0][j], b[1][j]))
+            out[i, j] = cost_zw(a[0][i] - b[0][j], a[1][i] - b[1][j])
     return out
+
+
+def glued_with(k, spec, constants):
+    """The glued metric of a spec and its constants, with the matrix ``k``
+    in place of the spec's K."""
+    return replace(GroundMetric.from_constants(spec, constants, "rho"), k_matrix=k)
 
 
 class TestExactSolver:
@@ -54,7 +59,7 @@ class TestExactSolver:
         m = GroundMetric.from_constants(dw_spec, dw_constants, "rho")
         gen = np.random.default_rng(0)
         a, b = normal_support(gen, 4, 1), normal_support(gen, 4, 1)
-        costs = per_point_costs(lambda pa, pb: float(m.dist(pa, pb)), a, b)
+        costs = per_point_costs(m.dist_zw, a, b)
         brute = min(np.mean([costs[i, pi[i]] ** p for i in range(4)])
                     for pi in itertools.permutations(range(4)))
         # W_p is W_1 on the p-th powers of the costs, to the power 1/p
@@ -150,8 +155,7 @@ class TestBlockedCosts:
     def test_metric_costs_match_full_broadcast(self, dw_spec, dw_constants, d):
         mc = dw_constants
         k = np.eye(1) if d == 1 else np.array([[1.0, 0.3], [0.3, 2.0]])
-        m = GroundMetric.glued(k, mc.tau, mc.alpha, mc.eps, mc.glue_offset,
-                               mc.profile, dw_spec.gamma, dw_spec.u)
+        m = glued_with(k, dw_spec, mc)
         r = 300
         assert r % (BLOCK_ELEMENTS // (r * d)) != 0
         # wide enough that some pairs pass the glue offset
@@ -164,10 +168,9 @@ class TestBlockedCosts:
         # bitwise in d = 1; an anisotropic K in d = 2 may sum in another order
         mc = dw_constants
         k = np.eye(1) if d == 1 else np.array([[1.0, 0.3], [0.3, 2.0]])
-        m = GroundMetric.glued(k, mc.tau, mc.alpha, mc.eps, mc.glue_offset,
-                               mc.profile, dw_spec.gamma, dw_spec.u)
+        m = glued_with(k, dw_spec, mc)
         ax, ay, bx, by = self.supports(40 + d, (48, d), scale=20.0)
-        loop = per_point_costs(lambda pa, pb: float(m.dist(pa, pb)), (ax, ay), (bx, by))
+        loop = per_point_costs(m.dist_zw, (ax, ay), (bx, by))
         costs = cost_matrix_zw(m.dist_zw, ax, ay, bx, by)
         if d == 1:
             assert np.array_equal(costs, loop)
