@@ -73,8 +73,6 @@ def without_model():
     (chaos(subsample_pairs=SIZE_CAP + 1), "/subsample_pairs"),
     (chaos(subsample_pairs=SIZE_CAP), None),
     (chaos(eval_time=0), "/eval_time"),
-    (chaos(dump_times=[]), "/dump_times"),
-    (chaos(dump_times=[0.0]), None),
     (chaos(dump_cont=3), "/"),
     (chaos(integrator={"stepp": 0.1}), "/integrator"),
     (chaos(coupling={"mod": "synchronous"}), "/coupling"),
@@ -82,6 +80,8 @@ def without_model():
     (chaos(experiment=1), "/experiment"),
     ([], "/"),
     (chaos(coupling={"mode": "componentwise"}), "/coupling/mode"),
+    (chaos(dump_times=[]), "/dump_times"),
+    (chaos(dump_times=[0.0]), None),
 ])
 def test_edge_cases_agree(doc, invalid_at):
     ours = own_error(doc)
